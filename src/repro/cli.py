@@ -697,6 +697,10 @@ def _cmd_fuzz(args, out) -> int:
         for name, count in sorted(report["cases_by_fragment"].items())
     )
     print(f"fragments:    {fragments}", file=out)
+    wfs = ", ".join(
+        f"{name}={count}" for name, count in sorted(report["wfs_cases"].items())
+    )
+    print(f"wfs cases:    {wfs or 'none'}", file=out)
     print(f"divergences:  {len(report['divergences'])}", file=out)
     print(f"metamorphic:  {len(report['metamorphic_violations'])} violation(s)", file=out)
     streamed = ", ".join(

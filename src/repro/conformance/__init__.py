@@ -43,6 +43,7 @@ from .differential import (
 from .fuzz import FUZZ_REPORT_VERSION, FuzzConfig, run_fuzz, write_fuzz_report
 from .generator import (
     FRAGMENT_TARGETS,
+    WFS_TARGETS,
     sample_delta,
     sample_instance,
     sample_program,
@@ -63,6 +64,7 @@ __all__ = [
     "MetamorphicViolation",
     "StackContext",
     "StackOutcome",
+    "WFS_TARGETS",
     "build_stacks",
     "check_metamorphic",
     "corpus_entries",

@@ -135,11 +135,35 @@ def _strip_negation(program: Program) -> Program:
     )
 
 
+def _wfs_over_approximation(program: Program) -> Program:
+    """Hold every negated idb atom of a non-stratifiable program satisfied:
+    the alternating fixpoint cut after its first Γ, i.e. Γ(∅) passed off as
+    the true facts.  Stratifiable programs are untouched, so only the
+    well-founded fragment of the generator can catch it."""
+    from ..datalog.stratification import is_stratifiable
+
+    if is_stratifiable(program):
+        return program
+    rules = [
+        Rule(
+            r.head,
+            r.pos,
+            (atom for atom in r.neg if not program.is_idb(atom.relation)),
+            r.ineq,
+        )
+        for r in program.rules
+    ]
+    return Program(
+        rules, output_relations=program.output_relations, extra_edb=program.edb()
+    )
+
+
 #: name -> program transform.  Each mimics a realistic evaluator bug class
 #: (a filter silently skipped, a fixpoint cut short).
 MUTATIONS: dict[str, Callable[[Program], Program]] = {
     "strip-inequalities": _strip_inequalities,
     "strip-negation": _strip_negation,
+    "wfs-over-approximation": _wfs_over_approximation,
 }
 
 

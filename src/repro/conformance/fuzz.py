@@ -5,7 +5,10 @@ a fragment-targeted program and a random instance, picks runtime knobs
 (scheduler, transport, chaos / crash schedules) round-robin so the whole
 matrix is exercised at every budget, then
 
-1. runs the case through all six stacks (differential oracle),
+1. runs the case through all six stacks (differential oracle) — and, every
+   third iteration, a second case drawn from the non-stratifiable targets
+   on its own RNG stream, so the kernel-off stacks' naive Γ meets the
+   kernel's alternating fixpoint and the runtimes that ride it,
 2. checks the fragment's guaranteed monotonicity class on random deltas
    (metamorphic oracle), and
 3. streams a kind-admissible delta feed through a live runtime and checks
@@ -34,7 +37,12 @@ from dataclasses import dataclass, field, replace
 from ..datalog.evaluation import clear_default_plan_cache
 from ..transducers.faults import SCHEDULER_NAMES
 from .differential import DifferentialCase, run_case
-from .generator import FRAGMENT_TARGETS, sample_instance, sample_program
+from .generator import (
+    FRAGMENT_TARGETS,
+    WFS_TARGETS,
+    sample_instance,
+    sample_program,
+)
 from .metamorphic import check_metamorphic
 from .shrinker import default_failure_predicate, shrink_case
 from .stacks import DEFAULT_STACK_NAMES, StackContext, build_stacks
@@ -47,6 +55,9 @@ __all__ = ["FUZZ_REPORT_VERSION", "FuzzConfig", "run_fuzz", "write_fuzz_report"]
 FUZZ_REPORT_VERSION = 3
 
 _SCHEDULERS = tuple(sorted(SCHEDULER_NAMES))
+
+#: Every Nth iteration also runs one well-founded differential case.
+_WFS_EVERY = 3
 
 
 @dataclass(frozen=True)
@@ -114,10 +125,12 @@ def _stream_runtime(config: FuzzConfig, iteration: int) -> str:
     return "sync"
 
 
-def _derived_rng(seed: int, iteration: int) -> random.Random:
+def _derived_rng(seed: int, iteration: int, stream: str = "") -> random.Random:
     # Hash-derived integer seed: stable across processes and PYTHONHASHSEED
     # (tuple seeds would go through hash() and break byte-reproducibility).
-    digest = hashlib.sha256(f"repro-fuzz:{seed}:{iteration}".encode()).digest()
+    digest = hashlib.sha256(
+        f"repro-fuzz{stream}:{seed}:{iteration}".encode()
+    ).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
@@ -134,8 +147,37 @@ def run_fuzz(config: FuzzConfig, *, log=None) -> dict:
     streaming_runtimes: dict[str, int] = {}
     corpus_paths: list[str] = []
     cases_by_fragment: dict[str, int] = {}
+    wfs_cases: dict[str, int] = {}
     iterations_run = 0
     stop_reason = "iterations"
+
+    def check_differential(
+        case: DifferentialCase, iteration: int, target_name: str
+    ) -> None:
+        verdict = run_case(case, stacks=stacks, mutate=config.mutate or None)
+        if verdict.passed:
+            return
+        if config.shrink:
+            predicate = default_failure_predicate(
+                stacks=config.stacks, mutate=config.mutate or None
+            )
+            minimized = shrink_case(case, predicate)
+            verdict = run_case(
+                minimized, stacks=config.stacks, mutate=config.mutate or None
+            )
+        record = verdict.provenance()
+        record["iteration"] = iteration
+        record["fragment_target"] = target_name
+        divergences.append(record)
+        if config.corpus_dir is not None:
+            entry = entry_from_verdict(verdict)
+            path = write_entry(config.corpus_dir, entry)
+            corpus_paths.append(str(path))
+        if log is not None:
+            log(
+                f"iteration {iteration}: DIVERGENCE "
+                f"({len(verdict.divergences)} stack(s) disagree)"
+            )
 
     for iteration in range(config.iterations):
         if (
@@ -160,29 +202,21 @@ def run_fuzz(config: FuzzConfig, *, log=None) -> dict:
             program=program, instance=instance, context=context
         )
 
-        verdict = run_case(case, stacks=stacks, mutate=config.mutate or None)
-        if not verdict.passed:
-            if config.shrink:
-                predicate = default_failure_predicate(
-                    stacks=config.stacks, mutate=config.mutate or None
-                )
-                minimized = shrink_case(case, predicate)
-                verdict = run_case(
-                    minimized, stacks=config.stacks, mutate=config.mutate or None
-                )
-            record = verdict.provenance()
-            record["iteration"] = iteration
-            record["fragment_target"] = target.name
-            divergences.append(record)
-            if config.corpus_dir is not None:
-                entry = entry_from_verdict(verdict)
-                path = write_entry(config.corpus_dir, entry)
-                corpus_paths.append(str(path))
-            if log is not None:
-                log(
-                    f"iteration {iteration}: DIVERGENCE "
-                    f"({len(verdict.divergences)} stack(s) disagree)"
-                )
+        check_differential(case, iteration, target.name)
+        if iteration % _WFS_EVERY == _WFS_EVERY - 1:
+            wfs_rng = _derived_rng(config.seed, iteration, "-wfs")
+            wfs_target = WFS_TARGETS[(iteration // _WFS_EVERY) % len(WFS_TARGETS)]
+            wfs_cases[wfs_target.name] = wfs_cases.get(wfs_target.name, 0) + 1
+            wfs_program = sample_program(wfs_rng, wfs_target)
+            check_differential(
+                DifferentialCase(
+                    program=wfs_program,
+                    instance=sample_instance(wfs_rng, wfs_program.edb()),
+                    context=context,
+                ),
+                iteration,
+                wfs_target.name,
+            )
 
         if config.metamorphic:
             violation = check_metamorphic(program, instance, rng)
@@ -249,6 +283,7 @@ def run_fuzz(config: FuzzConfig, *, log=None) -> dict:
         "iterations_run": iterations_run,
         "stop_reason": stop_reason,
         "cases_by_fragment": cases_by_fragment,
+        "wfs_cases": wfs_cases,
         "divergences": divergences,
         "metamorphic_violations": metamorphic_violations,
         "streaming_violations": streaming_violations,

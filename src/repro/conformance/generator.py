@@ -4,8 +4,9 @@ The fuzzer does not want one distribution of programs — it wants coverage
 of the paper's fragment zoo (Figure 2 left column), because each fragment
 exercises a different engine path: positive programs take the broadcast
 protocol, SP-Datalog the absence protocol, semicon-Datalog¬ the
-domain-guided handshake, and general stratified programs the coordinating
-barrier fallback.  Each target below is a :class:`GeneratorConfig` biased
+domain-guided handshake, general stratified programs the coordinating
+barrier fallback, and non-stratifiable programs the well-founded
+evaluator.  Each target below is a :class:`GeneratorConfig` biased
 toward one fragment; sampling is best-effort (a "semicon" draw may come out
 connected or even semi-positive), so callers that care about the *actual*
 fragment classify the sample with :func:`repro.core.analyzer.analyze`.
@@ -37,6 +38,7 @@ from ..queries.program_generator import (
 
 __all__ = [
     "FRAGMENT_TARGETS",
+    "WFS_TARGETS",
     "FragmentTarget",
     "sample_program",
     "sample_ilog_program",
@@ -135,7 +137,55 @@ FRAGMENT_TARGETS: tuple[FragmentTarget, ...] = (
     ),
 )
 
-_TARGETS_BY_NAME = {target.name: target for target in FRAGMENT_TARGETS}
+#: Negation through recursion: outside stratified Datalog¬, evaluated under
+#: the well-founded semantics (win-move is the one-rule member).  Connected
+#: samples take the domain-guided protocol (Section 7 remark), the rest the
+#: barrier; both pit the naive Γ of the kernel-off stacks against the
+#: kernel's alternating fixpoint.  Kept out of :data:`FRAGMENT_TARGETS` so
+#: the fuzzer's round-robin over the Figure 2 zoo — and with it every
+#: fixed-seed case sequence — is unchanged; the fuzz loop samples these on a
+#: side stream.
+WFS_TARGETS: tuple[FragmentTarget, ...] = (
+    FragmentTarget(
+        name="wfs-connected",
+        config=GeneratorConfig(
+            strata=1,
+            negation_probability=0.8,
+            connect_rules=True,
+            negate_same_stratum=True,
+        ),
+        expected_fragments=(
+            "datalog",
+            "datalog-neq",
+            "sp-datalog",
+            "con-datalog",
+            "wfs-connected",
+        ),
+    ),
+    FragmentTarget(
+        name="wfs",
+        config=GeneratorConfig(
+            strata=2,
+            negation_probability=0.8,
+            inequality_probability=0.3,
+            negate_same_stratum=True,
+        ),
+        expected_fragments=(
+            "datalog",
+            "datalog-neq",
+            "sp-datalog",
+            "con-datalog",
+            "semicon-datalog",
+            "stratified",
+            "wfs-connected",
+            "wfs",
+        ),
+    ),
+)
+
+_TARGETS_BY_NAME = {
+    target.name: target for target in FRAGMENT_TARGETS + WFS_TARGETS
+}
 
 
 def sample_program(rng: random.Random, target: str | FragmentTarget) -> Program:

@@ -92,7 +92,9 @@ def check_metamorphic(
     """Check the fragment's guaranteed class on random deltas.
 
     Returns the first violation found, or ``None``.  Programs without a
-    guarantee (general stratified / WFS) have no oracle and pass trivially.
+    guarantee (general stratified / unconnected WFS) have no oracle and
+    pass trivially; connected non-stratifiable programs are held to
+    Mdisjoint (Section 7 remark).
     With ``cross_validate`` on, every violation is re-derived through
     :func:`repro.monotonicity.checker.check_monotonicity` on the same pair,
     so the fuzzer and the checker can never silently disagree.

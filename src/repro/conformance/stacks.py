@@ -153,7 +153,9 @@ class NaiveStack(EvaluationStack):
         with _plans_disabled():
             if not is_stratifiable(program):
                 # Outside stratified Datalog¬ there is no T_P fixpoint to
-                # iterate; fall back to the program's natural semantics.
+                # iterate; fall back to the program's natural semantics —
+                # with plans off that is the naive Γ over the legacy join,
+                # the oracle for the kernel's alternating fixpoint.
                 return query_for(program)(restricted)
             current = restricted
             for stage in stratify(program).strata:

@@ -54,6 +54,7 @@ from .containment import (
     minimize_cq,
 )
 from .wellfounded import (
+    WellFoundedEvaluator,
     WellFoundedModel,
     doubled_program,
     evaluate_doubled,
@@ -114,6 +115,7 @@ __all__ = [
     "cq_equivalent",
     "is_conjunctive_query",
     "minimize_cq",
+    "WellFoundedEvaluator",
     "WellFoundedModel",
     "doubled_program",
     "evaluate_doubled",

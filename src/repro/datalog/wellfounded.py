@@ -14,12 +14,20 @@ Mdisjoint.  This module supplies both ingredients:
   program's two halves reproduces the alternating fixpoint, and when the
   source program is connected both halves are connected — the structural
   fact behind the Section 7 remark.
+
+Γ has two backends behind one alternation loop: the interned kernel
+(:mod:`repro.kernel.wellfounded`, the default) and the naive loop over the
+tuple engine (:func:`_gamma`, kept as the independent oracle and reached
+with ``REPRO_DISABLE_KERNEL`` / ``REPRO_DISABLE_PLANS``).
+:class:`WellFoundedEvaluator` picks per call and keeps the compiled form.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
+from ..flags import kernel_enabled, plans_enabled
 from .evaluation import FactIndex, PlanCache, match_rule
 from .instance import Instance
 from .program import Program
@@ -28,6 +36,7 @@ from .terms import Atom, Fact
 
 __all__ = [
     "WellFoundedModel",
+    "WellFoundedEvaluator",
     "evaluate_well_founded",
     "doubled_program",
     "OVER_SUFFIX",
@@ -87,6 +96,120 @@ def _gamma(
     return index
 
 
+class _NaiveSession:
+    """Γ through the tuple engine, approximations as :class:`FactIndex` —
+    the independent oracle the kernel-off conformance stacks run.  Same
+    surface as :class:`repro.kernel.wellfounded.GammaSession`."""
+
+    def __init__(self, program: Program, instance: Instance) -> None:
+        self._program = program
+        self._instance = instance
+        self._plan_cache = PlanCache()
+        self.start = FactIndex(instance)
+
+    def gamma(self, assumed: FactIndex) -> FactIndex:
+        return _gamma(self._program, self._instance, assumed, self._plan_cache)
+
+    size = staticmethod(len)
+
+    def true(
+        self, under: FactIndex, relations: frozenset[str] | None = None
+    ) -> Instance:
+        true_facts = under.to_instance()
+        return true_facts if relations is None else true_facts.restrict(relations)
+
+    def undefined(self, under: FactIndex, over: FactIndex) -> Instance:
+        return over.to_instance() - under.to_instance()
+
+
+def _alternating_fixpoint(session, max_rounds: int):
+    """``K_0 = input``, ``K_{i+1} = Γ(Γ(K_i))`` increases to the true facts
+    W.  Returns ``(W, Γ(W))``: the sequence only grows, so the round whose
+    size did not change has ``K_{i+1} = K_i`` and its ``Γ(K_i)`` is Γ(W).
+    """
+    under = session.start
+    for _ in range(max_rounds):
+        over = session.gamma(under)
+        new_under = session.gamma(over)
+        if session.size(new_under) == session.size(under):
+            return new_under, over
+        under = new_under
+    raise RuntimeError(
+        f"alternating fixpoint did not converge within {max_rounds} rounds"
+    )
+
+
+def _doubled_iteration(session, max_rounds: int):
+    """The two halves of the doubled program iterated against each other:
+    the under half reads the previous over estimate for its negations and
+    vice versa.  Returns the same ``(under, over)`` pair as
+    :func:`_alternating_fixpoint`."""
+    under = session.start
+    over = session.gamma(under)
+    for _ in range(max_rounds):
+        new_under = session.gamma(over)
+        new_over = session.gamma(new_under)
+        if session.size(new_under) == session.size(under) and session.size(
+            new_over
+        ) == session.size(over):
+            return new_under, new_over
+        under, over = new_under, new_over
+    raise RuntimeError(
+        f"doubled-program iteration did not converge within {max_rounds} rounds"
+    )
+
+
+class WellFoundedEvaluator:
+    """A long-lived well-founded evaluator for one program.
+
+    Dispatches per call exactly as :meth:`SemiNaiveEvaluator.run` does: the
+    interned kernel when ``plans_enabled() and kernel_enabled()``, else the
+    naive tuple-engine Γ.  The kernel form compiles on first use and stays
+    with this object, so an evaluator reused across inputs (a transducer's
+    query, one transition after another) compiles once.
+    """
+
+    def __init__(self, program: Program) -> None:
+        self._program = program
+        self._kernel = None
+
+    @property
+    def kernel_compiled(self) -> int:
+        """Kernel rule specializations generated so far (0 until the kernel
+        path has dispatched at least once)."""
+        return self._kernel.compiled if self._kernel is not None else 0
+
+    def session(self, instance: Instance):
+        """The Γ backend for one evaluation on *instance*."""
+        if plans_enabled() and kernel_enabled():
+            if self._kernel is None:
+                # Imported here: repro.kernel imports this package.
+                from ..kernel.wellfounded import FrozenNegationKernel
+
+                self._kernel = FrozenNegationKernel(self._program)
+            return self._kernel.session(instance)
+        return _NaiveSession(self._program, instance)
+
+    def model(self, instance: Instance, *, max_rounds: int = 10_000) -> WellFoundedModel:
+        """The full three-valued model (see :func:`evaluate_well_founded`)."""
+        return _model(self.session(instance), _alternating_fixpoint, max_rounds)
+
+    def output(self, instance: Instance, *, max_rounds: int = 10_000) -> Instance:
+        """Only the true facts of the designated output relations — the
+        query a program expresses under the well-founded semantics.  Never
+        decodes the rest of the model."""
+        session = self.session(instance)
+        under, _ = _alternating_fixpoint(session, max_rounds)
+        return session.true(under, self._program.output_relations)
+
+
+def _model(session, iterate, max_rounds: int) -> WellFoundedModel:
+    under, over = iterate(session, max_rounds)
+    return WellFoundedModel(
+        true=session.true(under), undefined=session.undefined(under, over)
+    )
+
+
 def evaluate_well_founded(
     program: Program, instance: Instance, *, max_rounds: int = 10_000
 ) -> WellFoundedModel:
@@ -95,21 +218,7 @@ def evaluate_well_founded(
     The sequence ``K_0 = ∅``, ``K_{i+1} = Γ(Γ(K_i))`` increases to the set of
     true facts W; ``Γ(W)`` is the over-approximation (true ∪ undefined).
     """
-    plan_cache = PlanCache()
-    under = FactIndex(instance)
-    for _ in range(max_rounds):
-        over = _gamma(program, instance, under, plan_cache)
-        new_under = _gamma(program, instance, over, plan_cache)
-        if len(new_under) == len(under):
-            true_facts = new_under.to_instance()
-            possible = _gamma(program, instance, new_under, plan_cache).to_instance()
-            return WellFoundedModel(
-                true=true_facts, undefined=possible - true_facts
-            )
-        under = new_under
-    raise RuntimeError(
-        f"alternating fixpoint did not converge within {max_rounds} rounds"
-    )
+    return WellFoundedEvaluator(program).model(instance, max_rounds=max_rounds)
 
 
 def _over_atom(atom: Atom, idb: frozenset[str]) -> Atom:
@@ -156,23 +265,11 @@ def evaluate_doubled(
     and vice versa.  The result coincides with
     :func:`evaluate_well_founded`; the tests assert that equivalence.
     """
-    idb = frozenset(program.idb())
-    plan_cache = PlanCache()
-    under = FactIndex(instance)
-    over = _gamma(program, instance, under, plan_cache)
-    for _ in range(max_rounds):
-        new_under = _gamma(program, instance, over, plan_cache)
-        new_over = _gamma(program, instance, new_under, plan_cache)
-        if len(new_under) == len(under) and len(new_over) == len(over):
-            true_facts = new_under.to_instance()
-            possible = new_over.to_instance()
-            return WellFoundedModel(true=true_facts, undefined=possible - true_facts)
-        under, over = new_under, new_over
-    raise RuntimeError(
-        f"doubled-program iteration did not converge within {max_rounds} rounds"
-    )
+    session = WellFoundedEvaluator(program).session(instance)
+    return _model(session, _doubled_iteration, max_rounds)
 
 
+@functools.cache
 def winmove_program() -> Program:
     """The win-move program: ``Win(x) <- Move(x, y), not Win(y).``
 

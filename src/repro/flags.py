@@ -6,7 +6,8 @@ Every performance layer of the engine has an environment kill switch:
   kernel, which builds on the same dispatch point) to the legacy recursive
   join, the oracle engine;
 * ``REPRO_DISABLE_KERNEL=1`` — keep compiled plans but disable the interned
-  columnar kernel (:mod:`repro.kernel`);
+  columnar kernel (:mod:`repro.kernel`), for the semi-naive evaluator and
+  the well-founded alternating fixpoint alike;
 * ``REPRO_KERNEL=0|1`` — explicit opt-out/opt-in for the kernel when no
   stronger override applies;
 * ``REPRO_DISABLE_QUERY_CACHE=1`` — disable the incremental transducer

@@ -27,6 +27,8 @@ steady-state cost of a transducer step is the generated loops only.
 
 from __future__ import annotations
 
+from typing import Collection
+
 from ..datalog.evaluation import EvaluationError
 from ..datalog.instance import Instance
 from ..datalog.program import Program
@@ -77,14 +79,29 @@ class KernelEvaluator:
 
     def run(self, instance: Instance, *, max_iterations: int | None = None) -> Instance:
         """Compute the minimal fixpoint of T_P containing *instance*."""
-        table = self._table
-        intern = table.intern
+        intern = self._table.intern
         db = ColumnarDatabase()
         delta: dict[str, list[tuple[int, ...]]] = {}
         for fact in instance:
             row = tuple(intern(value) for value in fact.values)
             if db.add(fact.relation, row):
                 delta.setdefault(fact.relation, []).append(row)
+        self.saturate(db, delta, max_iterations=max_iterations)
+        return decode_database(db.rows(), self._table)
+
+    def saturate(
+        self,
+        db: ColumnarDatabase,
+        delta: dict[str, Collection[tuple[int, ...]]],
+        *,
+        max_iterations: int | None = None,
+    ) -> None:
+        """Close *db* under the program, in place.
+
+        *delta* maps relation names to the rows of *db* not yet joined
+        against (for a fresh database: all of them).  The mapping is
+        consumed; its row collections are only read.
+        """
         # Ground rules fire once up front (their bodies read only fixed
         # relations); each derivation is visible to subsequent ground rules,
         # matching the tuple engine's prepass.
@@ -92,9 +109,9 @@ class KernelEvaluator:
             out: list[tuple[int, ...]] = []
             compiled.fire(db, (), out.append)
             head = compiled.head_relation
-            for row in out:
-                if db.add(head, row):
-                    delta.setdefault(head, []).append(row)
+            new_rows = [row for row in out if db.add(head, row)]
+            if new_rows:
+                delta[head] = [*delta.get(head, ()), *new_rows]
         iterations = 0
         while delta:
             iterations += 1
@@ -118,7 +135,6 @@ class KernelEvaluator:
                 new_rows = [row for row in candidates if db.add(head, row)]
                 if new_rows:
                     delta[head] = new_rows
-        return decode_database(db.rows(), table)
 
 
 def evaluate_semipositive(

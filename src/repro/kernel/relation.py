@@ -27,9 +27,10 @@ class ColumnarRelation:
 
     __slots__ = ("name", "tuples", "_columns")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, tuples: set[tuple[int, ...]] | None = None) -> None:
         self.name = name
-        self.tuples: set[tuple[int, ...]] = set()
+        #: Adopted by reference (not copied) when given.
+        self.tuples: set[tuple[int, ...]] = set() if tuples is None else tuples
         self._columns: dict[int, dict[int, list[tuple[int, ...]]]] = {}
 
     def add(self, row: tuple[int, ...]) -> bool:
@@ -88,8 +89,13 @@ class ColumnarDatabase:
 
     __slots__ = ("_relations",)
 
-    def __init__(self) -> None:
-        self._relations: dict[str, ColumnarRelation] = {}
+    def __init__(self, shared: Iterable[ColumnarRelation] = ()) -> None:
+        # *shared* relations are adopted by reference, built indexes and
+        # all: the well-founded evaluator reuses its fixed relations across
+        # the many databases of one alternating fixpoint.
+        self._relations: dict[str, ColumnarRelation] = {
+            relation.name: relation for relation in shared
+        }
 
     def relation(self, name: str) -> ColumnarRelation:
         relation = self._relations.get(name)

@@ -17,7 +17,7 @@ from ..datalog.instance import Instance
 from ..datalog.program import Program
 from ..datalog.schema import Schema
 from ..datalog.stratified import StratifiedEvaluator
-from ..datalog.wellfounded import evaluate_well_founded
+from ..datalog.wellfounded import WellFoundedEvaluator
 
 __all__ = [
     "Query",
@@ -31,9 +31,10 @@ __all__ = [
 class Query(ABC):
     """A query from an input schema to an output schema.
 
-    Subclasses implement :meth:`evaluate`; calling the query object applies
-    it to an instance (which is first restricted to the input schema, so
-    stray facts cannot leak into the computation).
+    Subclasses implement :meth:`evaluate`, which must return an instance
+    over the output schema; calling the query object applies it to an
+    instance (which is first restricted to the input schema, so stray facts
+    cannot leak into the computation).
     """
 
     def __init__(self, name: str, input_schema: Schema, output_schema: Schema) -> None:
@@ -59,9 +60,7 @@ class Query(ABC):
 
     def __call__(self, instance: Instance | Iterable) -> Instance:
         instance = Instance(instance)
-        restricted = instance.restrict(self._input_schema)
-        result = self.evaluate(restricted)
-        return result.restrict(self._output_schema)
+        return self.evaluate(instance.restrict(self._input_schema))
 
     def __repr__(self) -> str:
         return f"<Query {self._name}: {self._input_schema!r} -> {self._output_schema!r}>"
@@ -71,6 +70,9 @@ class FunctionQuery(Query):
     """A query backed by a plain Python function ``Instance -> Instance``.
 
     The function must be generic; :func:`check_genericity` can spot-check.
+    Its result is projected to the output schema, so stray relations never
+    leak out of an arbitrary callable (the program-backed queries project
+    inside their evaluators instead — one projection per call either way).
     """
 
     def __init__(
@@ -84,7 +86,7 @@ class FunctionQuery(Query):
         self._function = function
 
     def evaluate(self, instance: Instance) -> Instance:
-        return Instance(self._function(instance))
+        return Instance(self._function(instance)).restrict(self._output_schema)
 
 
 class DatalogQuery(Query):
@@ -141,14 +143,14 @@ class WellFoundedQuery(Query):
             program.output_schema(),
         )
         self._program = program
+        self._evaluator = WellFoundedEvaluator(program)
 
     @property
     def program(self) -> Program:
         return self._program
 
     def evaluate(self, instance: Instance) -> Instance:
-        model = evaluate_well_founded(self._program, instance)
-        return model.true.restrict(self.output_schema)
+        return self._evaluator.output(instance)
 
 
 def check_genericity(

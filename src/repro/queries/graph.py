@@ -24,7 +24,7 @@ from typing import Hashable, Iterable
 from ..datalog.instance import Instance
 from ..datalog.schema import Schema
 from ..datalog.terms import Fact
-from ..datalog.wellfounded import winmove_truths
+from ..datalog.wellfounded import WellFoundedEvaluator, winmove_program
 from .base import FunctionQuery, Query
 
 __all__ = [
@@ -232,15 +232,13 @@ def win_move_query() -> Query:
     """The win-move query: Win(x) for the positions *won* under the
     well-founded semantics of ``Win(x) <- Move(x, y), not Win(y)``.
 
-    Non-monotone, yet in Mdisjoint (Section 7 / [32]).
+    Non-monotone, yet in Mdisjoint (Section 7 / [32]).  The returned query
+    owns one evaluator, so every transition of a node holding it (and every
+    input of a process worker) reuses the same compiled rules.
     """
-
-    def compute(instance: Instance) -> Instance:
-        won, _, _ = winmove_truths(instance)
-        return won
-
+    evaluator = WellFoundedEvaluator(winmove_program())
     return FunctionQuery(
-        "win-move", Schema({"Move": 2}), Schema({"Win": 1}), compute
+        "win-move", Schema({"Move": 2}), Schema({"Win": 1}), evaluator.output
     )
 
 

@@ -3,8 +3,10 @@
 Programs are generated stratum by stratum, so they are syntactically
 stratifiable *by construction*: a rule's positive atoms may use edb
 relations, earlier idb relations or same-stratum idb relations; its negated
-atoms only edb or strictly earlier idb relations.  Safety is guaranteed by
-drawing head and negated-atom variables from the positive body's variables.
+atoms only edb or strictly earlier idb relations (unless
+``negate_same_stratum`` asks for negation through recursion).  Safety is
+guaranteed by drawing head and negated-atom variables from the positive
+body's variables.
 
 Used by the property-based tests to exercise the analyzer, the fragment
 checkers and the Lemma 5.2 component semantics on inputs nobody hand-picked,
@@ -44,6 +46,11 @@ class GeneratorConfig:
     #: semicon-Datalog¬ samples: every potentially-disconnected rule sits in
     #: the top stratum, whose heads no rule negates.
     connect_last_stratum: bool = True
+    #: Also let a rule negate the relations of its *own* stratum.  This is
+    #: the one way out of stratifiability by construction: negation through
+    #: recursion (``Win(x) :- Move(x, y), not Win(y)``), whose meaning is the
+    #: well-founded semantics.
+    negate_same_stratum: bool = False
     variable_pool: tuple[str, ...] = ("x", "y", "z", "u", "v")
 
 
@@ -71,7 +78,8 @@ def _connect_atoms(
 
 
 def random_program(seed: int = 0, config: GeneratorConfig | None = None) -> Program:
-    """Generate a syntactically stratifiable Datalog¬ program."""
+    """Generate a Datalog¬ program, syntactically stratifiable unless
+    ``config.negate_same_stratum`` is set."""
     config = config or GeneratorConfig()
     rng = random.Random(seed)
     variables = [Variable(name) for name in config.variable_pool]
@@ -88,6 +96,11 @@ def random_program(seed: int = 0, config: GeneratorConfig | None = None) -> Prog
         ]
         # Same-stratum positive recursion is allowed.
         positive_pool = available + stratum_relations
+        negative_pool = (
+            negatable + stratum_relations
+            if config.negate_same_stratum
+            else negatable
+        )
         for relation, arity in stratum_relations:
             for _ in range(config.rules_per_relation):
                 body_size = rng.randint(1, config.max_body_atoms)
@@ -109,8 +122,8 @@ def random_program(seed: int = 0, config: GeneratorConfig | None = None) -> Prog
                     relation, tuple(rng.choice(pos_vars) for _ in range(arity))
                 )
                 neg: list[Atom] = []
-                if negatable and rng.random() < config.negation_probability:
-                    neg_relation, neg_arity = rng.choice(negatable)
+                if negative_pool and rng.random() < config.negation_probability:
+                    neg_relation, neg_arity = rng.choice(negative_pool)
                     neg.append(
                         Atom(
                             neg_relation,

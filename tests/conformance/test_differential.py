@@ -53,6 +53,25 @@ def test_planted_negation_bug_diverges(cotc_program):
     assert [o.stack for o in verdict.divergences] == ["seminaive-legacy"]
 
 
+def test_planted_wfs_bug_diverges_and_spares_stratified_programs(cotc_program):
+    """Γ(∅) passed off as the model: 1 -> 2 <-> 3 has no winner (2 and 3
+    draw, 1 only reaches a drawn position), the over-approximation has
+    three."""
+    from repro.datalog import winmove_program
+
+    game = Instance(parse_facts("Move(1, 2). Move(2, 3). Move(3, 2)."))
+    verdict = run_case(
+        _case(winmove_program(), game),
+        mutate={"kernel": "wfs-over-approximation"},
+    )
+    assert [o.stack for o in verdict.divergences] == ["kernel"]
+    assert verdict.baseline.output_facts == 0
+    assert verdict.divergences[0].output_facts == 3
+    assert run_case(_case(winmove_program(), game)).passed
+    # Stratified programs never reach the well-founded evaluator.
+    assert MUTATIONS["wfs-over-approximation"](cotc_program) is cotc_program
+
+
 def test_mutations_preserve_schema_and_outputs():
     for transform in MUTATIONS.values():
         mutated = transform(NEQ_PROGRAM)

@@ -94,6 +94,46 @@ def test_planted_bug_is_caught_and_minimized(tmp_path):
         assert replay_entry(load_entry(path), stacks=FAST_STACKS).passed
 
 
+def test_wfs_side_stream_leaves_the_main_case_sequence_alone():
+    """Every third iteration adds one non-stratifiable case on its own RNG
+    stream; the Figure 2 round-robin (and its counts) is untouched."""
+    report = run_fuzz(
+        FuzzConfig(
+            seed=3,
+            iterations=12,
+            stacks=("naive", "kernel"),
+            metamorphic=False,
+            streaming=False,
+            optimizer=False,
+        )
+    )
+    assert report["passed"] is True, report["divergences"]
+    assert sum(report["cases_by_fragment"].values()) == 12
+    assert report["wfs_cases"] == {"wfs": 2, "wfs-connected": 2}
+
+
+def test_planted_wfs_bug_is_caught_by_the_wfs_cases_only():
+    """Self-check for the well-founded fragment: an evaluator that stops
+    after the first Γ is caught, and only by cases of the WFS targets."""
+    report = run_fuzz(
+        FuzzConfig(
+            seed=0,
+            iterations=60,
+            stacks=("naive", "kernel"),
+            mutate={"kernel": "wfs-over-approximation"},
+            metamorphic=False,
+            streaming=False,
+            optimizer=False,
+        )
+    )
+    assert report["passed"] is False
+    assert report["divergences"]
+    assert {d["fragment_target"] for d in report["divergences"]} <= {
+        "wfs",
+        "wfs-connected",
+    }
+
+
 def test_report_writes_as_json(tmp_path):
     import json
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.conformance.generator import (
     FRAGMENT_TARGETS,
+    WFS_TARGETS,
     sample_delta,
     sample_ilog_program,
     sample_instance,
@@ -27,7 +28,9 @@ def _rng(salt: int) -> random.Random:
     return random.Random(0xC0FFEE + salt)
 
 
-@pytest.mark.parametrize("target", FRAGMENT_TARGETS, ids=lambda t: t.name)
+@pytest.mark.parametrize(
+    "target", FRAGMENT_TARGETS + WFS_TARGETS, ids=lambda t: t.name
+)
 class TestFragmentTargets:
     def test_samples_stay_inside_expected_fragments(self, target):
         rng = _rng(1)
