@@ -13,7 +13,7 @@ from repro.datalog import (
     Instance,
     evaluate_doubled,
     evaluate_well_founded,
-    immediate_consequence,
+    naive_fixpoint,
     parse_program,
     winmove_program,
 )
@@ -23,15 +23,6 @@ from repro.queries import random_game_graph, random_graph
 TC = parse_program(
     "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z).", output_relations=["T"]
 )
-
-
-def naive_fixpoint(program, instance):
-    current = instance
-    while True:
-        following = immediate_consequence(program, current)
-        if following == current:
-            return current
-        current = following
 
 
 def test_ablation_semi_naive(benchmark):

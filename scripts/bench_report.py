@@ -1,26 +1,8 @@
 #!/usr/bin/env python
-"""A/B the engine microbenchmarks and distill the result into BENCH_engine.json.
-
-Runs ``benchmarks/bench_engine_microbench.py`` twice through pytest-benchmark
-(``--benchmark-json``):
-
-* **before** — the current tree with every engine kill-switch set
-  (``REPRO_DISABLE_PLANS=1 REPRO_DISABLE_KERNEL=1
-  REPRO_DISABLE_QUERY_CACHE=1``), which restores the legacy recursive
-  join and uncached transducer stepping;
-* **after** — the same tree with the columnar kernel, compiled plans and
-  the incremental db-fingerprint caches enabled (the defaults).
-
-It then re-runs the chaos workloads **in-process, cached vs uncached**, and
-compares output fingerprints transition-for-transition: any divergence is a
-correctness bug in the caching layer and fails the script (nonzero exit), so
-CI can gate on it.
+"""Regenerate the committed gate artifacts (``BENCH_*.json``), one mode per run.
 
 Usage::
 
-    PYTHONPATH=src python scripts/bench_report.py            # full suite
-    PYTHONPATH=src BENCH_ENGINE_SMOKE=1 python scripts/bench_report.py --smoke
-    PYTHONPATH=src python scripts/bench_report.py --compare-baseline  # + regression gate
     PYTHONPATH=src python scripts/bench_report.py --scaling  # BENCH_scaling.json
     PYTHONPATH=src python scripts/bench_report.py --scaling --smoke --compare-baseline
     PYTHONPATH=src python scripts/bench_report.py --service  # BENCH_service.json
@@ -29,6 +11,9 @@ Usage::
     PYTHONPATH=src python scripts/bench_report.py --scenarios --smoke
     PYTHONPATH=src python scripts/bench_report.py --optimizer  # BENCH_optimizer.json
     PYTHONPATH=src python scripts/bench_report.py --optimizer --smoke
+
+Exactly one mode flag is required.  Engine speed is not measured here:
+``python3 bench/run.py --workload eval_central`` is the live number.
 
 ``--service`` switches to the multi-tenant service load test
 (``benchmarks/bench_service.py``): >= 200 concurrent POSTs across >= 3
@@ -57,13 +42,12 @@ the same dated-history upsert; ``--smoke`` only tags the history entry
 (the scenarios are tiny, so every arm always runs — the gate properties
 are never relaxed).
 
-``--output`` overrides the destination (default: repo-root BENCH_engine.json).
-The output file keeps a dated **history**: each invocation upserts one
-entry under ``history`` instead of overwriting previous results — a
-re-run on the same date replaces that day's entry in place (no
-duplicates), other dates accumulate, so regressions are visible as a
-time series.  Legacy single-entry files are migrated in place on first
-touch.
+``--output`` overrides the destination (default: the mode's repo-root
+artifact).  The output file keeps a dated **history**: each invocation
+upserts one entry under ``history`` instead of overwriting previous
+results — a re-run on the same date replaces that day's entry in place (no
+duplicates), other dates accumulate, so regressions are visible as a time
+series.  Legacy single-entry files are migrated in place on first touch.
 """
 
 from __future__ import annotations
@@ -72,143 +56,22 @@ import argparse
 import datetime
 import json
 import os
-import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 BENCH_DIR = REPO / "benchmarks"
-KILL_SWITCHES = {
-    "REPRO_DISABLE_PLANS": "1",
-    "REPRO_DISABLE_KERNEL": "1",
-    "REPRO_DISABLE_QUERY_CACHE": "1",
-}
-#: Every engine env knob; scrubbed from both legs so the ambient shell
-#: can't skew the A/B.
-ENGINE_ENV = tuple(KILL_SWITCHES) + ("REPRO_KERNEL",)
 
-# Acceptance targets from the issues: the headline metric -> (benchmark test
-# name, minimum before/after speedup).  tc_medium_plans pins the kernel off,
-# so it tracks the tuple-plan engine's original >= 1.5x commitment;
-# tc_large (default engine = columnar kernel) carries the >= 5x target.
-TARGETS = {
-    "tc_semi_naive_40x120": ("test_tc_medium_plans", 1.5),
-    "tc_kernel_70x210": ("test_tc_large", 5.0),
-    "heartbeat_heavy_chaos": ("test_heartbeat_heavy_chaos", 3.0),
-}
-
-
-def run_suite(label: str, *, env_overrides: dict[str, str], smoke: bool) -> dict:
-    """Run the microbench suite once, returning {test_name: stats}."""
-    env = os.environ.copy()
-    for name in ENGINE_ENV:
-        env.pop(name, None)
-    env.update(env_overrides)
-    env["PYTHONPATH"] = str(REPO / "src")
-    if smoke:
-        env["BENCH_ENGINE_SMOKE"] = "1"
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as handle:
-        json_path = handle.name
-    try:
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "pytest",
-                "bench_engine_microbench.py",
-                "-q",
-                "--benchmark-only",
-                f"--benchmark-json={json_path}",
-            ],
-            cwd=BENCH_DIR,
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        if proc.returncode != 0:
-            sys.stderr.write(proc.stdout + proc.stderr)
-            raise SystemExit(f"{label} benchmark run failed (exit {proc.returncode})")
-        with open(json_path) as handle:
-            payload = json.load(handle)
-    finally:
-        os.unlink(json_path)
-    results = {}
-    for bench in payload["benchmarks"]:
-        name = bench["name"].split("[")[0]
-        results[name] = {
-            "mean_s": bench["stats"]["mean"],
-            "min_s": bench["stats"]["min"],
-            "rounds": bench["stats"]["rounds"],
-        }
-    return results
-
-
-def divergence_check(smoke: bool) -> list[str]:
-    """Run the chaos workloads cached vs uncached in-process and diff the
-    output fingerprints.  Returns a list of divergence descriptions."""
-    sys.path.insert(0, str(REPO / "src"))
-    sys.path.insert(0, str(BENCH_DIR))
-    if smoke:
-        os.environ["BENCH_ENGINE_SMOKE"] = "1"
-    # The caches must be off for the *uncached* leg before repro imports
-    # read the env.  Run the uncached leg in a subprocess instead so this
-    # process keeps its default (cached) configuration.
-    schedules = 2 if smoke else 4
-    script = (
-        "import sys; sys.path.insert(0, {src!r}); sys.path.insert(0, {bench!r})\n"
-        "from bench_engine_microbench import heartbeat_sweep, mixed_chaos_sweep\n"
-        "import json\n"
-        "print(json.dumps({{'heartbeat': heartbeat_sweep({n}),"
-        " 'mixed': mixed_chaos_sweep({n})}}))\n"
-    ).format(src=str(REPO / "src"), bench=str(BENCH_DIR), n=schedules)
-
-    def leg(env_overrides: dict[str, str]) -> dict:
-        env = os.environ.copy()
-        for name in ENGINE_ENV:
-            env.pop(name, None)
-        env.update(env_overrides)
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        if proc.returncode != 0:
-            sys.stderr.write(proc.stdout + proc.stderr)
-            raise SystemExit("divergence-check leg failed")
-        return json.loads(proc.stdout.strip().splitlines()[-1])
-
-    cached = leg({})
-    uncached = leg(KILL_SWITCHES)
-    divergences = []
-    for workload in ("heartbeat", "mixed"):
-        if cached[workload] != uncached[workload]:
-            pairs = [
-                (i, a, b)
-                for i, (a, b) in enumerate(zip(cached[workload], uncached[workload]))
-                if a != b
-            ]
-            divergences.append(
-                f"{workload}: cached and uncached runs disagree at "
-                f"{len(pairs)} of {len(cached[workload])} runs "
-                f"(first: run {pairs[0][0]} {pairs[0][1][:12]} != {pairs[0][2][:12]})"
-            )
-    return divergences
-
-
-#: The date stamped onto a legacy (pre-history) BENCH_engine.json entry
-#: during migration: the commit date of the run that produced it.
+#: The date stamped onto a legacy (pre-history) single-entry report during
+#: migration: the commit date of the run that produced it.
 LEGACY_DATE = "2026-08-06"
 
 
-def load_history(path: Path, *, suite: str = "bench_engine_microbench") -> dict:
+def load_history(path: Path, *, suite: str) -> dict:
     """Read the existing report, migrating the legacy single-entry layout
     (top-level ``benchmarks``) into ``history`` form."""
     base: dict = {"suite": suite, "history": []}
-    if suite == "bench_engine_microbench":
-        base["baseline_env"] = KILL_SWITCHES
     if not path.exists():
         return base
     try:
@@ -250,9 +113,7 @@ def upsert_history(history: list[dict], entry: dict) -> list[dict]:
     return updated
 
 
-def compare_baseline(
-    baseline_path: Path, headline: dict, *, suite: str = "bench_engine_microbench"
-) -> list[str]:
+def compare_baseline(baseline_path: Path, headline: dict, *, suite: str) -> list[str]:
     """Compare this run's headline speedups against the committed baseline
     file: any metric regressing below its committed target is flagged.
     Returns failure descriptions (empty when everything holds)."""
@@ -293,8 +154,7 @@ SCALING_TARGETS = {"scaling_speedup_4w": 2.0}
 def scaling_main(args) -> int:
     """``--scaling`` mode: run the multi-process sweep from
     ``benchmarks/bench_scaling.py`` and distill it into BENCH_scaling.json
-    (same dated-history upsert + --compare-baseline gate as the engine
-    report)."""
+    (dated-history upsert + --compare-baseline gate)."""
     sys.path.insert(0, str(REPO / "src"))
     sys.path.insert(0, str(BENCH_DIR))
     from bench_scaling import scaling_sweep
@@ -686,33 +546,43 @@ def service_main(args) -> int:
     return 0
 
 
+#: mode flag -> (committed artifact, what runs, handler).
+MODES = {
+    "scaling": (
+        "BENCH_scaling.json",
+        "multi-process scaling sweep (bench_scaling.scaling_sweep)",
+        scaling_main,
+    ),
+    "service": (
+        "BENCH_service.json",
+        "service load test (bench_service.service_load_test)",
+        service_main,
+    ),
+    "scenarios": (
+        "BENCH_scenarios.json",
+        "streaming-scenario gate (repro.streaming.check_stream_scenario)",
+        scenarios_main,
+    ),
+    "optimizer": (
+        "BENCH_optimizer.json",
+        "per-stratum optimizer gate (bench_optimizer.optimizer_sweep)",
+        optimizer_main,
+    ),
+}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="CI smoke mode: smallest sizes, 1 round")
-    parser.add_argument(
-        "--scaling",
-        action="store_true",
-        help="run the multi-process scaling sweep instead of the engine A/B "
-        "and write BENCH_scaling.json",
-    )
-    parser.add_argument(
-        "--service",
-        action="store_true",
-        help="run the multi-tenant service load test and distill the run "
-        "store's aggregates into BENCH_service.json",
-    )
-    parser.add_argument(
-        "--scenarios",
-        action="store_true",
-        help="replay the committed streaming-scenario library across all "
-        "runtimes (incl. kill-and-recover) into BENCH_scenarios.json",
-    )
-    parser.add_argument(
-        "--optimizer",
-        action="store_true",
-        help="run the paired optimized-vs-barrier zoo sweep and write "
-        "BENCH_optimizer.json",
-    )
+    mode_flags = parser.add_mutually_exclusive_group(required=True)
+    for mode, (artifact, banner, _) in MODES.items():
+        mode_flags.add_argument(
+            f"--{mode}",
+            dest="mode",
+            action="store_const",
+            const=mode,
+            help=f"{banner}; writes {artifact}",
+        )
     parser.add_argument("--output", default=None)
     parser.add_argument(
         "--compare-baseline",
@@ -725,97 +595,11 @@ def main() -> int:
         "metric regressing below its committed target",
     )
     args = parser.parse_args()
+    artifact, banner, handler = MODES[args.mode]
     if args.compare_baseline == "":
-        if args.optimizer:
-            args.compare_baseline = str(REPO / "BENCH_optimizer.json")
-        elif args.service:
-            args.compare_baseline = str(REPO / "BENCH_service.json")
-        elif args.scenarios:
-            args.compare_baseline = str(REPO / "BENCH_scenarios.json")
-        else:
-            args.compare_baseline = str(
-                REPO / ("BENCH_scaling.json" if args.scaling else "BENCH_engine.json")
-            )
-    if args.optimizer:
-        print("== per-stratum optimizer gate (bench_optimizer.optimizer_sweep) ==")
-        return optimizer_main(args)
-    if args.scenarios:
-        print("== streaming-scenario gate (repro.streaming.check_stream_scenario) ==")
-        return scenarios_main(args)
-    if args.service:
-        print("== service load test (bench_service.service_load_test) ==")
-        return service_main(args)
-    if args.scaling:
-        print("== multi-process scaling sweep (bench_scaling.scaling_sweep) ==")
-        return scaling_main(args)
-    args.output = args.output or str(REPO / "BENCH_engine.json")
-
-    print("== divergence check: cached vs uncached transducer runs ==")
-    divergences = divergence_check(args.smoke)
-    for line in divergences:
-        print(f"  DIVERGED  {line}")
-    if not divergences:
-        print("  ok — identical output fingerprints on every run")
-
-    banner = " ".join(f"{name}={value}" for name, value in KILL_SWITCHES.items())
-    print(f"== before: {banner} ==")
-    before = run_suite("before", env_overrides=KILL_SWITCHES, smoke=args.smoke)
-    print("== after: columnar kernel + compiled plans + incremental caches (defaults) ==")
-    after = run_suite("after", env_overrides={}, smoke=args.smoke)
-
-    benchmarks = {}
-    for name in sorted(before):
-        if name not in after:
-            continue
-        # min-over-rounds is the standard low-noise microbenchmark statistic;
-        # the mean of a handful of short rounds is dominated by jitter.
-        speedup = before[name]["min_s"] / after[name]["min_s"]
-        benchmarks[name] = {
-            "before_min_s": round(before[name]["min_s"], 6),
-            "after_min_s": round(after[name]["min_s"], 6),
-            "before_mean_s": round(before[name]["mean_s"], 6),
-            "after_mean_s": round(after[name]["mean_s"], 6),
-            "speedup": round(speedup, 2),
-        }
-        print(
-            f"  {name:<28} before={before[name]['min_s']:.4f}s "
-            f"after={after[name]['min_s']:.4f}s speedup={speedup:.2f}x"
-        )
-
-    headline = {}
-    failures = list(divergences)
-    for metric, (test, minimum) in TARGETS.items():
-        if test not in benchmarks:
-            failures.append(f"{metric}: benchmark {test} missing from results")
-            continue
-        speedup = benchmarks[test]["speedup"]
-        headline[metric] = {"speedup": speedup, "target": minimum, "ok": speedup >= minimum}
-        verdict = "ok" if speedup >= minimum else "BELOW TARGET"
-        print(f"  headline {metric}: {speedup:.2f}x (target >= {minimum}x) {verdict}")
-        if not args.smoke and speedup < minimum:
-            failures.append(f"{metric}: {speedup:.2f}x below target {minimum}x")
-
-    if args.compare_baseline is not None:
-        print(f"== compare-baseline: {args.compare_baseline} ==")
-        failures.extend(compare_baseline(Path(args.compare_baseline), headline))
-
-    entry = {
-        "date": datetime.date.today().isoformat(),
-        "mode": "smoke" if args.smoke else "full",
-        "divergences": divergences,
-        "headline": headline,
-        "benchmarks": benchmarks,
-    }
-    output = Path(args.output)
-    report = load_history(output)
-    report["history"] = upsert_history(report["history"], entry)
-    output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {output} ({len(report['history'])} history entr"
-          f"{'y' if len(report['history']) == 1 else 'ies'})")
-    if failures:
-        print("FAILURES:\n  " + "\n  ".join(failures))
-        return 1
-    return 0
+        args.compare_baseline = str(REPO / artifact)
+    print(f"== {banner} ==")
+    return handler(args)
 
 
 if __name__ == "__main__":

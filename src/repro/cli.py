@@ -53,7 +53,7 @@ Usage (also via ``python -m repro``):
                [--run-dir DIR] [--kill-node NODE --kill-after K]
                [--report OUT.json]
         The same evaluation, but with each node in its *own OS process*
-        (true parallelism: per-process GIL, interner, plan cache) talking
+        (true parallelism: per-process GIL, interner, compiled rules) talking
         worker-to-worker over real TCP, inputs sharded by the planner's
         distribution policy.  ``--kill-node``/``--kill-after`` SIGKILL a
         worker mid-run; the coordinator respawns it over its on-disk
@@ -82,9 +82,8 @@ Usage (also via ``python -m repro``):
         Differential + metamorphic + streaming + optimizer conformance
         fuzzing:
         random programs per paper fragment run through every evaluation
-        stack (naive, semi-naive legacy join, compiled plans, columnar
-        kernel, synchronous simulator, async cluster on both transports
-        with chaos and crash schedules),
+        stack (naive reference, columnar kernel, synchronous simulator,
+        async cluster on both transports with chaos and crash schedules),
         asserting byte-identical outputs plus the fragment's guaranteed
         monotonicity class — both statically on random deltas and live
         mid-stream (a kind-admissible delta feed trickled through a
@@ -320,12 +319,6 @@ def _cmd_eval(args, out) -> int:
 
 
 def _cmd_run(args, out) -> int:
-    if getattr(args, "kernel", None) is not None:
-        # Pin the columnar kernel for the whole command (evaluators are
-        # created lazily below, so setting the override up front is safe).
-        from .kernel import engine as kernel_engine
-
-        kernel_engine.KERNEL_ENABLED = args.kernel
     from .transducers.faults import CHAOS_PLAN, FaultyChannel, make_scheduler
     from .transducers.runtime import QuiescenceError
     from .transducers.telemetry import build_run_report, write_report
@@ -829,14 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="embed the transition trace in the report",
     )
-    run_cmd.add_argument(
-        "--kernel",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="force the interned columnar kernel on (--kernel) or off "
-        "(--no-kernel) for this run; default follows REPRO_KERNEL / "
-        "REPRO_DISABLE_KERNEL",
-    )
     run_cmd.set_defaults(handler=_cmd_run)
 
     cluster_cmd = commands.add_parser(
@@ -924,7 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_cmd.add_argument(
         "--stacks", metavar="A,B,...", default=None,
-        help="comma-separated stack names (default: all six)",
+        help="comma-separated stack names (default: all four)",
     )
     fuzz_cmd.add_argument(
         "--corpus", metavar="DIR", default=None,

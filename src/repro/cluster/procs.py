@@ -2,7 +2,7 @@
 
 The asyncio runtime (:mod:`repro.cluster.runtime`) made the cluster
 *concurrent*; this module makes it *parallel*.  Each node runs in its own
-spawned Python process — its own GIL, its own interner, its own plan cache
+spawned Python process — its own GIL, its own interner, its own compiled rules
 — hosting an unmodified :class:`~repro.cluster.runtime.ClusterNode` over a
 real TCP data plane.  A parent :class:`ProcessCluster` coordinates:
 
@@ -509,18 +509,6 @@ async def _control_loop(
             )
 
 
-def _cache_report(transducer) -> dict:
-    """Process-local cache telemetry, reported by each worker so tests can
-    assert per-process isolation: the module-level default plan cache (a
-    spawned worker reports it *cold* even when the parent's is warm) and
-    this process's transducer evaluation counters."""
-    from ..datalog.evaluation import _DEFAULT_PLAN_CACHE
-
-    report = {"plan_cache": len(_DEFAULT_PLAN_CACHE)}
-    report.update(transducer.evaluation_stats())
-    return report
-
-
 async def _worker_async(spec: dict) -> None:
     node: str = spec["node"]
     nodes: list[str] = list(spec["nodes"])
@@ -621,7 +609,9 @@ async def _worker_async(spec: dict) -> None:
             "wal_replayed": replayed[0],
             "recovered": bool(recovered),
             "snapshot_bytes": journal._store.snapshot_bytes,
-            "caches": _cache_report(net.transducer),
+            # This process's evaluation counters: tests assert per-process
+            # isolation on them (a spawned worker starts cold).
+            "caches": net.transducer.evaluation_stats(),
             "epochs": cluster_node._epochs_injected,
             "epoch_outputs": {
                 str(epoch): encode_facts_hex(facts)

@@ -1,15 +1,14 @@
 """repro.conformance: differential + metamorphic fuzzing for every engine.
 
-The repo evaluates the same query six ways — naive T_P iteration,
-the legacy recursive-join semi-naive evaluator, the compiled-plan
-evaluator, the interned columnar kernel, the incremental synchronous
+The repo evaluates the same query four ways — naive T_P iteration (the
+reference), the interned columnar kernel, the incremental synchronous
 transducer simulator, and the asynchronous ``repro.cluster`` runtime
 (both transports, with chaos and crash schedules).  This package keeps
 them honest:
 
 * :mod:`generator` samples safe programs per paper fragment plus random
   instances and distinct-/disjoint-domain deltas;
-* :mod:`stacks` puts the six evaluation stacks behind one interface;
+* :mod:`stacks` puts the four evaluation stacks behind one interface;
 * :mod:`differential` runs a (program, instance) through all stacks and
   reports the first divergence with full provenance;
 * :mod:`metamorphic` turns the paper's monotonicity classes (Fig. 1,

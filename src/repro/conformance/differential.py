@@ -1,4 +1,4 @@
-"""The differential engine: one case, six stacks, byte-identical outputs.
+"""The differential engine: one case, four stacks, byte-identical outputs.
 
 The paper's confluence results (Theorems 4.3–4.5, plus the barrier fallback
 by construction) say every evaluation strategy must agree with the

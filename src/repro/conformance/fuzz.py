@@ -5,9 +5,9 @@ a fragment-targeted program and a random instance, picks runtime knobs
 (scheduler, transport, chaos / crash schedules) round-robin so the whole
 matrix is exercised at every budget, then
 
-1. runs the case through all six stacks (differential oracle) — and, every
-   third iteration, a second case drawn from the non-stratifiable targets
-   on its own RNG stream, so the kernel-off stacks' naive Γ meets the
+1. runs the case through all four stacks (differential oracle) — and,
+   every third iteration, a second case drawn from the non-stratifiable
+   targets on its own RNG stream, so the naive stack's Γ meets the
    kernel's alternating fixpoint and the runtimes that ride it,
 2. checks the fragment's guaranteed monotonicity class on random deltas
    (metamorphic oracle), and
@@ -34,7 +34,6 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 
-from ..datalog.evaluation import clear_default_plan_cache
 from ..transducers.faults import SCHEDULER_NAMES
 from .differential import DifferentialCase, run_case
 from .generator import (
@@ -187,11 +186,6 @@ def run_fuzz(config: FuzzConfig, *, log=None) -> dict:
             stop_reason = "time-budget"
             break
         iterations_run += 1
-        # Every iteration evaluates a freshly generated program, so plans
-        # parked in the module-level cache by bare match_rule callers (the
-        # well-founded engine above all) would never be hit again — drop
-        # them so a long fuzz session's cache footprint stays flat.
-        clear_default_plan_cache()
         rng = _derived_rng(config.seed, iteration)
         target = FRAGMENT_TARGETS[iteration % len(FRAGMENT_TARGETS)]
         cases_by_fragment[target.name] = cases_by_fragment.get(target.name, 0) + 1

@@ -140,7 +140,7 @@ FRAGMENT_TARGETS: tuple[FragmentTarget, ...] = (
 #: Negation through recursion: outside stratified Datalog¬, evaluated under
 #: the well-founded semantics (win-move is the one-rule member).  Connected
 #: samples take the domain-guided protocol (Section 7 remark), the rest the
-#: barrier; both pit the naive Γ of the kernel-off stacks against the
+#: barrier; both pit the naive Γ of the ``naive`` stack against the
 #: kernel's alternating fixpoint.  Kept out of :data:`FRAGMENT_TARGETS` so
 #: the fuzzer's round-robin over the Figure 2 zoo — and with it every
 #: fixed-seed case sequence — is unchanged; the fuzz loop samples these on a

@@ -1,18 +1,14 @@
-"""The six evaluation stacks behind one interface.
+"""The four evaluation stacks behind one interface.
 
 Every stack computes the same query ``Q(I) = P(I)|_{sigma_out}`` (Section
 2), but through a different engine:
 
-* ``naive`` — per-stratum naive iteration of the immediate-consequence
-  operator T_P until fixpoint (the textbook semantics, and the slowest but
-  most obviously correct engine);
-* ``seminaive-legacy`` — the semi-naive evaluator running the pre-plan
-  recursive join (``PLANS_ENABLED`` off);
-* ``compiled`` — the semi-naive evaluator over compiled join plans, with
-  the columnar kernel pinned off (the tuple-engine production path of
-  PR 2–5);
+* ``naive`` — the reference: per-stratum naive iteration of the
+  immediate-consequence operator T_P until fixpoint, and the naive
+  alternating fixpoint outside stratified Datalog¬ (the textbook
+  semantics, and the slowest but most obviously correct engine);
 * ``kernel`` — the interned columnar kernel with per-rule codegen
-  (``repro.kernel``, the current production default);
+  (``repro.kernel``, the production engine);
 * ``sync-run`` — the synchronous transducer simulator with the analyzer's
   protocol, under any named scheduler and optional channel chaos (the
   incremental step-cache path);
@@ -27,13 +23,13 @@ barrier fallback for programs without a monotonicity guarantee.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
-from ..datalog import evaluation
+from ..datalog.evaluation import naive_fixpoint
 from ..datalog.instance import Instance
 from ..datalog.program import Program
-from ..datalog.stratification import is_stratifiable, stratify
+from ..datalog.stratification import is_stratifiable
+from ..datalog.wellfounded import naive_well_founded
 
 __all__ = [
     "DEFAULT_STACK_NAMES",
@@ -43,14 +39,7 @@ __all__ = [
 ]
 
 #: Stack execution order; the first entry is the differential baseline.
-DEFAULT_STACK_NAMES = (
-    "naive",
-    "seminaive-legacy",
-    "compiled",
-    "kernel",
-    "sync-run",
-    "cluster",
-)
+DEFAULT_STACK_NAMES = ("naive", "kernel", "sync-run", "cluster")
 
 
 @dataclass(frozen=True)
@@ -90,40 +79,6 @@ class StackContext:
         )
 
 
-@contextmanager
-def _plans_disabled():
-    """Temporarily run the join engine without compiled plans."""
-    previous = evaluation.PLANS_ENABLED
-    evaluation.PLANS_ENABLED = False
-    try:
-        yield
-    finally:
-        evaluation.PLANS_ENABLED = previous
-
-
-@contextmanager
-def _plans_enabled():
-    previous = evaluation.PLANS_ENABLED
-    evaluation.PLANS_ENABLED = True
-    try:
-        yield
-    finally:
-        evaluation.PLANS_ENABLED = previous
-
-
-@contextmanager
-def _kernel_override(enabled: bool):
-    """Pin the columnar kernel on or off for one stack evaluation."""
-    from ..kernel import engine as kernel_engine
-
-    previous = kernel_engine.KERNEL_ENABLED
-    kernel_engine.KERNEL_ENABLED = enabled
-    try:
-        yield
-    finally:
-        kernel_engine.KERNEL_ENABLED = previous
-
-
 class EvaluationStack:
     """One way of computing Q(I); subclasses implement :meth:`evaluate`."""
 
@@ -135,62 +90,20 @@ class EvaluationStack:
         raise NotImplementedError
 
 
-def _centralized_output(program: Program, full: Instance) -> Instance:
-    """Project a full fixpoint P(I) to the designated output schema."""
-    return full.restrict(program.output_schema())
-
-
 class NaiveStack(EvaluationStack):
-    """Naive T_P iteration per stratum, over the legacy recursive join."""
+    """The reference: naive T_P iteration per stratum; outside stratified
+    Datalog¬ (no T_P fixpoint to iterate) the true facts of the naive
+    alternating fixpoint.  Never touches :mod:`repro.kernel`."""
 
     name = "naive"
 
     def evaluate(self, program, instance, context):
-        from ..core.analyzer import query_for
-        from ..datalog.evaluation import immediate_consequence
-
         restricted = instance.restrict(program.edb())
-        with _plans_disabled():
-            if not is_stratifiable(program):
-                # Outside stratified Datalog¬ there is no T_P fixpoint to
-                # iterate; fall back to the program's natural semantics —
-                # with plans off that is the naive Γ over the legacy join,
-                # the oracle for the kernel's alternating fixpoint.
-                return query_for(program)(restricted)
-            current = restricted
-            for stage in stratify(program).strata:
-                while True:
-                    step = immediate_consequence(stage, current)
-                    if step == current:
-                        break
-                    current = step
-            return _centralized_output(program, current)
-
-
-class LegacySemiNaiveStack(EvaluationStack):
-    """Semi-naive evaluation through the pre-plan recursive join oracle."""
-
-    name = "seminaive-legacy"
-
-    def evaluate(self, program, instance, context):
-        from ..core.analyzer import query_for
-
-        with _plans_disabled():
-            return query_for(program)(instance)
-
-
-class CompiledStack(EvaluationStack):
-    """Semi-naive evaluation over compiled join plans, kernel pinned off —
-    without the pin this stack would silently dispatch to the kernel and
-    stop exercising the tuple-plan engine."""
-
-    name = "compiled"
-
-    def evaluate(self, program, instance, context):
-        from ..core.analyzer import query_for
-
-        with _plans_enabled(), _kernel_override(False):
-            return query_for(program)(instance)
+        if is_stratifiable(program):
+            full = naive_fixpoint(program, restricted)
+        else:
+            full = naive_well_founded(program, restricted).true
+        return full.restrict(program.output_schema())
 
 
 class KernelStack(EvaluationStack):
@@ -201,8 +114,7 @@ class KernelStack(EvaluationStack):
     def evaluate(self, program, instance, context):
         from ..core.analyzer import query_for
 
-        with _plans_enabled(), _kernel_override(True):
-            return query_for(program)(instance)
+        return query_for(program)(instance)
 
 
 class SyncRunStack(EvaluationStack):
@@ -258,8 +170,6 @@ _STACK_CLASSES: dict[str, type[EvaluationStack]] = {
     stack.name: stack
     for stack in (
         NaiveStack,
-        LegacySemiNaiveStack,
-        CompiledStack,
         KernelStack,
         SyncRunStack,
         ClusterStack,

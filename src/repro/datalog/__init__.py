@@ -14,12 +14,11 @@ from .parser import ParseError, parse_facts, parse_program, parse_rule, parse_ru
 from .evaluation import (
     EvaluationError,
     FactIndex,
-    PlanCache,
-    RulePlan,
     SemiNaiveEvaluator,
     evaluate_semipositive,
     immediate_consequence,
     match_rule,
+    naive_fixpoint,
 )
 from .stratification import (
     NotStratifiableError,
@@ -59,6 +58,7 @@ from .wellfounded import (
     doubled_program,
     evaluate_doubled,
     evaluate_well_founded,
+    naive_well_founded,
     winmove_program,
     winmove_truths,
 )
@@ -83,12 +83,11 @@ __all__ = [
     "parse_rules",
     "EvaluationError",
     "FactIndex",
-    "PlanCache",
-    "RulePlan",
     "SemiNaiveEvaluator",
     "evaluate_semipositive",
     "immediate_consequence",
     "match_rule",
+    "naive_fixpoint",
     "NotStratifiableError",
     "PrecedenceGraph",
     "Stratification",
@@ -120,6 +119,7 @@ __all__ = [
     "doubled_program",
     "evaluate_doubled",
     "evaluate_well_founded",
+    "naive_well_founded",
     "winmove_program",
     "winmove_truths",
 ]

@@ -1,53 +1,42 @@
 """Fixpoint evaluation for (semi-)positive Datalog¬ programs.
 
 Implements the semantics of Section 2 of the paper: the immediate consequence
-operator ``T_P`` and its minimal fixpoint, computed semi-naively.  Negation
-is permitted only over relations whose content is *fixed* during the fixpoint
-(the edb for semi-positive programs; lower strata for stratified programs —
-see :mod:`repro.datalog.stratified`).
+operator ``T_P`` and its minimal fixpoint.  Negation is permitted only over
+relations whose content is *fixed* during the fixpoint (the edb for
+semi-positive programs; lower strata for stratified programs — see
+:mod:`repro.datalog.stratified`).
 
-The join machinery (:func:`match_rule`) is shared by the stratified and
-well-founded evaluators and by the transducer runtime.  Joins run through
-*compiled plans*: a :class:`RulePlan` is built once per ``(rule,
-required_atom)`` pair — a static atom order chosen by bound-variable
-propagation with selectivity estimates from :meth:`FactIndex.count`, plus
-per-atom precomputed lookup/check/bind positions — and executed by an
-iterative (non-recursive) join loop.  :class:`PlanCache` holds the compiled
-plans; evaluators own one so plan compilation is paid once per program, not
-once per fixpoint iteration.  Setting ``REPRO_DISABLE_PLANS=1`` in the
-environment (or ``PLANS_ENABLED = False`` on this module) falls back to the
-original recursive join, which the property tests use as an oracle.
+Two engines, each reached by name:
+
+* the *reference* — :func:`naive_fixpoint`, which iterates
+  :func:`immediate_consequence` over the recursive join of
+  :func:`match_rule`.  Nothing here imports :mod:`repro.kernel`, so the
+  reference stays independent of the engine it checks.  :func:`match_rule`
+  and :class:`FactIndex` also carry the naive well-founded Γ and the ILOG¬
+  evaluator.
+* the *production engine* — :class:`SemiNaiveEvaluator`, the semi-naive
+  fixpoint on the interned kernel (:mod:`repro.kernel`).
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable, Iterator, Mapping
 
-from ..flags import kernel_enabled, plans_enabled
 from .instance import Instance
 from .program import Program
 from .rules import Rule
+from .stratification import stratify
 from .terms import Atom, Fact, Variable
 
 __all__ = [
     "FactIndex",
-    "RulePlan",
-    "PlanCache",
-    "clear_default_plan_cache",
     "match_rule",
     "immediate_consequence",
+    "naive_fixpoint",
     "evaluate_semipositive",
     "SemiNaiveEvaluator",
     "EvaluationError",
 ]
-
-#: When False, :func:`match_rule` uses the legacy recursive join instead of
-#: compiled plans.  Tests and the conformance stacks flip this module
-#: attribute directly; the ``REPRO_DISABLE_PLANS`` environment kill switch
-#: is consulted at *call time* through :func:`repro.flags.plans_enabled`
-#: (which also honors this attribute), so flipping the env mid-process
-#: takes effect immediately.
-PLANS_ENABLED = True
 
 
 class EvaluationError(RuntimeError):
@@ -63,12 +52,8 @@ class FactIndex:
     :meth:`lookup` that probes it, and maintained incrementally by
     :meth:`add` from then on.
 
-    An earlier version eagerly indexed every ``(relation, position,
-    value)`` triple on insert, so every fact paid for columns no plan
-    ever binds — and the semi-naive *delta* indexes, which are rebuilt
-    each iteration and only ever scanned, paid the full indexing cost for
-    nothing.  Columns a plan does probe cost the same as before after the
-    one-off build.
+    Columns no join ever binds are never built, so facts that are only
+    scanned pay nothing for indexing.
     """
 
     __slots__ = ("_tuples", "_columns", "_size")
@@ -76,11 +61,10 @@ class FactIndex:
     def __init__(self, facts: Iterable[Fact] = ()) -> None:
         self._tuples: dict[str, set[tuple]] = {}
         # relation -> {position -> {value -> set of tuples}}; only columns
-        # some plan has probed exist here.
+        # some join has probed exist here.
         self._columns: dict[str, dict[int, dict[Hashable, set[tuple]]]] = {}
-        # Running total of facts across all relation buckets.  ``__len__``
-        # is the semi-naive loop condition (``while len(delta)``), so it
-        # must not re-sum every bucket on each call.
+        # Running total of facts across all relation buckets: the naive Γ
+        # and the ILOG fact budget read ``len`` once per round / per fact.
         self._size = 0
         self.add_all(facts)
 
@@ -246,517 +230,17 @@ def _join(
             yield from _join(rest, index, extended)
 
 
-# ----------------------------------------------------------------------
-# Compiled join plans
-# ----------------------------------------------------------------------
-
-
-class _AtomStep:
-    """One positive atom of a plan, with its checks/binds precomputed.
-
-    Given the set of variables bound *before* this atom in the plan order,
-    every position of the atom falls into exactly one class:
-
-    * a constant — candidate tuples must carry that value there;
-    * an already-bound variable — candidate tuples must agree with the
-      current binding there (also usable for an inverted-index lookup);
-    * a repeated new variable — must equal its first occurrence;
-    * a first-occurrence new variable — binds it.
-
-    The classification is done once at compile time; :meth:`match` then
-    runs straight down precomputed position lists.
-    """
-
-    __slots__ = (
-        "relation",
-        "arity",
-        "const_checks",
-        "bound_checks",
-        "eq_checks",
-        "new_vars",
-        "prefiltered",
-    )
-
-    def __init__(self, atom: Atom, bound: set[Variable]) -> None:
-        self.relation = atom.relation
-        self.arity = atom.arity
-        const_checks: list[tuple[int, Hashable]] = []
-        bound_checks: list[tuple[int, Variable]] = []
-        eq_checks: list[tuple[int, int]] = []
-        new_vars: list[tuple[int, Variable]] = []
-        first_seen: dict[Variable, int] = {}
-        for position, term in enumerate(atom.terms):
-            if not isinstance(term, Variable):
-                const_checks.append((position, term))
-            elif term in bound:
-                bound_checks.append((position, term))
-            elif term in first_seen:
-                eq_checks.append((position, first_seen[term]))
-            else:
-                first_seen[term] = position
-                new_vars.append((position, term))
-        self.const_checks = tuple(const_checks)
-        self.bound_checks = tuple(bound_checks)
-        self.eq_checks = tuple(eq_checks)
-        self.new_vars = tuple(new_vars)
-        # With exactly one const/bound position and no repeated variables,
-        # every tuple drawn from :meth:`candidates` already passed that one
-        # check via its posting list — :meth:`match_filtered` may skip it.
-        self.prefiltered = not eq_checks and (
-            len(const_checks) + len(bound_checks) == 1
-        )
-
-    def candidates(
-        self, index: FactIndex, binding: Mapping[Variable, Hashable]
-    ) -> Iterable[tuple]:
-        """The smallest posting list over the bound positions, else a scan."""
-        best: Iterable[tuple] | None = None
-        best_len = 0
-        for position, value in self.const_checks:
-            postings = index.lookup(self.relation, position, value)
-            size = len(postings)
-            if size == 0:
-                return ()
-            if best is None or size < best_len:
-                best, best_len = postings, size
-        for position, variable in self.bound_checks:
-            postings = index.lookup(self.relation, position, binding[variable])
-            size = len(postings)
-            if size == 0:
-                return ()
-            if best is None or size < best_len:
-                best, best_len = postings, size
-        if best is None:
-            return index.scan(self.relation)
-        return best
-
-    def match(
-        self, values: tuple, binding: dict[Variable, Hashable]
-    ) -> dict[Variable, Hashable] | None:
-        """Unify a candidate tuple; returns the extended binding or None.
-
-        Preserves the :func:`_extend_binding` aliasing contract: when the
-        atom binds no new variable the result IS *binding* itself.
-        """
-        if len(values) != self.arity:
-            return None
-        for position, value in self.const_checks:
-            if values[position] != value:
-                return None
-        for position, variable in self.bound_checks:
-            if binding[variable] != values[position]:
-                return None
-        for position, first in self.eq_checks:
-            if values[position] != values[first]:
-                return None
-        if not self.new_vars:
-            return binding
-        extended = dict(binding)
-        for position, variable in self.new_vars:
-            extended[variable] = values[position]
-        return extended
-
-    def match_filtered(
-        self, values: tuple, binding: dict[Variable, Hashable]
-    ) -> dict[Variable, Hashable] | None:
-        """:meth:`match` for tuples that came from :meth:`candidates`.
-
-        Such tuples were selected through a posting list on one of the
-        const/bound positions; when that is the *only* check the step
-        would perform (``prefiltered``), it can be skipped wholesale.
-        """
-        if not self.prefiltered:
-            return self.match(values, binding)
-        if len(values) != self.arity:
-            return None
-        if not self.new_vars:
-            return binding
-        extended = dict(binding)
-        for position, variable in self.new_vars:
-            extended[variable] = values[position]
-        return extended
-
-
-class RulePlan:
-    """A compiled join plan for one ``(rule, required_atom)`` pair.
-
-    Compilation fixes a *static* atom order by greedy bound-variable
-    propagation: starting from the variables of the required atom (the
-    semi-naive delta seed), repeatedly pick the remaining atom with the
-    most bound terms, breaking ties toward the relation with the smallest
-    :meth:`FactIndex.count` in the index the plan was compiled against.
-    The legacy engine recomputed this order recursively for every partial
-    binding; a plan pays for it once.
-
-    Execution is an iterative (non-recursive) nested-loop join over the
-    precomputed :class:`_AtomStep`s, followed by inequality filters and
-    negated-atom probes whose value extractors are also precompiled.
-    """
-
-    __slots__ = (
-        "rule",
-        "required_atom",
-        "_seed_step",
-        "_steps",
-        "_ineq",
-        "_neg",
-        "_head",
-    )
-
-    def __init__(
-        self,
-        rule: Rule,
-        required_atom: Atom | None,
-        steps: tuple[_AtomStep, ...],
-        seed_step: _AtomStep | None,
-    ) -> None:
-        self.rule = rule
-        self.required_atom = required_atom
-        self._steps = steps
-        self._seed_step = seed_step
-        self._head = (
-            rule.head.relation,
-            tuple(
-                (isinstance(term, Variable), term) for term in rule.head.terms
-            ),
-        )
-        self._ineq = tuple(sorted(rule.ineq, key=repr))
-        self._neg = tuple(
-            (
-                atom.relation,
-                tuple(
-                    (isinstance(term, Variable), term) for term in atom.terms
-                ),
-            )
-            for atom in sorted(rule.neg, key=repr)
-        )
-
-    @classmethod
-    def compile(
-        cls, rule: Rule, required_atom: Atom | None, index: FactIndex
-    ) -> "RulePlan":
-        """Compile the plan, estimating selectivity from *index*."""
-        bound: set[Variable] = set()
-        seed_step: _AtomStep | None = None
-        if required_atom is not None:
-            seed_step = _AtomStep(required_atom, set())
-            bound |= required_atom.variables()
-            remaining = sorted(
-                (atom for atom in rule.pos if atom != required_atom), key=repr
-            )
-        else:
-            remaining = sorted(rule.pos, key=repr)
-
-        steps: list[_AtomStep] = []
-        while remaining:
-            best_position = 0
-            best_key: tuple[int, int] | None = None
-            for position, atom in enumerate(remaining):
-                boundness = sum(
-                    1
-                    for term in atom.terms
-                    if not isinstance(term, Variable) or term in bound
-                )
-                key = (boundness, -index.count(atom.relation))
-                if best_key is None or key > best_key:
-                    best_position, best_key = position, key
-            atom = remaining.pop(best_position)
-            steps.append(_AtomStep(atom, bound))
-            bound |= atom.variables()
-        return cls(rule, required_atom, tuple(steps), seed_step)
-
-    def derive(self, valuation: Mapping[Variable, Hashable]) -> Fact:
-        """V(head) through the precompiled extractor — equivalent to
-        ``rule.derive(valuation)`` without re-classifying head terms or
-        re-validating groundness (valuation values come from ground facts).
-        """
-        relation, extractor = self._head
-        return Fact.unchecked(
-            relation,
-            tuple(
-                valuation[term] if is_variable else term
-                for is_variable, term in extractor
-            ),
-        )
-
-    def seed_bindings(
-        self, required_index: FactIndex
-    ) -> Iterator[dict[Variable, Hashable]]:
-        """Seeds for the semi-naive delta: one binding per matching delta
-        tuple of the required atom."""
-        seed_step = self._seed_step
-        assert seed_step is not None
-        for values in required_index.scan(seed_step.relation):
-            binding = seed_step.match(values, {})
-            if binding is not None:
-                yield binding
-
-    def join(
-        self, index: FactIndex, seed: dict[Variable, Hashable]
-    ) -> Iterator[dict[Variable, Hashable]]:
-        """All bindings extending *seed* that match every positive atom."""
-        steps = self._steps
-        depth_count = len(steps)
-        if depth_count == 0:
-            yield seed
-            return
-        bindings: list[dict[Variable, Hashable]] = [seed]
-        iterators: list[Iterator[tuple]] = [
-            iter(steps[0].candidates(index, seed))
-        ]
-        while iterators:
-            depth = len(iterators) - 1
-            step = steps[depth]
-            binding = bindings[depth]
-            extended = None
-            for values in iterators[depth]:
-                extended = step.match_filtered(values, binding)
-                if extended is not None:
-                    break
-            if extended is None:
-                iterators.pop()
-                bindings.pop()
-                continue
-            if depth + 1 == depth_count:
-                yield extended
-            else:
-                bindings.append(extended)
-                iterators.append(
-                    iter(steps[depth + 1].candidates(index, extended))
-                )
-
-    def valuations(
-        self,
-        positive_index: FactIndex,
-        negative_index: FactIndex,
-        seed: dict[Variable, Hashable],
-    ) -> Iterator[dict[Variable, Hashable]]:
-        """Satisfying valuations extending *seed*: join, then inequality
-        and negated-atom filters."""
-        ineqs = self._ineq
-        negs = self._neg
-        for valuation in self.join(positive_index, seed):
-            satisfied = True
-            for ineq in ineqs:
-                if valuation[ineq.left] == valuation[ineq.right]:
-                    satisfied = False
-                    break
-            if not satisfied:
-                continue
-            for relation, extractor in negs:
-                values = tuple(
-                    valuation[term] if is_variable else term
-                    for is_variable, term in extractor
-                )
-                if negative_index.contains(relation, values):
-                    satisfied = False
-                    break
-            if satisfied:
-                yield valuation
-
-    def fire(
-        self,
-        positive_index: FactIndex,
-        negative_index: FactIndex,
-        required_index: FactIndex | None = None,
-    ) -> list[Fact]:
-        """Fused plan execution: seed, iterative join, inequality and
-        negation filters, and head derivation in one loop.
-
-        Semantically identical to ``derive() over valuations() over
-        seed_bindings()`` but without the per-valuation generator hops and
-        method calls — this is the hot path of the semi-naive evaluators.
-        Returns derived facts (possibly with duplicates; callers dedupe).
-        """
-        derived: list[Fact] = []
-        append = derived.append
-        steps = self._steps
-        depth_count = len(steps)
-        ineqs = self._ineq
-        negs = self._neg
-        head_relation, head_extractor = self._head
-        unchecked = Fact.unchecked
-        neg_contains = negative_index.contains
-
-        seed_step = self._seed_step
-        if seed_step is None:
-            seeds: Iterable[dict[Variable, Hashable]] = ({},)
-        else:
-            if required_index is None:
-                raise ValueError("plan with a seed step needs required_index")
-            seeds = (
-                binding
-                for values in required_index.scan(seed_step.relation)
-                if (binding := seed_step.match(values, {})) is not None
-            )
-
-        for seed in seeds:
-            if depth_count == 0:
-                valuation = seed
-                ok = True
-                for ineq in ineqs:
-                    if valuation[ineq.left] == valuation[ineq.right]:
-                        ok = False
-                        break
-                if ok:
-                    for relation, extractor in negs:
-                        if neg_contains(
-                            relation,
-                            tuple(
-                                valuation[term] if is_variable else term
-                                for is_variable, term in extractor
-                            ),
-                        ):
-                            ok = False
-                            break
-                if ok:
-                    append(
-                        unchecked(
-                            head_relation,
-                            tuple(
-                                [
-                                    valuation[term] if is_variable else term
-                                    for is_variable, term in head_extractor
-                                ]
-                            ),
-                        )
-                    )
-                continue
-
-            bindings = [seed]
-            iterators = [iter(steps[0].candidates(positive_index, seed))]
-            last_depth = depth_count - 1
-            while iterators:
-                depth = len(iterators) - 1
-                step = steps[depth]
-                binding = bindings[depth]
-                extended = None
-                for values in iterators[depth]:
-                    extended = step.match_filtered(values, binding)
-                    if extended is not None:
-                        break
-                if extended is None:
-                    iterators.pop()
-                    bindings.pop()
-                    continue
-                if depth != last_depth:
-                    bindings.append(extended)
-                    iterators.append(
-                        iter(steps[depth + 1].candidates(positive_index, extended))
-                    )
-                    continue
-                valuation = extended
-                ok = True
-                for ineq in ineqs:
-                    if valuation[ineq.left] == valuation[ineq.right]:
-                        ok = False
-                        break
-                if ok:
-                    for relation, extractor in negs:
-                        if neg_contains(
-                            relation,
-                            tuple(
-                                valuation[term] if is_variable else term
-                                for is_variable, term in extractor
-                            ),
-                        ):
-                            ok = False
-                            break
-                if ok:
-                    append(
-                        unchecked(
-                            head_relation,
-                            tuple(
-                                [
-                                    valuation[term] if is_variable else term
-                                    for is_variable, term in head_extractor
-                                ]
-                            ),
-                        )
-                    )
-        return derived
-
-
-class PlanCache:
-    """Compiled plans, keyed by ``(rule, required_atom)``.
-
-    Evaluators own one cache per program so every fixpoint iteration (and
-    every re-evaluation on a new input) reuses the same plans.  A bounded
-    FIFO keeps the module-level default cache from growing without limit
-    under generated-program workloads; ``compiled`` counts compilations and
-    is surfaced as ``plans_compiled`` in the run telemetry.
-    """
-
-    __slots__ = ("_plans", "max_plans", "compiled")
-
-    def __init__(self, max_plans: int = 4096) -> None:
-        self._plans: dict[tuple[Rule, Atom | None], RulePlan] = {}
-        self.max_plans = max_plans
-        self.compiled = 0
-
-    def get(
-        self, rule: Rule, required_atom: Atom | None, index: FactIndex
-    ) -> RulePlan:
-        key = (rule, required_atom)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = RulePlan.compile(rule, required_atom, index)
-            self.compiled += 1
-            if len(self._plans) >= self.max_plans:
-                del self._plans[next(iter(self._plans))]
-            self._plans[key] = plan
-        return plan
-
-    def clear(self) -> None:
-        """Drop every cached plan (the ``compiled`` counter is preserved)."""
-        self._plans.clear()
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-
-#: The shared cache behind bare :func:`match_rule` calls (evaluators pass
-#: their own).  Bare calls come from generated-program workloads — the
-#: well-founded alternating fixpoint, ad-hoc analysis queries, fuzzing —
-#: where rules rarely repeat, so this cache is kept much smaller than the
-#: per-evaluator default and the fuzz loop additionally calls
-#: :func:`clear_default_plan_cache` between iterations.
-_DEFAULT_PLAN_CACHE = PlanCache(max_plans=256)
-
-
-def clear_default_plan_cache() -> int:
-    """Drop the module-level plan cache; returns the number of entries dropped.
-
-    Long-lived processes that churn through many distinct generated
-    programs (``repro fuzz`` above all) call this between iterations so
-    the shared cache cannot accumulate plans for rules that will never be
-    seen again.
-    """
-    dropped = len(_DEFAULT_PLAN_CACHE)
-    _DEFAULT_PLAN_CACHE.clear()
-    return dropped
-
 
 def match_rule(
     rule: Rule,
     positive_index: FactIndex,
     negative_index: FactIndex | None = None,
-    *,
-    required_atom: Atom | None = None,
-    required_index: FactIndex | None = None,
-    plan_cache: PlanCache | None = None,
 ) -> Iterator[dict[Variable, Hashable]]:
     """Enumerate the satisfying valuations of *rule*.
 
     Positive atoms are matched against *positive_index*; negated atoms are
     checked against *negative_index* (defaults to the positive index, as in
-    the single-instance semantics of the paper).  When *required_atom* is
-    given, that occurrence is matched against *required_index* instead —
-    the hook used for semi-naive delta rules.
-
-    The join runs through a compiled :class:`RulePlan` drawn from
-    *plan_cache* (the module-level default when omitted); with
-    ``PLANS_ENABLED`` off it falls back to the legacy recursive join.
+    the single-instance semantics of the paper).
 
     Yielded valuations may alias each other and internal join state (see
     the :func:`_extend_binding` aliasing contract): consume them read-only,
@@ -764,68 +248,15 @@ def match_rule(
     """
     if negative_index is None:
         negative_index = positive_index
-    if required_atom is not None and required_index is None:
-        raise ValueError("required_atom needs required_index")
-
-    if not plans_enabled():
-        yield from _match_rule_recursive(
-            rule,
-            positive_index,
-            negative_index,
-            required_atom=required_atom,
-            required_index=required_index,
-        )
-        return
-
-    cache = plan_cache if plan_cache is not None else _DEFAULT_PLAN_CACHE
-    plan = cache.get(rule, required_atom, positive_index)
-    seeds: Iterable[dict[Variable, Hashable]]
-    if required_atom is not None:
-        assert required_index is not None
-        seeds = plan.seed_bindings(required_index)
-    else:
-        seeds = ({},)
-    for seed in seeds:
-        yield from plan.valuations(positive_index, negative_index, seed)
-
-
-def _match_rule_recursive(
-    rule: Rule,
-    positive_index: FactIndex,
-    negative_index: FactIndex,
-    *,
-    required_atom: Atom | None = None,
-    required_index: FactIndex | None = None,
-) -> Iterator[dict[Variable, Hashable]]:
-    """The pre-plan join engine, kept as the oracle for the property tests
-    and as the ``REPRO_DISABLE_PLANS`` fallback."""
-    atoms = list(rule.pos)
-    seeds: Iterable[dict[Variable, Hashable]]
-    if required_atom is not None:
-        assert required_index is not None
-        atoms = [a for a in atoms if a is not required_atom]
-        seeds = (
-            extended
-            for values in required_index.scan(required_atom.relation)
-            if (extended := _extend_binding(required_atom, values, {})) is not None
-        )
-    else:
-        seeds = ({},)
-
-    for seed in seeds:
-        for valuation in _join(atoms, positive_index, seed):
-            if any(
-                not ineq.satisfied_by(valuation) for ineq in rule.ineq
-            ):
-                continue
-            if any(
-                negative_index.contains(
-                    atom.relation, atom.apply(valuation).values
-                )
-                for atom in rule.neg
-            ):
-                continue
-            yield valuation
+    for valuation in _join(list(rule.pos), positive_index, {}):
+        if any(not ineq.satisfied_by(valuation) for ineq in rule.ineq):
+            continue
+        if any(
+            negative_index.contains(atom.relation, atom.apply(valuation).values)
+            for atom in rule.neg
+        ):
+            continue
+        yield valuation
 
 
 def immediate_consequence(program: Program, instance: Instance) -> Instance:
@@ -838,130 +269,68 @@ def immediate_consequence(program: Program, instance: Instance) -> Instance:
     return Instance(derived)
 
 
+def naive_fixpoint(
+    program: Program, instance: Instance, *, max_iterations: int | None = None
+) -> Instance:
+    """The reference semantics: ``P(I)`` by naive iteration of T_P, stratum
+    by stratum (a semi-positive program is its own single stratum).
+
+    *max_iterations* bounds the T_P applications per stratum, the
+    application that detects the fixpoint included, and fails with the
+    production engine's error.
+    """
+    current = instance
+    for stage in stratify(program).strata:
+        iterations = 0
+        while True:
+            iterations += 1
+            if max_iterations is not None and iterations > max_iterations:
+                raise EvaluationError(
+                    f"fixpoint did not converge within {max_iterations} iterations"
+                )
+            following = immediate_consequence(stage, current)
+            if following == current:
+                break
+            current = following
+    return current
+
+
 class SemiNaiveEvaluator:
     """Semi-naive fixpoint evaluation of a (semi-)positive program.
 
     Negated atoms are evaluated against the full current database, which is
     sound exactly because semi-positive programs negate only edb relations,
     whose content never changes during the fixpoint.  The class is reused by
-    the stratified evaluator with ``frozen_negation`` carrying the facts of
-    lower strata.
+    the stratified evaluator, one instance per stratum, where the negated
+    relations are those of lower strata.
+
+    The fixpoint runs on :class:`repro.kernel.KernelEvaluator`, built on the
+    first :meth:`run` and kept, so an evaluator reused across inputs
+    compiles its rules once.
     """
 
-    def __init__(
-        self,
-        program: Program,
-        *,
-        check_semipositive: bool = True,
-        plan_cache: PlanCache | None = None,
-    ) -> None:
+    def __init__(self, program: Program, *, check_semipositive: bool = True) -> None:
         if check_semipositive and not program.is_semi_positive():
             raise EvaluationError(
                 "program negates idb relations; use the stratified evaluator"
             )
         self._program = program
-        self._plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self._kernel = None
 
     @property
-    def plan_cache(self) -> PlanCache:
-        return self._plan_cache
-
-    @property
     def plans_compiled(self) -> int:
-        """Rule specializations compiled by this evaluator: tuple-engine
-        plans plus kernel codegen (the kernel compiles per rule occurrence
-        up front, so either engine reports > 0 once it has run)."""
-        return self._plan_cache.compiled + self.kernel_compiled
-
-    @property
-    def kernel_compiled(self) -> int:
-        """Kernel rule specializations generated by this evaluator (0 until
-        the kernel path has dispatched at least once)."""
+        """Rule specializations the kernel generated for this evaluator
+        (0 until the first :meth:`run`)."""
         return self._kernel.compiled if self._kernel is not None else 0
 
     def run(self, instance: Instance, *, max_iterations: int | None = None) -> Instance:
         """Compute the minimal fixpoint of T_P containing *instance*."""
-        if plans_enabled() and kernel_enabled():
-            # The interned columnar kernel (repro.kernel) — same fixpoint,
-            # same iteration counts, byte-identical results (fuzzed
-            # differentially as the "kernel" conformance stack).  Riding
-            # behind plans_enabled keeps REPRO_DISABLE_PLANS the master
-            # switch back to the legacy oracle engine.
-            if self._kernel is None:
-                from ..kernel.engine import KernelEvaluator
+        if self._kernel is None:
+            # Imported here: repro.kernel imports this module.
+            from ..kernel.engine import KernelEvaluator
 
-                self._kernel = KernelEvaluator(
-                    self._program, check_semipositive=False
-                )
-            return self._kernel.run(instance, max_iterations=max_iterations)
-        index = FactIndex(instance)
-        delta = FactIndex(instance)
-        # Rules with an empty positive body (ground rules, e.g.
-        # ``Init(1) :- not Off().``) have no delta atom to seed the
-        # semi-naive join, so the delta loop below would never fire them —
-        # diverging from `immediate_consequence`, which derives them.
-        # Their bodies read only fixed (edb) relations, so firing them
-        # exactly once up front is complete.
-        for rule in self._program:
-            if rule.pos:
-                continue
-            if plans_enabled():
-                plan = self._plan_cache.get(rule, None, index)
-                for fact in plan.fire(index, index):
-                    if index.add(fact):
-                        delta.add(fact)
-            else:
-                for valuation in match_rule(
-                    rule, index, plan_cache=self._plan_cache
-                ):
-                    fact = rule.derive(valuation)
-                    if index.add(fact):
-                        delta.add(fact)
-        iterations = 0
-        while len(delta):
-            iterations += 1
-            if max_iterations is not None and iterations > max_iterations:
-                raise EvaluationError(
-                    f"fixpoint did not converge within {max_iterations} iterations"
-                )
-            fresh: set[Fact] = set()
-            for rule in self._program:
-                fresh.update(self._fire_rule(rule, index, delta))
-            new_facts = [fact for fact in fresh if not index.contains(fact.relation, fact.values)]
-            delta = FactIndex()
-            for fact in new_facts:
-                index.add(fact)
-                delta.add(fact)
-        return index.to_instance()
-
-    def _fire_rule(self, rule: Rule, index: FactIndex, delta: FactIndex) -> set[Fact]:
-        """All facts derivable by *rule* with at least one body atom in delta."""
-        produced: set[Fact] = set()
-        delta_relations = delta.relations()
-        seen_relations: set[str] = set()
-        for atom in rule.pos:
-            if atom.relation not in delta_relations:
-                continue
-            # Fire once per distinct delta relation occurrence; duplicates
-            # across identical atoms are harmless but wasteful.
-            key = atom.relation + "/" + repr(atom.terms)
-            if key in seen_relations:
-                continue
-            seen_relations.add(key)
-            if plans_enabled():
-                plan = self._plan_cache.get(rule, atom, index)
-                produced.update(plan.fire(index, index, delta))
-            else:
-                for valuation in match_rule(
-                    rule,
-                    index,
-                    required_atom=atom,
-                    required_index=delta,
-                    plan_cache=self._plan_cache,
-                ):
-                    produced.add(rule.derive(valuation))
-        return produced
+            self._kernel = KernelEvaluator(self._program, check_semipositive=False)
+        return self._kernel.run(instance, max_iterations=max_iterations)
 
 
 def evaluate_semipositive(

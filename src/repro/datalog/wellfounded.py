@@ -16,10 +16,10 @@ Mdisjoint.  This module supplies both ingredients:
   fact behind the Section 7 remark.
 
 Γ has two backends behind one alternation loop: the interned kernel
-(:mod:`repro.kernel.wellfounded`, the default) and the naive loop over the
-tuple engine (:func:`_gamma`, kept as the independent oracle and reached
-with ``REPRO_DISABLE_KERNEL`` / ``REPRO_DISABLE_PLANS``).
-:class:`WellFoundedEvaluator` picks per call and keeps the compiled form.
+(:mod:`repro.kernel.wellfounded`), which :class:`WellFoundedEvaluator` and
+everything built on it runs, and the naive loop over :func:`match_rule`
+(:func:`_gamma`), the independent reference reached by calling
+:func:`naive_well_founded` — which never imports :mod:`repro.kernel`.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from ..flags import kernel_enabled, plans_enabled
-from .evaluation import FactIndex, PlanCache, match_rule
+from .evaluation import FactIndex, match_rule
 from .instance import Instance
 from .program import Program
 from .rules import Rule
@@ -38,6 +37,7 @@ __all__ = [
     "WellFoundedModel",
     "WellFoundedEvaluator",
     "evaluate_well_founded",
+    "naive_well_founded",
     "doubled_program",
     "OVER_SUFFIX",
 ]
@@ -66,18 +66,12 @@ class WellFoundedModel:
         return self.true | self.undefined
 
 
-def _gamma(
-    program: Program,
-    base: Instance,
-    assumed: FactIndex,
-    plan_cache: PlanCache | None = None,
-) -> FactIndex:
+def _gamma(program: Program, base: Instance, assumed: FactIndex) -> FactIndex:
     """The Gelder operator Γ(S): the least fixpoint of *program* on *base*
     where a negated atom ¬A is considered satisfied iff A ∉ S (= *assumed*).
 
     Because the negative information is frozen, this is a plain monotone
-    fixpoint and a naive loop converges.  Callers iterating Γ pass a shared
-    *plan_cache* so join plans survive across the alternating fixpoint.
+    fixpoint and a naive loop converges.
     """
     index = FactIndex(base)
     changed = True
@@ -86,9 +80,7 @@ def _gamma(
         derived = [
             rule.derive(valuation)
             for rule in program
-            for valuation in match_rule(
-                rule, index, negative_index=assumed, plan_cache=plan_cache
-            )
+            for valuation in match_rule(rule, index, negative_index=assumed)
         ]
         for fact in derived:
             if index.add(fact):
@@ -97,18 +89,17 @@ def _gamma(
 
 
 class _NaiveSession:
-    """Γ through the tuple engine, approximations as :class:`FactIndex` —
-    the independent oracle the kernel-off conformance stacks run.  Same
-    surface as :class:`repro.kernel.wellfounded.GammaSession`."""
+    """Γ through :func:`match_rule`, approximations as :class:`FactIndex` —
+    the independent oracle behind :func:`naive_well_founded`.  Same surface
+    as :class:`repro.kernel.wellfounded.GammaSession`."""
 
     def __init__(self, program: Program, instance: Instance) -> None:
         self._program = program
         self._instance = instance
-        self._plan_cache = PlanCache()
         self.start = FactIndex(instance)
 
     def gamma(self, assumed: FactIndex) -> FactIndex:
-        return _gamma(self._program, self._instance, assumed, self._plan_cache)
+        return _gamma(self._program, self._instance, assumed)
 
     size = staticmethod(len)
 
@@ -162,11 +153,10 @@ def _doubled_iteration(session, max_rounds: int):
 class WellFoundedEvaluator:
     """A long-lived well-founded evaluator for one program.
 
-    Dispatches per call exactly as :meth:`SemiNaiveEvaluator.run` does: the
-    interned kernel when ``plans_enabled() and kernel_enabled()``, else the
-    naive tuple-engine Γ.  The kernel form compiles on first use and stays
-    with this object, so an evaluator reused across inputs (a transducer's
-    query, one transition after another) compiles once.
+    Γ runs on the interned kernel.  The frozen-negation form compiles on
+    first use and stays with this object, so an evaluator reused across
+    inputs (a transducer's query, one transition after another) compiles
+    once.
     """
 
     def __init__(self, program: Program) -> None:
@@ -175,20 +165,18 @@ class WellFoundedEvaluator:
 
     @property
     def kernel_compiled(self) -> int:
-        """Kernel rule specializations generated so far (0 until the kernel
-        path has dispatched at least once)."""
+        """Kernel rule specializations generated so far (0 until the first
+        evaluation)."""
         return self._kernel.compiled if self._kernel is not None else 0
 
     def session(self, instance: Instance):
         """The Γ backend for one evaluation on *instance*."""
-        if plans_enabled() and kernel_enabled():
-            if self._kernel is None:
-                # Imported here: repro.kernel imports this package.
-                from ..kernel.wellfounded import FrozenNegationKernel
+        if self._kernel is None:
+            # Imported here: repro.kernel imports this package.
+            from ..kernel.wellfounded import FrozenNegationKernel
 
-                self._kernel = FrozenNegationKernel(self._program)
-            return self._kernel.session(instance)
-        return _NaiveSession(self._program, instance)
+            self._kernel = FrozenNegationKernel(self._program)
+        return self._kernel.session(instance)
 
     def model(self, instance: Instance, *, max_rounds: int = 10_000) -> WellFoundedModel:
         """The full three-valued model (see :func:`evaluate_well_founded`)."""
@@ -219,6 +207,14 @@ def evaluate_well_founded(
     true facts W; ``Γ(W)`` is the over-approximation (true ∪ undefined).
     """
     return WellFoundedEvaluator(program).model(instance, max_rounds=max_rounds)
+
+
+def naive_well_founded(
+    program: Program, instance: Instance, *, max_rounds: int = 10_000
+) -> WellFoundedModel:
+    """The reference for :func:`evaluate_well_founded`: the same alternating
+    fixpoint with every Γ a naive loop over :func:`match_rule`."""
+    return _model(_NaiveSession(program, instance), _alternating_fixpoint, max_rounds)
 
 
 def _over_atom(atom: Atom, idb: frozenset[str]) -> Atom:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..datalog.evaluation import FactIndex, PlanCache, match_rule
+from ..datalog.evaluation import FactIndex, match_rule
 from ..datalog.instance import Instance
 from ..datalog.stratification import (
     NotStratifiableError,
@@ -109,7 +109,6 @@ def _fixpoint(
     *,
     max_facts: int,
     max_depth: int,
-    plan_cache: PlanCache | None = None,
 ) -> None:
     """Naive fixpoint of one stratum, in place on *index*.
 
@@ -123,9 +122,7 @@ def _fixpoint(
         changed = False
         derived: list[Fact] = []
         for ilog_rule in rules:
-            for valuation in match_rule(
-                ilog_rule.rule, index, plan_cache=plan_cache
-            ):
+            for valuation in match_rule(ilog_rule.rule, index):
                 fact = _derive(ilog_rule, valuation)
                 if any(term_depth(v) > max_depth for v in fact.values):
                     raise DivergenceError(
@@ -155,15 +152,8 @@ def evaluate_ilog(
     :class:`NotStratifiableError` for recursion through negation.
     """
     index = FactIndex(instance)
-    plan_cache = PlanCache()
     for stratum in stratify_ilog(program):
-        _fixpoint(
-            stratum,
-            index,
-            max_facts=max_facts,
-            max_depth=max_depth,
-            plan_cache=plan_cache,
-        )
+        _fixpoint(stratum, index, max_facts=max_facts, max_depth=max_depth)
     return index.to_instance()
 
 

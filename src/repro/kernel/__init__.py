@@ -1,19 +1,16 @@
-"""Interned columnar evaluation kernel (PR 6).
+"""Interned columnar evaluation kernel: the production join engine.
 
-The fast core behind the default engine: constants interned to dense ints
-(:mod:`.interning`), relations stored as sets of int rows with lazy
-per-column indexes (:mod:`.relation`), and one generated Python function
-per rule specialization (:mod:`.codegen`), driven by a semi-naive fixpoint
-that mirrors the tuple engine exactly (:mod:`.engine`).  The well-founded
-semantics rides the same pieces: :mod:`.wellfounded` freezes negation into
-twin relations and runs each Γ of the alternating fixpoint as one
-``saturate``.
+Constants interned to dense ints (:mod:`.interning`), relations stored as
+sets of int rows with lazy per-column indexes (:mod:`.relation`), and one
+generated Python function per rule specialization (:mod:`.codegen`), driven
+by a semi-naive fixpoint (:mod:`.engine`).  The well-founded semantics
+rides the same pieces: :mod:`.wellfounded` freezes negation into twin
+relations and runs each Γ of the alternating fixpoint as one ``saturate``.
 
-Gating: ``repro.flags.kernel_enabled()`` (``REPRO_KERNEL`` /
-``REPRO_DISABLE_KERNEL`` / the ``engine.KERNEL_ENABLED`` override), always
-behind ``repro.flags.plans_enabled()`` at the dispatch point in
-``SemiNaiveEvaluator.run`` and ``WellFoundedEvaluator.session`` — so
-``REPRO_DISABLE_PLANS`` still restores the legacy oracle engine wholesale.
+``SemiNaiveEvaluator.run`` and ``WellFoundedEvaluator.session`` in
+:mod:`repro.datalog` run on this package unconditionally; the references it
+is checked against (``naive_fixpoint``, ``naive_well_founded``) never
+import it.
 """
 
 from .codegen import CompiledRule, compile_rule

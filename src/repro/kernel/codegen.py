@@ -1,10 +1,9 @@
 """Per-rule code generation: one specialized Python function per join.
 
 For every ``(rule, seed_atom)`` pair the kernel emits one plain Python
-function whose loop nest is fixed at compile time — the moral equivalent
-of :class:`repro.datalog.evaluation.RulePlan`, but with zero per-tuple
-interpretation: no binding dicts, no precomputed-position walks, just
-locals, tuple subscripts, dict lookups on interned ints, and inlined
+function whose loop nest is fixed at compile time, with zero per-tuple
+interpretation: no binding dicts, no position walks, just locals, tuple
+subscripts, dict lookups on interned ints, and inlined
 constant/inequality/negation guards.  A generated body looks like::
 
     def _kernel_fire(db, seed, append):
@@ -26,8 +25,7 @@ Compilation decisions (all deterministic — atoms, inequalities and negated
 atoms are ordered by ``repr``):
 
 * **atom order** — greedy bound-variable propagation seeded from the
-  required (delta) atom, exactly the static order RulePlan uses, with a
-  position tie-break instead of runtime cardinalities;
+  required (delta) atom, ties broken by position;
 * **access path** — each atom with at least one bound position draws
   candidates from one lazily-built column index (bound-variable positions
   preferred over constants), re-checking the remaining bound positions
@@ -38,8 +36,8 @@ atoms are ordered by ``repr``):
 * **constants** — interned to ids before emission and inlined as int
   literals, which is what keeps the table append-only (ids never move).
 
-Negated atoms read the *live* row set of their relation, matching the
-tuple engines' check against the full current database.
+Negated atoms read the *live* row set of their relation: the check is
+against the full current database.
 """
 
 from __future__ import annotations

@@ -1,28 +1,21 @@
 """The kernel evaluator: semi-naive fixpoint over interned columnar data.
 
-:class:`KernelEvaluator` is a drop-in for
-:class:`repro.datalog.evaluation.SemiNaiveEvaluator` — same constructor
-shape, same ``run(instance, max_iterations=...)`` surface, same
-convergence error — but evaluates through the interned columnar pipeline:
-constants are interned to dense ints once (:mod:`.interning`), rows live
-in :class:`~repro.kernel.relation.ColumnarDatabase` sets with lazy column
+:class:`KernelEvaluator` is what
+:class:`repro.datalog.evaluation.SemiNaiveEvaluator` runs on: constants
+are interned to dense ints once (:mod:`.interning`), rows live in
+:class:`~repro.kernel.relation.ColumnarDatabase` sets with lazy column
 indexes, and each rule fires through its generated function
 (:mod:`.codegen`).  The result is decoded back to the exact original
-values, so fingerprints are byte-identical to the tuple engines.
+values, so fingerprints are byte-identical to the naive reference.
 
-The fixpoint structure deliberately mirrors ``SemiNaiveEvaluator.run``
-step for step — ground-rule prepass (facts visible to later ground rules
+The fixpoint is a ground-rule prepass (facts visible to later ground rules
 immediately), then delta iterations that collect all fresh heads before
-applying them — so the two engines agree not only on the fixpoint but on
-iteration counts, which keeps ``max_iterations`` behavior identical.
+applying them; ``max_iterations`` counts those delta iterations, the one
+that finds nothing new included.
 
 Evaluators are long-lived: rules compile once in ``__init__`` and the
 symbol table persists across ``run`` calls (ids are append-only), so the
 steady-state cost of a transducer step is the generated loops only.
-
-``KERNEL_ENABLED`` is the tri-state module override consumed by
-:func:`repro.flags.kernel_enabled`: ``None`` defers to the environment
-(``REPRO_DISABLE_KERNEL`` / ``REPRO_KERNEL``), ``True``/``False`` force.
 """
 
 from __future__ import annotations
@@ -36,11 +29,7 @@ from .codegen import CompiledRule, compile_rule
 from .interning import SymbolTable, decode_database
 from .relation import ColumnarDatabase
 
-__all__ = ["KERNEL_ENABLED", "KernelEvaluator", "evaluate_semipositive"]
-
-#: Tri-state override: None = environment decides (see repro.flags),
-#: True/False = forced on/off (tests and conformance stacks flip this).
-KERNEL_ENABLED: bool | None = None
+__all__ = ["KernelEvaluator", "evaluate_semipositive"]
 
 
 class KernelEvaluator:
@@ -102,9 +91,9 @@ class KernelEvaluator:
         against (for a fresh database: all of them).  The mapping is
         consumed; its row collections are only read.
         """
-        # Ground rules fire once up front (their bodies read only fixed
-        # relations); each derivation is visible to subsequent ground rules,
-        # matching the tuple engine's prepass.
+        # Ground rules have no delta atom to seed a join, so they fire once
+        # up front (their bodies read only fixed relations); each derivation
+        # is visible to subsequent ground rules.
         for compiled in self._ground:
             out: list[tuple[int, ...]] = []
             compiled.fire(db, (), out.append)

@@ -2,11 +2,10 @@
 
 A :class:`ColumnarRelation` is a hash-set of int rows plus *lazy*
 per-column inverted indexes: a column index is built the first time some
-generated rule body actually probes that column (the plan's bound
+generated rule body actually probes that column (the rule's bound
 positions), and from then on is maintained incrementally by :meth:`add`.
-Relations that are only ever scanned — or columns no plan binds — never
-pay for indexing, mirroring the lazy-column fix in
-:class:`repro.datalog.evaluation.FactIndex`.
+Relations that are only ever scanned — or columns no rule binds — never
+pay for indexing.
 
 Semi-naive evaluation needs nothing more: the engine keeps the *delta* as
 plain per-relation row lists (seeds are scanned, never probed), and the
@@ -36,7 +35,7 @@ class ColumnarRelation:
     def add(self, row: tuple[int, ...]) -> bool:
         """Insert a row; returns True when it was new.
 
-        Only columns that some plan has already probed are maintained;
+        Only columns that some rule has already probed are maintained;
         unbuilt columns are materialized on first :meth:`index` call.
         """
         tuples = self.tuples
@@ -56,8 +55,7 @@ class ColumnarRelation:
         """The inverted index for *position*: value id -> rows.
 
         Built on first use from the current rows (skipping rows too short
-        for the column, mirroring the arity guard of the tuple engines),
-        then kept current by :meth:`add`.
+        for the column), then kept current by :meth:`add`.
         """
         column = self._columns.get(position)
         if column is None:

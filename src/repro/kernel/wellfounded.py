@@ -14,7 +14,7 @@ the relations no rule derives are shared (built column indexes included) by
 every Γ of the alternating fixpoint, the approximations stay interned row
 sets throughout, and only what the caller asks for is decoded at the end.
 The alternation itself lives in :mod:`repro.datalog.wellfounded`, written
-once for this backend and for the tuple-engine oracle.
+once for this backend and for the naive oracle.
 """
 
 from __future__ import annotations

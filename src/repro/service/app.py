@@ -495,8 +495,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(blob)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(blob)
+        # One write per response.  ``wfile`` is unbuffered, so headers and
+        # body written apart leave as two TCP segments, and on a kept-alive
+        # connection the second stalls ~40 ms on Nagle + delayed ACK.
+        self._headers_buffer.append(b"\r\n" + blob)
+        self.flush_headers()
 
     def _json_body(self) -> dict | None:
         length = int(self.headers.get("Content-Length") or 0)

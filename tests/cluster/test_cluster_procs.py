@@ -1,7 +1,7 @@
 """Multi-process runtime tests: the process cluster must be
 byte-identical to the synchronous simulator and the asyncio runtime —
 including across real process boundaries (fresh interpreters, separate
-interners/plan caches, differing hash seeds) and across one real
+interners/evaluation counters, differing hash seeds) and across one real
 ``SIGKILL`` + WAL-replay recovery."""
 
 import os
@@ -178,23 +178,17 @@ def test_codec_round_trips_through_a_real_subprocess():
 def test_process_run_matches_sync(tmp_path):
     """The tentpole gate, small: a 2-process run is byte-identical to the
     centralized Q(I), and each worker evaluated with its own process-local
-    plan cache."""
-    from repro.datalog.evaluation import (
-        _DEFAULT_PLAN_CACHE,
-        FactIndex,
-        match_rule,
-    )
-    from repro.datalog.parser import parse_program
-
-    # Warm the *parent's* module-level plan cache: with fork- or
-    # thread-based workers this warmth would be visible to them.
-    rule = parse_program("T(x, y) :- E(x, y).").rules[0]
-    list(match_rule(rule, FactIndex([Fact("E", (1, 2))])))
-    warmed = len(_DEFAULT_PLAN_CACHE)
-    assert warmed >= 1
+    evaluation state."""
+    from repro.cluster.gate import sync_fingerprint
 
     workload = _small_workload()
     expected = output_fingerprint(workload.expected())
+    # Warm the *parent's* transducer through the sync simulator (which
+    # steps through the step cache): with fork- or thread-based workers
+    # these counters would be visible to them.
+    assert sync_fingerprint(workload, nodes=("n1", "n2")) == expected
+    warmed = workload.transducer.evaluation_stats()
+    assert warmed["cache_misses"] >= 1
     cluster = _run(workload, processes=2, run_dir=tmp_path / "run")
     assert output_fingerprint(cluster.global_output()) == expected
     assert cluster.transport_name == "proc"
@@ -208,13 +202,14 @@ def test_process_run_matches_sync(tmp_path):
         assert result["stats"]["transitions"] >= 1
         pids.add(result["pid"])
         # Every worker is a spawned fresh interpreter: the parent's warm
-        # plan cache did not leak into it (it reports a cold one), so
-        # interner/plan-cache state is strictly per-process.
-        assert result["caches"]["plan_cache"] == 0
+        # counters did not leak into it (the cluster data plane never
+        # steps through the step cache, so a cold worker reports zeros).
+        assert result["caches"]["cache_hits"] == 0
+        assert result["caches"]["cache_misses"] == 0
     assert os.getpid() not in pids
     assert len(pids) == len(cluster.nodes())
-    # ... and worker evaluation did not touch the parent's cache either.
-    assert len(_DEFAULT_PLAN_CACHE) == warmed
+    # ... and worker evaluation did not touch the parent's counters either.
+    assert workload.transducer.evaluation_stats() == warmed
 
 
 def test_real_sigkill_recovery(tmp_path):

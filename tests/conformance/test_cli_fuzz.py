@@ -34,8 +34,8 @@ def test_planted_bug_exits_nonzero_and_fills_corpus(tmp_path):
     corpus = tmp_path / "corpus"
     code, text = run_cli(
         "fuzz", "--seed", "0", "--iterations", "80",
-        "--stacks", "naive,compiled",
-        "--mutate", "compiled=strip-inequalities",
+        "--stacks", "naive,kernel",
+        "--mutate", "kernel=strip-inequalities",
         "--no-metamorphic",
         "--corpus", str(corpus),
     )
@@ -48,11 +48,11 @@ def test_planted_bug_exits_nonzero_and_fills_corpus(tmp_path):
 def test_stack_subset_and_time_budget():
     code, text = run_cli(
         "fuzz", "--seed", "3", "--iterations", "6",
-        "--stacks", "naive,seminaive-legacy,compiled",
+        "--stacks", "naive,kernel",
         "--time-budget", "300",
     )
     assert code == 0
-    assert "stacks:       naive, seminaive-legacy, compiled" in text
+    assert "stacks:       naive, kernel" in text
 
 
 def test_bad_mutation_spec_is_an_error():

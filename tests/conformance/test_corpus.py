@@ -66,6 +66,6 @@ def test_missing_directory_yields_no_entries(tmp_path):
 def test_replay_runs_the_stored_case(tmp_path):
     entry = entry_from_verdict(_verdict())
     path = write_entry(tmp_path, entry)
-    verdict = replay_entry(load_entry(path), stacks=("naive", "compiled"))
+    verdict = replay_entry(load_entry(path), stacks=("naive", "kernel"))
     assert verdict.passed
     assert verdict.case.context == CONTEXT

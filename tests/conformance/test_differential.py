@@ -26,7 +26,7 @@ def _case(program, facts, **knobs) -> DifferentialCase:
 def test_all_stacks_agree_on_a_clean_case(tc_program, chain_graph):
     verdict = run_case(_case(tc_program, chain_graph))
     assert verdict.passed
-    assert len(verdict.outcomes) == 6
+    assert len(verdict.outcomes) == 4
     assert len({o.fingerprint for o in verdict.outcomes}) == 1
     assert all(o.error is None for o in verdict.outcomes)
 
@@ -34,10 +34,10 @@ def test_all_stacks_agree_on_a_clean_case(tc_program, chain_graph):
 def test_planted_inequality_bug_diverges():
     verdict = run_case(
         _case(NEQ_PROGRAM, NEQ_FACTS),
-        mutate={"compiled": "strip-inequalities"},
+        mutate={"kernel": "strip-inequalities"},
     )
     assert not verdict.passed
-    assert [o.stack for o in verdict.divergences] == ["compiled"]
+    assert [o.stack for o in verdict.divergences] == ["kernel"]
     # The mutated stack over-derives: it also keeps the E(1,1) match.
     (diverged,) = verdict.divergences
     assert diverged.output_facts > verdict.baseline.output_facts
@@ -47,10 +47,10 @@ def test_planted_negation_bug_diverges(cotc_program):
     facts = Instance(parse_facts("E(1, 2). Adom(1). Adom(2). Adom(3)."))
     verdict = run_case(
         _case(cotc_program, facts),
-        mutate={"seminaive-legacy": "strip-negation"},
+        mutate={"sync-run": "strip-negation"},
     )
     assert not verdict.passed
-    assert [o.stack for o in verdict.divergences] == ["seminaive-legacy"]
+    assert [o.stack for o in verdict.divergences] == ["sync-run"]
 
 
 def test_planted_wfs_bug_diverges_and_spares_stratified_programs(cotc_program):
@@ -106,14 +106,13 @@ def test_provenance_is_replayable(tc_program, chain_graph):
     assert len(reparsed.rules) == len(tc_program.rules)
     assert Instance(parse_facts(record["facts"])) == chain_graph
     assert {o["stack"] for o in record["outcomes"]} == {
-        "naive", "seminaive-legacy", "compiled", "kernel", "sync-run",
-        "cluster",
+        "naive", "kernel", "sync-run", "cluster",
     }
 
 
 def test_stack_subset_by_name():
     verdict = run_case(
-        _case(NEQ_PROGRAM, NEQ_FACTS), stacks=("naive", "compiled")
+        _case(NEQ_PROGRAM, NEQ_FACTS), stacks=("naive", "kernel")
     )
     assert verdict.passed
-    assert [o.stack for o in verdict.outcomes] == ["naive", "compiled"]
+    assert [o.stack for o in verdict.outcomes] == ["naive", "kernel"]

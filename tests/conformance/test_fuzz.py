@@ -14,7 +14,7 @@ from repro.conformance.fuzz import (
     write_fuzz_report,
 )
 
-FAST_STACKS = ("naive", "seminaive-legacy", "compiled")
+FAST_STACKS = ("naive", "kernel")
 
 
 def _strip_timing(report: dict) -> dict:
@@ -72,7 +72,7 @@ def test_planted_bug_is_caught_and_minimized(tmp_path):
             seed=0,
             iterations=200,
             stacks=FAST_STACKS,
-            mutate={"compiled": "strip-inequalities"},
+            mutate={"kernel": "strip-inequalities"},
             corpus_dir=str(tmp_path),
             metamorphic=False,
         )
@@ -82,7 +82,7 @@ def test_planted_bug_is_caught_and_minimized(tmp_path):
     first = report["divergences"][0]
     assert first["iteration"] < 200
     assert any(
-        outcome["stack"] == "compiled" and outcome["fingerprint"]
+        outcome["stack"] == "kernel" and outcome["fingerprint"]
         for outcome in first["outcomes"]
     )
     # Minimized: a handful of rules/facts, not the raw generated case.

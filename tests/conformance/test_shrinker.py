@@ -20,8 +20,8 @@ NOISY_PROGRAM = parse_program(
 NOISY_FACTS = Instance(
     parse_facts("E('q', 'q'). E('r', 's'). E('s', 't'). V('r'). V('q').")
 )
-MUTATE = {"compiled": "strip-inequalities"}
-STACKS = ("naive", "compiled")
+MUTATE = {"kernel": "strip-inequalities"}
+STACKS = ("naive", "kernel")
 
 
 def _case() -> DifferentialCase:

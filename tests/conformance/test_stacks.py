@@ -10,7 +10,6 @@ from repro.conformance.stacks import (
     build_stacks,
 )
 from repro.core.analyzer import query_for
-from repro.datalog import evaluation
 
 
 def _expected(program, instance):
@@ -28,12 +27,6 @@ class TestStacksAgreeWithQuerySemantics:
         (stack,) = build_stacks((name,))
         result = stack.evaluate(cotc_program, chain_graph, StackContext())
         assert result == _expected(cotc_program, chain_graph)
-
-    def test_plans_flag_is_restored(self, name, tc_program, chain_graph):
-        before = evaluation.PLANS_ENABLED
-        (stack,) = build_stacks((name,))
-        stack.evaluate(tc_program, chain_graph, StackContext())
-        assert evaluation.PLANS_ENABLED == before
 
 
 def test_sync_run_under_chaos_and_every_scheduler(tc_program, chain_graph):

@@ -85,7 +85,7 @@ class TestFuzzIntegration:
     @pytest.mark.fuzz
     def test_clean_fuzz_passes_with_streaming(self):
         report = run_fuzz(
-            FuzzConfig(iterations=8, seed=2, stacks=("naive", "compiled"))
+            FuzzConfig(iterations=8, seed=2, stacks=("naive", "kernel"))
         )
         assert report["passed"], report
         assert report["streaming_violations"] == []

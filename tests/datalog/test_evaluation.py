@@ -11,6 +11,7 @@ from repro.datalog import (
     evaluate_semipositive,
     immediate_consequence,
     match_rule,
+    naive_fixpoint,
     parse_program,
     parse_rule,
 )
@@ -108,13 +109,7 @@ class TestSemiNaive:
 
     def test_matches_naive_iteration(self, tc_program, chain_graph):
         semi = evaluate_semipositive(tc_program, chain_graph)
-        naive = chain_graph
-        while True:
-            following = immediate_consequence(tc_program, naive)
-            if following == naive:
-                break
-            naive = following
-        assert semi == naive
+        assert semi == naive_fixpoint(tc_program, chain_graph)
 
     def test_semipositive_negation(self):
         program = parse_program("O(x, y) :- E(x, y), not Mark(x).")
@@ -167,33 +162,25 @@ class TestGroundRules:
         rules.append(Rule(Atom("Seed", (1,)), pos=[], neg=[Atom("Off", ())]))
         return Program(rules)
 
-    def _naive_fixpoint(self, program, instance):
-        current = instance
-        while True:
-            following = immediate_consequence(program, current)
-            if following == current:
-                return current
-            current = following
-
     def test_seminaive_matches_naive_with_ground_rule(self):
         program = self._ground_program()
         instance = edges((1, 2), (2, 3))
         semi = evaluate_semipositive(program, instance)
-        assert semi == self._naive_fixpoint(program, instance)
+        assert semi == naive_fixpoint(program, instance)
         assert Fact("Seed", (1,)) in semi
         assert Fact("O", (2,)) in semi  # downstream of the ground fact
 
     def test_ground_rule_fires_on_empty_instance(self):
         program = self._ground_program()
         semi = evaluate_semipositive(program, Instance())
-        assert semi == self._naive_fixpoint(program, Instance())
+        assert semi == naive_fixpoint(program, Instance())
         assert Fact("Seed", (1,)) in semi
 
     def test_ground_rule_blocked_by_edb_negation(self):
         program = self._ground_program()
         instance = edges((1, 2)) | Instance([Fact("Off", ())])
         semi = evaluate_semipositive(program, instance)
-        assert semi == self._naive_fixpoint(program, instance)
+        assert semi == naive_fixpoint(program, instance)
         assert Fact("Seed", (1,)) not in semi
 
     def test_nonground_empty_body_still_rejected(self):
@@ -235,3 +222,66 @@ class TestBindingAliasing:
 
         x = make_variables("x")[0]
         assert _extend_binding(Atom("E", [x, x]), (1, 2), {}) is None
+
+
+_KERNEL_BLOCKED_SCRIPT = """
+import importlib.abc, pathlib, sys, types
+
+# `import repro` itself pulls in repro.kernel, so stand in a bare package
+# and let only the submodules that are asked for load.
+package = types.ModuleType("repro")
+package.__path__ = [str(pathlib.Path(sys.argv[1]) / "repro")]
+sys.modules["repro"] = package
+
+
+class BlockKernel(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "repro.kernel" or name.startswith("repro.kernel."):
+            raise ImportError("repro.kernel is blocked in this process")
+
+
+sys.meta_path.insert(0, BlockKernel())
+
+from repro.datalog import (
+    Instance, evaluate_semipositive, naive_fixpoint, naive_well_founded,
+    parse_facts, parse_program, winmove_program,
+)
+
+cotc = parse_program(
+    "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z)."
+    " O(x, y) :- E(x, z), E(z, y), not T(y, x)."
+)
+full = naive_fixpoint(cotc, Instance(parse_facts("E(1, 2). E(2, 3).")))
+assert {f.values for f in full if f.relation == "O"} == {(1, 3)}
+game = Instance(parse_facts("Move(1, 2). Move(2, 3). Move(4, 5). Move(5, 4)."))
+model = naive_well_founded(winmove_program(), game)
+assert {f.values for f in model.true if f.relation == "Win"} == {(2,)}
+assert {f.values for f in model.undefined} == {(4,), (5,)}
+assert not [name for name in sys.modules if name.startswith("repro.kernel")]
+
+# The block does bite: the production engine cannot start without it.
+try:
+    evaluate_semipositive(parse_program("T(x) :- E(x, y)."), Instance())
+except ImportError:
+    print("REFERENCES_RAN_WITHOUT_THE_KERNEL")
+"""
+
+
+def test_reference_engines_never_import_the_kernel():
+    """``naive_fixpoint`` and ``naive_well_founded`` are independent of the
+    engine they check: they run with ``repro.kernel`` unimportable."""
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", _KERNEL_BLOCKED_SCRIPT, str(src)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "REFERENCES_RAN_WITHOUT_THE_KERNEL" in result.stdout

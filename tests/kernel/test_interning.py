@@ -14,7 +14,7 @@ from repro.datalog import Fact, Instance
 from repro.datalog.terms import Atom, Variable
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
-from repro.datalog import evaluation
+from repro.datalog.evaluation import naive_fixpoint
 from repro.kernel.engine import KernelEvaluator
 from repro.kernel.interning import SymbolTable, decode_database, intern_instance
 
@@ -86,14 +86,7 @@ class TestPipelineOverGnarlyConstants:
     @settings(max_examples=40, deadline=None)
     def test_kernel_equals_legacy_on_unicode_and_nested_constants(self, instance):
         """intern -> evaluate -> decode == evaluate on raw values."""
-        previous = evaluation.PLANS_ENABLED
-        evaluation.PLANS_ENABLED = False  # legacy oracle join
-        try:
-            legacy = evaluation.SemiNaiveEvaluator(
-                TC, check_semipositive=False
-            ).run(instance)
-        finally:
-            evaluation.PLANS_ENABLED = previous
+        legacy = naive_fixpoint(TC, instance)  # evaluates on raw values
         kernel = KernelEvaluator(TC, check_semipositive=False).run(instance)
         assert kernel == legacy
         # Byte-identical, not just set-equal: identical sorted reprs.

@@ -1,45 +1,35 @@
-"""The kernel engine vs the legacy tuple engine, feature by feature (PR 6).
+"""The kernel engine vs the naive T_P reference, feature by feature.
 
 Every structural feature of Datalog¬ the codegen specializes — constants
 in body atoms, repeated variables, inequalities, negation (including the
 ground-rule guard), nullary relations, mixed-arity relations — gets an
-explicit equivalence check against the legacy recursive join, plus the
-surface-parity checks (semipositive validation, max_iterations message)
-that let ``SemiNaiveEvaluator`` dispatch to the kernel transparently.
+explicit equivalence check against ``naive_fixpoint`` (the recursive join),
+plus the surface checks (semipositive validation, max_iterations message)
+of ``SemiNaiveEvaluator``, which runs on the kernel.
 """
 
 import random
 
 import pytest
 
-from repro.datalog import evaluation
-from repro.datalog.evaluation import EvaluationError, SemiNaiveEvaluator
+from repro.datalog.evaluation import (
+    EvaluationError,
+    SemiNaiveEvaluator,
+    naive_fixpoint,
+)
 from repro.datalog.instance import Instance
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Atom, Fact, Inequality, Variable
-from repro.kernel import engine as kernel_engine
 from repro.kernel.engine import KernelEvaluator, evaluate_semipositive
 from repro.kernel.relation import ColumnarRelation
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
 
-def legacy_run(program, instance, **kwargs):
-    previous = evaluation.PLANS_ENABLED
-    evaluation.PLANS_ENABLED = False
-    try:
-        return SemiNaiveEvaluator(program, check_semipositive=False).run(
-            instance, **kwargs
-        )
-    finally:
-        evaluation.PLANS_ENABLED = previous
-
-
-def assert_kernel_matches_legacy(program, instance):
+def assert_kernel_matches_naive(program, instance):
     kernel = KernelEvaluator(program, check_semipositive=False).run(instance)
-    legacy = legacy_run(program, instance)
-    assert kernel == legacy
+    assert kernel == naive_fixpoint(program, instance)
     return kernel
 
 
@@ -56,7 +46,7 @@ class TestFeatureEquivalence:
                 Rule(Atom("T", (X, Z)), [Atom("T", (X, Y)), Atom("E", (Y, Z))]),
             ]
         )
-        result = assert_kernel_matches_legacy(
+        result = assert_kernel_matches_naive(
             program, Instance(random_graph(12, 40))
         )
         assert result.tuples("T")
@@ -68,13 +58,13 @@ class TestFeatureEquivalence:
                 Rule(Atom("Q", (7,)), [Atom("P", (X, "tagged"))]),
             ]
         )
-        assert_kernel_matches_legacy(program, Instance(random_graph(6, 25, seed=2)))
+        assert_kernel_matches_naive(program, Instance(random_graph(6, 25, seed=2)))
 
     def test_repeated_variables(self):
         # Self-loops: the same variable twice in one atom.
         program = Program([Rule(Atom("L", (X,)), [Atom("E", (X, X))])])
         instance = Instance(random_graph(5, 20, seed=3))
-        result = assert_kernel_matches_legacy(program, instance)
+        result = assert_kernel_matches_naive(program, instance)
         expected = {v[0] for v in instance.tuples("E") if v[0] == v[1]}
         assert {row[0] for row in result.tuples("L")} == expected
 
@@ -90,7 +80,7 @@ class TestFeatureEquivalence:
                 ),
             ]
         )
-        result = assert_kernel_matches_legacy(
+        result = assert_kernel_matches_naive(
             program, Instance(random_graph(8, 30, seed=4))
         )
         assert all(row[0] != row[1] for row in result.tuples("Proper"))
@@ -108,7 +98,7 @@ class TestFeatureEquivalence:
             ]
         )
         facts = random_graph(8, 30, seed=5) | {Fact("Blocked", (2,))}
-        result = assert_kernel_matches_legacy(program, Instance(facts))
+        result = assert_kernel_matches_naive(program, Instance(facts))
         assert all(row[0] != 2 for row in result.tuples("Safe"))
 
     def test_ground_rules_and_blocking_guards(self):
@@ -120,7 +110,7 @@ class TestFeatureEquivalence:
                 Rule(Atom("H", ("h",)), [], neg=[Atom("On", ())]),
             ]
         )
-        result = assert_kernel_matches_legacy(
+        result = assert_kernel_matches_naive(
             program, Instance({Fact("Off", ())})
         )
         assert not result.tuples("G")
@@ -134,7 +124,7 @@ class TestFeatureEquivalence:
             ]
         )
         facts = {Fact("E", (1, 2)), Fact("V", (1,)), Fact("V", (9,))}
-        result = assert_kernel_matches_legacy(program, Instance(facts))
+        result = assert_kernel_matches_naive(program, Instance(facts))
         assert len(result.tuples("Go")) == 2
 
     def test_mixed_arity_relation(self):
@@ -142,12 +132,12 @@ class TestFeatureEquivalence:
         # the generated loops from matching short rows.
         program = Program([Rule(Atom("P", (X, Y)), [Atom("R", (X, Y))])])
         facts = {Fact("R", (1,)), Fact("R", (1, 2)), Fact("R", (1, 2, 3))}
-        result = assert_kernel_matches_legacy(program, Instance(facts))
+        result = assert_kernel_matches_naive(program, Instance(facts))
         assert result.tuples("P") == {(1, 2)}
 
     def test_empty_instance(self):
         program = Program([Rule(Atom("T", (X, Y)), [Atom("E", (X, Y))])])
-        result = assert_kernel_matches_legacy(program, Instance())
+        result = assert_kernel_matches_naive(program, Instance())
         assert result == Instance()
 
     def test_guards_on_variables_bound_in_later_atoms(self):
@@ -167,7 +157,7 @@ class TestFeatureEquivalence:
         facts = {Fact("A", (rng.randrange(6), rng.randrange(6))) for _ in range(15)}
         facts |= {Fact("B", (rng.randrange(6), rng.randrange(6))) for _ in range(15)}
         facts |= {Fact("N", (2,))}
-        assert_kernel_matches_legacy(program, Instance(facts))
+        assert_kernel_matches_naive(program, Instance(facts))
 
 
 class TestSurfaceParity:
@@ -180,9 +170,9 @@ class TestSurfaceParity:
         )
         with pytest.raises(EvaluationError) as kernel_error:
             KernelEvaluator(bad)
-        with pytest.raises(EvaluationError) as legacy_error:
+        with pytest.raises(EvaluationError) as seminaive_error:
             SemiNaiveEvaluator(bad)
-        assert str(kernel_error.value) == str(legacy_error.value)
+        assert str(kernel_error.value) == str(seminaive_error.value)
 
     def test_max_iterations_parity(self):
         program = Program(
@@ -192,12 +182,12 @@ class TestSurfaceParity:
             ]
         )
         chain = Instance({Fact("E", (i, i + 1)) for i in range(8)})
-        for cap in range(1, 8):
+        for cap in range(1, 11):  # the chain converges at cap 9
             try:
-                legacy_run(program, chain, max_iterations=cap)
-                legacy_outcome = "converged"
+                naive_fixpoint(program, chain, max_iterations=cap)
+                naive_outcome = "converged"
             except EvaluationError as error:
-                legacy_outcome = str(error)
+                naive_outcome = str(error)
             try:
                 KernelEvaluator(program, check_semipositive=False).run(
                     chain, max_iterations=cap
@@ -205,12 +195,13 @@ class TestSurfaceParity:
                 kernel_outcome = "converged"
             except EvaluationError as error:
                 kernel_outcome = str(error)
-            assert kernel_outcome == legacy_outcome
+            assert kernel_outcome == naive_outcome
+            assert (kernel_outcome == "converged") == (cap >= 9)
 
     def test_evaluate_semipositive_convenience(self):
         program = Program([Rule(Atom("T", (X, Y)), [Atom("E", (X, Y))])])
         instance = Instance({Fact("E", (1, 2))})
-        assert evaluate_semipositive(program, instance) == legacy_run(
+        assert evaluate_semipositive(program, instance) == naive_fixpoint(
             program, instance
         )
 
@@ -228,15 +219,10 @@ class TestSurfaceParity:
 
     def test_dispatch_surfaces_kernel_compiles_as_plans_compiled(self):
         program = Program([Rule(Atom("T", (X, Y)), [Atom("E", (X, Y))])])
-        previous = kernel_engine.KERNEL_ENABLED
-        kernel_engine.KERNEL_ENABLED = True
-        try:
-            evaluator = SemiNaiveEvaluator(program)
-            evaluator.run(Instance({Fact("E", (1, 2))}))
-            assert evaluator.kernel_compiled > 0
-            assert evaluator.plans_compiled >= evaluator.kernel_compiled
-        finally:
-            kernel_engine.KERNEL_ENABLED = previous
+        evaluator = SemiNaiveEvaluator(program)
+        assert evaluator.plans_compiled == 0  # nothing compiled before a run
+        evaluator.run(Instance({Fact("E", (1, 2))}))
+        assert evaluator.plans_compiled == 1  # one rule, one seed atom
 
     def test_table_persists_across_runs(self):
         program = Program([Rule(Atom("T", (X, Y)), [Atom("E", (X, Y))])])

@@ -1,9 +1,9 @@
-"""The well-founded evaluator on the kernel (PR 13): dispatch, the twin
-relation guard, evaluator reuse, and what gets decoded.
+"""The well-founded evaluator on the kernel: the two engines by name, the
+twin relation guard, evaluator reuse, and what gets decoded.
 
-The naive tuple-engine Γ (``REPRO_DISABLE_KERNEL=1`` / the module override)
-is the oracle throughout; ``tests/properties/test_property_wellfounded.py``
-holds the generated-program equivalence.
+The naive Γ (``naive_well_founded``) is the oracle throughout;
+``tests/properties/test_property_wellfounded.py`` holds the
+generated-program equivalence.
 """
 
 import pytest
@@ -13,6 +13,7 @@ from repro.datalog import (
     Instance,
     evaluate_doubled,
     evaluate_well_founded,
+    naive_well_founded,
     parse_facts,
     parse_program,
     winmove_program,
@@ -20,15 +21,19 @@ from repro.datalog import (
 from repro.datalog import wellfounded
 from repro.datalog.wellfounded import WellFoundedEvaluator
 from repro.kernel import engine as kernel_engine
+from repro.kernel import wellfounded as kernel_wellfounded
 from repro.kernel.wellfounded import ASSUMED_SUFFIX, FrozenNegationKernel
 from repro.queries import DatalogQuery, WellFoundedQuery, win_move_query
 from repro.queries.generators import random_game_graph
 
 
-def naive_model(program, instance, monkeypatch):
-    with monkeypatch.context() as patch:
-        patch.setattr(kernel_engine, "KERNEL_ENABLED", False)
-        return evaluate_well_founded(program, instance)
+def naive_doubled(program, instance, *, max_rounds=10_000):
+    """The doubled-program iteration over the naive Γ session."""
+    return wellfounded._model(
+        wellfounded._NaiveSession(program, instance),
+        wellfounded._doubled_iteration,
+        max_rounds,
+    )
 
 
 GAME = Instance(parse_facts("Move(1,2). Move(2,3). Move(4,5). Move(5,4). Move(1,4)."))
@@ -46,42 +51,38 @@ class TestDispatch:
         assert {f.values[0] for f in model.true if f.relation == "Win"} == {2}
         assert {f.values[0] for f in model.undefined} == {1, 4, 5}
 
-    def test_kill_switch_takes_the_naive_path_with_the_same_model(self, monkeypatch):
+    def test_naive_reference_gives_the_same_model_without_the_kernel(self, monkeypatch):
         expected = evaluate_well_founded(winmove_program(), GAME)
-        monkeypatch.setenv("REPRO_DISABLE_KERNEL", "1")
-        evaluator = WellFoundedEvaluator(winmove_program())
-        assert evaluator.model(GAME) == expected
-        assert evaluator.kernel_compiled == 0
 
-    def test_plans_switch_is_the_master_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_PLANS", "1")
-        evaluator = WellFoundedEvaluator(winmove_program())
-        evaluator.model(GAME)
-        assert evaluator.kernel_compiled == 0
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the kernel ran under the naive reference")
 
-    def test_one_evaluator_follows_a_mid_process_flip(self, monkeypatch):
-        evaluator = WellFoundedEvaluator(winmove_program())
-        on = evaluator.model(GAME)
-        monkeypatch.setenv("REPRO_DISABLE_KERNEL", "1")
-        assert evaluator.model(GAME) == on
+        monkeypatch.setattr(kernel_engine.KernelEvaluator, "__init__", forbidden)
+        monkeypatch.setattr(kernel_wellfounded.GammaSession, "__init__", forbidden)
+        assert naive_well_founded(winmove_program(), GAME) == expected
+        with pytest.raises(AssertionError):  # the patch does bite
+            evaluate_well_founded(winmove_program(), GAME)
 
     @pytest.mark.parametrize("kernel", [True, False])
-    def test_max_rounds_error_messages_kept(self, monkeypatch, kernel):
-        monkeypatch.setattr(kernel_engine, "KERNEL_ENABLED", kernel)
+    def test_max_rounds_error_messages_kept(self, kernel):
+        if kernel:
+            alternating, doubled = evaluate_well_founded, evaluate_doubled
+        else:
+            alternating, doubled = naive_well_founded, naive_doubled
         with pytest.raises(
             RuntimeError,
             match="alternating fixpoint did not converge within 0 rounds",
         ):
-            evaluate_well_founded(winmove_program(), GAME, max_rounds=0)
+            alternating(winmove_program(), GAME, max_rounds=0)
         with pytest.raises(
             RuntimeError,
             match="doubled-program iteration did not converge within 0 rounds",
         ):
-            evaluate_doubled(winmove_program(), GAME, max_rounds=0)
+            doubled(winmove_program(), GAME, max_rounds=0)
 
 
 class TestTwinRelationGuard:
-    def test_twin_avoids_a_relation_the_program_defines(self, monkeypatch):
+    def test_twin_avoids_a_relation_the_program_defines(self):
         taken = "Win" + ASSUMED_SUFFIX
         program = parse_program(
             f"""
@@ -94,26 +95,26 @@ class TestTwinRelationGuard:
         assert set(twins) == {"Win", taken}
         assert not set(twins.values()) & set(program.sch())
         assert len(set(twins.values())) == 2
-        assert evaluate_well_founded(program, GAME) == naive_model(
-            program, GAME, monkeypatch
+        assert evaluate_well_founded(program, GAME) == naive_well_founded(
+            program, GAME
         )
 
-    def test_twin_avoids_an_edb_relation_of_that_name(self, monkeypatch):
+    def test_twin_avoids_an_edb_relation_of_that_name(self):
         taken = "Win" + ASSUMED_SUFFIX
         program = parse_program(
             f"Win(x) :- Move(x, y), not Win(y), not {taken}(x)."
         )
         instance = GAME | Instance([Fact(taken, (2,))])
         model = evaluate_well_founded(program, instance)
-        assert model == naive_model(program, instance, monkeypatch)
+        assert model == naive_well_founded(program, instance)
         # Win(2) is blocked by the edb fact, which makes 1 the winner.
         assert {f.values[0] for f in model.true if f.relation == "Win"} == {1}
 
-    def test_instance_facts_named_like_a_twin_are_inert(self, monkeypatch):
+    def test_instance_facts_named_like_a_twin_are_inert(self):
         stray = Fact("Win" + ASSUMED_SUFFIX, (3,))
         instance = GAME | Instance([stray])
         model = evaluate_well_founded(winmove_program(), instance)
-        assert model == naive_model(winmove_program(), instance, monkeypatch)
+        assert model == naive_well_founded(winmove_program(), instance)
         assert stray in model.true
         assert model.true - Instance([stray]) == (
             evaluate_well_founded(winmove_program(), GAME).true
@@ -167,11 +168,9 @@ class TestProjection:
         ).with_output(["Win"])
         assert WellFoundedQuery(program)(GAME) == Instance([Fact("Win", (2,))])
 
-    @pytest.mark.parametrize("kernel", [True, False])
-    def test_program_queries_project_once(self, monkeypatch, kernel, tc_program):
+    def test_program_queries_project_once(self, monkeypatch, tc_program):
         """Input restriction + one output projection at most — never the
         output projected a second time by ``Query.__call__``."""
-        monkeypatch.setattr(kernel_engine, "KERNEL_ENABLED", kernel)
         calls = []
         original = Instance.restrict
 

@@ -9,38 +9,26 @@ inequalities, idb facts already present in the input, empty inputs.  Games
 get their own strategy because draws need cycles to be likely.
 """
 
-from contextlib import contextmanager
-
 from hypothesis import given, settings, strategies as st
 
 from repro.datalog import (
     Fact,
     Instance,
     evaluate_doubled,
-    evaluate_well_founded,
+    naive_well_founded,
     winmove_program,
 )
+from repro.datalog import wellfounded
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Atom, Inequality, Variable
 from repro.datalog.wellfounded import WellFoundedEvaluator
-from repro.kernel import engine as kernel_engine
 
 EDB = {"E": 2, "V": 1, "Flag": 0}
 IDB = {"P": 1, "Q": 1, "R": 2, "Z": 0}
 ARITY = {**EDB, **IDB}
 VARIABLES = [Variable(name) for name in "xyz"]
 constants = st.integers(min_value=0, max_value=3)
-
-
-@contextmanager
-def kernel(enabled: bool):
-    previous = kernel_engine.KERNEL_ENABLED
-    kernel_engine.KERNEL_ENABLED = enabled
-    try:
-        yield
-    finally:
-        kernel_engine.KERNEL_ENABLED = previous
 
 
 def atoms(relations, terms):
@@ -90,15 +78,17 @@ games = st.frozensets(
 
 
 def assert_backends_agree(program, instance):
-    with kernel(True):
-        evaluator = WellFoundedEvaluator(program)
-        on = evaluator.model(instance)
-        on_doubled = evaluate_doubled(program, instance)
-        output = evaluator.output(instance)
-        assert evaluator.kernel_compiled > 0
-    with kernel(False):
-        off = evaluate_well_founded(program, instance)
-        off_doubled = evaluate_doubled(program, instance)
+    evaluator = WellFoundedEvaluator(program)
+    on = evaluator.model(instance)
+    on_doubled = evaluate_doubled(program, instance)
+    output = evaluator.output(instance)
+    assert evaluator.kernel_compiled > 0
+    off = naive_well_founded(program, instance)
+    off_doubled = wellfounded._model(
+        wellfounded._NaiveSession(program, instance),
+        wellfounded._doubled_iteration,
+        10_000,
+    )
     assert on.true == off.true
     assert on.undefined == off.undefined
     assert on_doubled == on

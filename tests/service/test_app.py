@@ -302,6 +302,58 @@ class TestHTTP:
     def test_unknown_path_404(self, service):
         assert _call(service, "GET", "/v1/nope")[0] == 404
 
+    def test_one_write_per_response_on_a_kept_alive_connection(
+        self, service, monkeypatch
+    ):
+        """Headers and body leave in a single write: two writes are two TCP
+        segments, and the second stalls ~40 ms (Nagle + delayed ACK) on
+        every response after the first of a kept-alive connection."""
+        import http.client
+
+        from repro.service import app
+
+        connections: list[list[int]] = []
+
+        class RecordingWriter:
+            def __init__(self, raw, sizes):
+                self._raw, self._sizes = raw, sizes
+
+            def write(self, data):
+                self._sizes.append(len(data))
+                return self._raw.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self._raw, name)
+
+        original_setup = app._Handler.setup
+
+        def recording_setup(handler):
+            original_setup(handler)
+            connections.append([])
+            handler.wfile = RecordingWriter(handler.wfile, connections[-1])
+
+        monkeypatch.setattr(app._Handler, "setup", recording_setup)
+        client = http.client.HTTPConnection("127.0.0.1", service.port, timeout=30)
+        try:
+            payload = json.dumps({"program": TC})
+            for method, path, body in (
+                ("GET", "/health", None),
+                ("POST", "/v1/analyze", payload),
+                ("GET", "/v1/nope", None),
+                ("GET", "/health", None),
+            ):
+                client.request(method, path, body=body)
+                response = client.getresponse()
+                data = response.read()
+                assert int(response.getheader("Content-Length")) == len(data)
+                json.loads(data)
+        finally:
+            client.close()
+        # One server-side connection carried all four requests ...
+        assert len(connections) == 1
+        # ... and each response was exactly one write.
+        assert len(connections[0]) == 4
+
 
 class TestConcurrentTenants:
     """The issue's gate: ≥8 threads across ≥3 tenants, per-tenant store

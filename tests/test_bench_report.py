@@ -24,26 +24,29 @@ def _entry(date: str, mode: str = "full") -> dict:
     }
 
 
+SUITE = "bench_scenarios"
+
+
 class TestLoadHistory:
     def test_missing_file(self, tmp_path):
-        report = bench_report.load_history(tmp_path / "nope.json")
+        report = bench_report.load_history(tmp_path / "nope.json", suite=SUITE)
         assert report["history"] == []
-        assert report["suite"] == "bench_engine_microbench"
+        assert report["suite"] == SUITE
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "bench.json"
-        report = bench_report.load_history(path)
+        report = bench_report.load_history(path, suite=SUITE)
         report["history"] = bench_report.upsert_history(
             report["history"], _entry("2026-08-01")
         )
         path.write_text(json.dumps(report))
-        again = bench_report.load_history(path)
+        again = bench_report.load_history(path, suite=SUITE)
         assert again["history"] == [_entry("2026-08-01")]
 
     def test_migrates_legacy_layout(self, tmp_path):
         path = tmp_path / "bench.json"
         path.write_text(json.dumps({"benchmarks": {"t": {}}, "headline": {}}))
-        report = bench_report.load_history(path)
+        report = bench_report.load_history(path, suite=SUITE)
         assert len(report["history"]) == 1
         assert report["history"][0]["date"] == bench_report.LEGACY_DATE
         assert report["history"][0]["benchmarks"] == {"t": {}}
@@ -51,7 +54,7 @@ class TestLoadHistory:
     def test_corrupt_file_starts_fresh(self, tmp_path):
         path = tmp_path / "bench.json"
         path.write_text("{not json")
-        assert bench_report.load_history(path)["history"] == []
+        assert bench_report.load_history(path, suite=SUITE)["history"] == []
 
 
 class TestUpsertHistory:
@@ -90,12 +93,12 @@ class TestUpsertHistory:
     def test_round_trip_through_file_no_duplicates(self, tmp_path):
         path = tmp_path / "bench.json"
         for mode in ("smoke", "full", "smoke"):
-            report = bench_report.load_history(path)
+            report = bench_report.load_history(path, suite=SUITE)
             report["history"] = bench_report.upsert_history(
                 report["history"], _entry("2026-08-06", mode=mode)
             )
             path.write_text(json.dumps(report))
-        final = bench_report.load_history(path)
+        final = bench_report.load_history(path, suite=SUITE)
         assert len(final["history"]) == 1
         assert final["history"][0]["mode"] == "smoke"
 
@@ -104,39 +107,39 @@ def _baseline_file(tmp_path, headline: dict) -> Path:
     entry = _entry("2026-08-07")
     entry["headline"] = headline
     path = tmp_path / "baseline.json"
-    path.write_text(
-        json.dumps({"suite": "bench_engine_microbench", "history": [entry]})
-    )
+    path.write_text(json.dumps({"suite": SUITE, "history": [entry]}))
     return path
 
 
 class TestCompareBaseline:
-    HEADLINE = {"tc_kernel_70x210": {"speedup": 7.3, "target": 5.0, "ok": True}}
+    HEADLINE = {"scenario_gate_pass": {"speedup": 1.0, "target": 1.0, "ok": True}}
 
     def test_holding_the_target_passes(self, tmp_path):
         path = _baseline_file(tmp_path, self.HEADLINE)
         failures = bench_report.compare_baseline(
-            path, {"tc_kernel_70x210": {"speedup": 6.1}}
+            path, {"scenario_gate_pass": {"speedup": 1.0}}, suite=SUITE
         )
         assert failures == []
 
     def test_regression_below_committed_target_is_flagged(self, tmp_path):
         path = _baseline_file(tmp_path, self.HEADLINE)
         failures = bench_report.compare_baseline(
-            path, {"tc_kernel_70x210": {"speedup": 4.2}}
+            path, {"scenario_gate_pass": {"speedup": 0.75}}, suite=SUITE
         )
         assert len(failures) == 1
         assert "regressed below" in failures[0]
 
     def test_missing_metric_in_new_run_is_flagged(self, tmp_path):
         path = _baseline_file(tmp_path, self.HEADLINE)
-        failures = bench_report.compare_baseline(path, {})
+        failures = bench_report.compare_baseline(path, {}, suite=SUITE)
         assert len(failures) == 1
         assert "missing from this run" in failures[0]
 
     def test_empty_history_is_flagged(self, tmp_path):
         path = tmp_path / "empty.json"
-        failures = bench_report.compare_baseline(path, {"x": {"speedup": 1.0}})
+        failures = bench_report.compare_baseline(
+            path, {"x": {"speedup": 1.0}}, suite=SUITE
+        )
         assert failures and "no history" in failures[0]
 
 
@@ -151,8 +154,6 @@ class TestScalingSuite:
         )
         assert report["suite"] == "bench_scaling"
         assert report["history"] == []
-        # The engine suite's kill-switch env is irrelevant here.
-        assert "baseline_env" not in report
 
     def test_scaling_round_trip(self, tmp_path):
         path = tmp_path / "BENCH_scaling.json"
@@ -247,3 +248,19 @@ class TestOptimizerSuite:
         latest = committed["history"][-1]
         for metric in bench_report.OPTIMIZER_TARGETS:
             assert latest["headline"][metric]["ok"], metric
+
+
+def test_no_mode_flag_is_a_usage_error():
+    """There is no default suite any more: running the script bare must
+    stop with argparse's usage error, not run something."""
+    import subprocess
+    import sys
+
+    result = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "bench_report.py")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert "is required" in result.stderr

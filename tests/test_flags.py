@@ -1,12 +1,9 @@
-"""Call-time kill-switch semantics (PR 6 satellite).
+"""Call-time switch semantics for the one remaining flag.
 
-Historically each module parsed its own environment variable — some at
-import time, some at call time — so flipping a switch mid-process worked
-for some layers and silently did nothing for others.  ``repro.flags`` is
-now the single source of truth and re-reads the environment on every
-call.  The subprocess test proves the end-to-end claim: a process that
-imports everything, evaluates, *then* flips the env sees the flip take
-effect immediately (import-time reads would not).
+``repro.flags`` re-reads the environment on every call.  The subprocess
+test proves the end-to-end claim: a process that imports everything, runs,
+*then* flips the env sees the flip take effect immediately (an import-time
+read would not).
 """
 
 import subprocess
@@ -19,109 +16,50 @@ from repro import flags
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    for name in (
-        "REPRO_DISABLE_PLANS",
-        "REPRO_DISABLE_KERNEL",
-        "REPRO_KERNEL",
-        "REPRO_DISABLE_QUERY_CACHE",
-    ):
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv("REPRO_DISABLE_QUERY_CACHE", raising=False)
+
+
+def test_flags_module_exports_only_the_query_cache_switch():
+    assert flags.__all__ == ["env_flag", "query_cache_enabled"]
 
 
 class TestCallTimeReads:
-    def test_plans_env_flip_mid_process(self, monkeypatch):
-        assert flags.plans_enabled()
-        monkeypatch.setenv("REPRO_DISABLE_PLANS", "1")
-        assert not flags.plans_enabled()
-        monkeypatch.delenv("REPRO_DISABLE_PLANS")
-        assert flags.plans_enabled()
-
-    def test_kernel_env_resolution_order(self, monkeypatch):
-        from repro.kernel import engine as kernel_engine
-
-        assert flags.kernel_enabled()  # default: on
-        monkeypatch.setenv("REPRO_KERNEL", "0")
-        assert not flags.kernel_enabled()
-        monkeypatch.setenv("REPRO_KERNEL", "1")
-        assert flags.kernel_enabled()
-        # The kill switch beats the explicit opt-in ...
-        monkeypatch.setenv("REPRO_DISABLE_KERNEL", "1")
-        assert not flags.kernel_enabled()
-        # ... and the module override beats everything.
-        monkeypatch.setattr(kernel_engine, "KERNEL_ENABLED", True)
-        assert flags.kernel_enabled()
-        monkeypatch.setattr(kernel_engine, "KERNEL_ENABLED", False)
-        monkeypatch.delenv("REPRO_DISABLE_KERNEL")
-        assert not flags.kernel_enabled()
-
     def test_query_cache_env_flip_mid_process(self, monkeypatch):
         assert flags.query_cache_enabled()
         monkeypatch.setenv("REPRO_DISABLE_QUERY_CACHE", "true")
         assert not flags.query_cache_enabled()
-
-    def test_plans_module_attribute_still_honored(self, monkeypatch):
-        from repro.datalog import evaluation
-
-        monkeypatch.setattr(evaluation, "PLANS_ENABLED", False)
-        assert not flags.plans_enabled()
-
-    def test_engine_dispatch_follows_mid_process_flip(self, monkeypatch):
-        """Behavior-level: the same evaluator object switches engines when
-        the kernel kill switch flips between run() calls."""
-        from repro.datalog.evaluation import SemiNaiveEvaluator
-        from repro.datalog.instance import Instance
-        from repro.datalog.program import Program
-        from repro.datalog.rules import Rule
-        from repro.datalog.terms import Atom, Fact, Variable
-
-        X, Y = Variable("x"), Variable("y")
-        program = Program([Rule(Atom("T", (X, Y)), [Atom("E", (X, Y))])])
-        instance = Instance({Fact("E", (1, 2))})
-
-        monkeypatch.setenv("REPRO_DISABLE_KERNEL", "1")
-        evaluator = SemiNaiveEvaluator(program)
-        disabled = evaluator.run(instance)
-        assert evaluator.kernel_compiled == 0  # tuple engine ran
-
-        monkeypatch.delenv("REPRO_DISABLE_KERNEL")
-        enabled = evaluator.run(instance)
-        assert evaluator.kernel_compiled > 0  # kernel ran this time
-        assert enabled == disabled
+        monkeypatch.delenv("REPRO_DISABLE_QUERY_CACHE")
+        assert flags.query_cache_enabled()
 
 
 _SUBPROCESS_SCRIPT = """
 import os
 from repro import flags
-from repro.datalog.evaluation import SemiNaiveEvaluator
-from repro.datalog.instance import Instance
-from repro.datalog.program import Program
-from repro.datalog.rules import Rule
-from repro.datalog.terms import Atom, Fact, Variable
+from repro.transducers import FairScheduler, Network, TransducerNetwork, section4_protocols
 
-X, Y = Variable("x"), Variable("y")
-program = Program([Rule(Atom("T", (X, Y)), [Atom("E", (X, Y))])])
-instance = Instance({Fact("E", (1, 2))})
+bundle = section4_protocols()[0]
+network = Network(["n1", "n2"])
 
-# Everything imported, defaults active: kernel on, plans on, cache on.
-assert flags.plans_enabled() and flags.kernel_enabled()
+def run_once():
+    net = TransducerNetwork(network, bundle.transducer, bundle.policy(network))
+    run = net.new_run(bundle.instance)
+    return run.run_to_quiescence(scheduler=FairScheduler(0)), run.metrics
+
+# Everything imported, defaults active: the step cache counts its lookups.
 assert flags.query_cache_enabled()
-evaluator = SemiNaiveEvaluator(program)
-baseline = evaluator.run(instance)
-assert evaluator.kernel_compiled > 0
+baseline, metrics = run_once()
+assert metrics.cache_hits + metrics.cache_misses > 0
 
-# Flip every switch mid-process — *after* import and first use.
-os.environ["REPRO_DISABLE_PLANS"] = "1"
-os.environ["REPRO_DISABLE_KERNEL"] = "1"
+# Flip the switch mid-process — *after* import and first use.
 os.environ["REPRO_DISABLE_QUERY_CACHE"] = "1"
-assert not flags.plans_enabled()
-assert not flags.kernel_enabled()
 assert not flags.query_cache_enabled()
 
-# And the engines actually honor the flip: a fresh evaluator runs the
-# legacy path (no kernel compiles) yet computes the same result.
-legacy = SemiNaiveEvaluator(program)
-assert legacy.run(instance) == baseline
-assert legacy.kernel_compiled == 0 and legacy.plans_compiled == 0
+# And the runtime actually honors the flip: freshly built transducers
+# bypass the step cache yet compute the same output.
+bundle = section4_protocols()[0]
+uncached, metrics = run_once()
+assert uncached == baseline
+assert metrics.cache_hits + metrics.cache_misses == 0
 print("MID_PROCESS_FLIP_OK")
 """
 
