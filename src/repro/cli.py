@@ -867,8 +867,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--run-dir",
         metavar="DIR",
         default=None,
-        help="with --processes: directory for worker specs, stderr logs "
-        "and per-node checkpoints (default: a fresh temp dir)",
+        help="with --processes: directory for worker stderr logs, pids.json "
+        "and per-node checkpoints (default: a temp dir, removed after the run)",
     )
     cluster_cmd.add_argument(
         "--kill-node",

@@ -2,9 +2,10 @@
 
 The asyncio runtime (:mod:`repro.cluster.runtime`) made the cluster
 *concurrent*; this module makes it *parallel*.  Each node runs in its own
-spawned Python process — its own GIL, its own interner, its own compiled rules
-— hosting an unmodified :class:`~repro.cluster.runtime.ClusterNode` over a
-real TCP data plane.  A parent :class:`ProcessCluster` coordinates:
+OS process, forked from the coordinator — its own GIL, its own interner, its
+own compiled rules — hosting an unmodified
+:class:`~repro.cluster.runtime.ClusterNode` over a real TCP data plane.  A
+parent :class:`ProcessCluster` coordinates:
 
 * **sharding** — the parent distributes the input database horizontally
   with the workload's own distribution policy (the paper's domain-guided
@@ -63,6 +64,21 @@ Section-4 protocol transducers (which flood their inputs so every node
 sees everything), sharding here genuinely shrinks the work: one deep game
 no longer drags every co-located shallow game through its alternating
 fixpoint rounds (see :func:`scaling_workload` for the cost argument).
+
+What a forked worker inherits
+-----------------------------
+
+Workers are ``os.fork()`` children of the coordinator (POSIX-only, like the
+``SIGKILL`` and ``add_signal_handler`` code below): importing :mod:`repro`
+in a fresh interpreter takes longer than a whole 2-worker run, and the
+coordinator has already paid for it.  A worker *inherits* the imported
+modules, the coordinator's hash seed and the module-level memo caches
+(deterministic content).  It does *not* inherit descriptors (all closed but
+its stdio and liveness pipe), the event loop, signal handlers, or
+transducer/step-cache state: it rebuilds its network from the spec recipe
+(:func:`build_proc_network`) and starts with cold evaluation counters.
+Workers are direct children, reaped before :meth:`ProcessCluster.arun`
+returns or raises; no helper process outlives a run.
 """
 
 from __future__ import annotations
@@ -71,12 +87,15 @@ import asyncio
 import json
 import os
 import re
+import shutil
 import signal
 import struct
 import sys
 import tempfile
 import time
-from typing import Hashable, Iterable, Sequence
+import traceback
+import warnings
+from typing import Hashable, Iterable, NoReturn, Sequence
 
 from ..datalog.instance import Instance
 from ..datalog.terms import Fact
@@ -226,7 +245,8 @@ def scaling_workload(*, components: int = 24, size: int = 120) -> Section4Protoc
     the whole index, at least twice per Γ) the central run took ~6.5 s and
     the committed ``BENCH_scaling.json`` curve reads 3.95× at 4 workers;
     with Γ one semi-naive pass over interned rows the same run takes
-    ~0.2 s, below the process runtime's spawn + handshake floor, so that
+    ~0.2 s, which was below the spawn + handshake floor of the exec'd
+    workers of the time (~0.27 s; forked workers boot in ~0.04 s), so that
     curve is historical (see docs/PERFORMANCE.md).  Everything is generated
     by closed-form arithmetic (no RNG, no builtin ``hash``), so every
     process rebuilds the identical workload from the key alone.
@@ -455,7 +475,6 @@ class ProcessEndpoint:
         self._writers.clear()
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         for task in self._reader_tasks:
             task.cancel()
         for task in self._reader_tasks:
@@ -464,6 +483,10 @@ class ProcessEndpoint:
             except (asyncio.CancelledError, Exception):
                 pass
         self._reader_tasks.clear()
+        if self._server is not None:
+            # Last: since Python 3.12 this also waits for every accepted
+            # connection to close, which the cancelled pumps just did.
+            await self._server.wait_closed()
 
 
 def _make_kill_probe(kill_after: int):
@@ -610,7 +633,8 @@ async def _worker_async(spec: dict) -> None:
             "recovered": bool(recovered),
             "snapshot_bytes": journal._store.snapshot_bytes,
             # This process's evaluation counters: tests assert per-process
-            # isolation on them (a spawned worker starts cold).
+            # isolation on them (a worker builds its own network from
+            # the recipe, so it starts cold).
             "caches": net.transducer.evaluation_stats(),
             "epochs": cluster_node._epochs_injected,
             "epoch_outputs": {
@@ -624,20 +648,120 @@ async def _worker_async(spec: dict) -> None:
     await endpoint.close()
 
 
-def worker_main(argv: Sequence[str]) -> int:
-    """``python -m repro.cluster.procs SPEC.json`` — one cluster node."""
-    if len(argv) != 1:
-        print("usage: python -m repro.cluster.procs SPEC.json", file=sys.stderr)
-        return 2
-    with open(argv[0], "r", encoding="utf-8") as handle:
-        spec = json.load(handle)
-    asyncio.run(_worker_async(spec))
-    return 0
+def _run_forked_worker(spec: dict, log_fd: int, alive_fd: int) -> NoReturn:
+    """The whole life of a forked child: shed the coordinator, run one
+    cluster node, ``os._exit``.
+
+    The child starts as a copy of the coordinator deep inside the parent's
+    event-loop stack, and none of that may run here: not the parent's
+    ``finally`` blocks (they kill the *other* workers), not its ``atexit``
+    hooks, not its buffered stdio.  So every way out — success, worker
+    error, ``SystemExit``, ``KeyboardInterrupt`` — ends in ``os._exit``:
+    status 0 once the result is delivered, else 1 with the traceback in the
+    worker's stderr file.
+    """
+    status = 1
+    try:
+        null_fd = os.open(os.devnull, os.O_RDONLY)
+        os.dup2(null_fd, 0)
+        os.dup2(log_fd, 1)
+        os.dup2(log_fd, 2)
+        # The parent's stdio objects may hold unflushed text, a lock another
+        # thread held at fork time, or a test runner's capture file.
+        sys.stdout = sys.stderr = open(
+            2, "w", buffering=1, encoding="utf-8",
+            errors="backslashreplace", closefd=False,
+        )
+        # Every other inherited descriptor goes: the parent loop's selector
+        # and self-pipe, the control server, peers' control connections and
+        # liveness pipes, a service's HTTP sockets and database.  Only
+        # ``alive_fd`` stays: never written, its closing at death (however
+        # that comes) is what the parent waits on.
+        os.closerange(3, alive_fd)
+        os.closerange(alive_fd + 1, os.sysconf("SC_OPEN_MAX"))
+        # The parent's loop routed signals into a wakeup socket that is now
+        # closed (and whose number will be reused); its SIGTERM/SIGINT
+        # policy is the coordinator's, not a worker's.
+        signal.set_wakeup_fd(-1)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        asyncio.run(_worker_async(spec))
+        status = 0
+    except BaseException:  # never unwind into the coordinator's stack
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
 
 
 # ----------------------------------------------------------------------
 # Parent side: the coordinator
 # ----------------------------------------------------------------------
+
+
+def _fork() -> int:
+    """``os.fork()`` without CPython >= 3.12's ``DeprecationWarning`` about
+    forking a multi-threaded process — which the service does: it runs
+    clusters from pool threads.
+
+    The warning's concern is a child that deadlocks on a lock some other
+    thread held at fork time.  Audit: ``src/`` creates no ``threading``
+    lock outside ``service/``; the child never imports ``service``,
+    replaces its stdio objects before its first write, runs only
+    :func:`_run_forked_worker` on a fresh event loop and leaves through
+    ``os._exit``.  One filter, scoped to that message from this module; it
+    is re-asserted per fork (idempotent) because test runners and
+    ``warnings.catch_warnings`` blocks push their own filters in front of
+    anything registered at import time.
+    """
+    warnings.filterwarnings(
+        "ignore",
+        message=r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+        category=DeprecationWarning,
+        module=r"repro\.cluster\.procs$",
+    )
+    return os.fork()
+
+
+class _ForkedWorker:
+    """The coordinator's handle on one forked worker: ``pid``,
+    ``returncode``, ``wait()``, ``kill()`` — and no watcher thread (a thread
+    would make the next fork a multi-threaded one).
+
+    Death — clean exit, worker error or a real ``SIGKILL`` — closes the
+    child's end of the liveness pipe; the loop sees EOF on ``alive_fd`` and
+    reaps the pid with ``os.waitpid`` right there, so a dead worker is
+    never left a zombie and its CPU lands in ``RUSAGE_CHILDREN`` at once.
+    """
+
+    def __init__(self, pid: int, alive_fd: int) -> None:
+        self.pid = pid
+        self.returncode: int | None = None
+        self._alive_fd = alive_fd
+        self._exited = asyncio.Event()
+        self._loop = asyncio.get_running_loop()
+        self._loop.add_reader(alive_fd, self._reap)
+
+    def _reap(self) -> None:
+        self._loop.remove_reader(self._alive_fd)
+        os.close(self._alive_fd)
+        # The pipe closes a moment before the process becomes waitable
+        # (descriptors go before the exit status is posted): block for it.
+        _, status = os.waitpid(self.pid, 0)
+        self.returncode = os.waitstatus_to_exitcode(status)
+        self._exited.set()
+
+    async def wait(self) -> int:
+        await self._exited.wait()
+        return self.returncode
+
+    def kill(self) -> None:
+        # Not reaped yet means the pid is still ours (a zombie at worst),
+        # so this can neither miss nor hit a recycled pid.
+        if self.returncode is None:
+            os.kill(self.pid, signal.SIGKILL)
 
 
 class ClusterShutdown(RuntimeError):
@@ -679,7 +803,6 @@ class ProcessCluster:
         snapshot_every: int = 1,
         max_probes: int = 10_000,
         mailbox_capacity: int = DEFAULT_MAILBOX_CAPACITY,
-        python: str = sys.executable,
         delta_feed=None,
     ) -> None:
         if nodes is None:
@@ -709,7 +832,6 @@ class ProcessCluster:
         self._snapshot_every = snapshot_every
         self._max_probes = max_probes
         self._mailbox_capacity = mailbox_capacity
-        self._python = python
         self._delta_feed = delta_feed
         self._completed = False
 
@@ -778,7 +900,7 @@ class ProcessCluster:
         events: asyncio.Queue = asyncio.Queue()
         conns: dict[str, asyncio.StreamWriter] = {}
         addrs: dict[str, tuple[str, int]] = {}
-        procs: dict[str, asyncio.subprocess.Process] = {}
+        procs: dict[str, _ForkedWorker] = {}
         monitor_tasks: list[asyncio.Task] = []
         spawn_counts: dict[str, int] = {node: 0 for node in ordered}
         terminated = False
@@ -792,6 +914,9 @@ class ProcessCluster:
                 writer.close()
                 return
             node = hello["node"]
+            stale = conns.get(node)
+            if stale is not None:
+                stale.close()  # the connection of this node's dead predecessor
             conns[node] = writer
             await events.put(("hello", node, hello))
             while True:
@@ -839,18 +964,7 @@ class ProcessCluster:
                 json.dump(payload, handle, sort_keys=True)
             os.replace(tmp_path, os.path.join(run_dir, "pids.json"))
 
-        def child_env() -> dict:
-            import repro
-
-            src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-            env = dict(os.environ)
-            existing = env.get("PYTHONPATH", "")
-            env["PYTHONPATH"] = (
-                src_root + (os.pathsep + existing if existing else "")
-            )
-            return env
-
-        async def spawn(node: str, *, kill: bool) -> None:
+        def spawn(node: str, *, kill: bool) -> None:
             attempt = spawn_counts[node]
             spawn_counts[node] = attempt + 1
             spec = {
@@ -873,22 +987,23 @@ class ProcessCluster:
                 ]
             if kill and self._kill_after is not None:
                 spec["kill_after"] = self._kill_after
-            spec_path = os.path.join(run_dir, f"spec-{node}-{attempt}.json")
-            with open(spec_path, "w", encoding="utf-8") as handle:
-                json.dump(spec, handle, sort_keys=True)
-            stderr_path = os.path.join(run_dir, f"{node}-{attempt}.stderr")
-            stderr_file = open(stderr_path, "wb")
-            proc = await asyncio.create_subprocess_exec(
-                self._python,
-                "-m",
-                "repro.cluster.procs",
-                spec_path,
-                stdout=stderr_file,
-                stderr=stderr_file,
-                env=child_env(),
+            log_fd = os.open(
+                os.path.join(run_dir, f"{node}-{attempt}.stderr"),
+                os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
+                0o644,
             )
-            stderr_file.close()
-            procs[node] = proc
+            alive_r, alive_w = os.pipe()
+            try:
+                pid = _fork()
+                if pid == 0:
+                    _run_forked_worker(spec, log_fd, alive_w)  # never returns
+            except OSError:
+                os.close(alive_r)
+                raise
+            finally:
+                os.close(alive_w)
+                os.close(log_fd)
+            proc = procs[node] = _ForkedWorker(pid, alive_r)
 
             async def monitor() -> None:
                 returncode = await proc.wait()
@@ -912,7 +1027,7 @@ class ProcessCluster:
 
         try:
             for node in ordered:
-                await spawn(node, kill=node == self._kill_node)
+                spawn(node, kill=node == self._kill_node)
 
             handshook = 0
             while len(self._results) < len(ordered):
@@ -1009,7 +1124,7 @@ class ProcessCluster:
                     # Respawn over the same checkpoint directory — the
                     # deliberate kill is never re-armed, so each recovery
                     # makes real progress.
-                    await spawn(node, kill=False)
+                    spawn(node, kill=False)
                     self.recoveries += 1
         finally:
             for signum in handled_signals:
@@ -1018,7 +1133,6 @@ class ProcessCluster:
                 except (NotImplementedError, RuntimeError, ValueError):
                     pass
             server.close()
-            await server.wait_closed()
             for task in monitor_tasks:
                 task.cancel()
             for task in monitor_tasks:
@@ -1027,20 +1141,22 @@ class ProcessCluster:
                 except (asyncio.CancelledError, Exception):
                     pass
             for proc in procs.values():
-                if proc.returncode is None:
-                    try:
-                        proc.kill()
-                    except ProcessLookupError:
-                        pass
-                    try:
-                        await proc.wait()
-                    except Exception:
-                        pass
+                proc.kill()
+                await proc.wait()
             await _close_writers(conns.values())
-            try:
-                write_pids()  # now records zero live workers
-            except OSError:
-                pass
+            # After the connections: since Python 3.12 this waits for every
+            # accepted connection to close, not just the listening socket.
+            await server.wait_closed()
+            if self._run_dir is None:
+                # Nobody was told where this directory is, and everything
+                # a caller gets from it (results, quoted worker stderr) has
+                # been read by now.
+                shutil.rmtree(run_dir, ignore_errors=True)
+            else:
+                try:
+                    write_pids()  # now records zero live workers
+                except OSError:
+                    pass
 
         self._harvest()
         return self.global_output()
@@ -1088,7 +1204,3 @@ class ProcessCluster:
     def worker_result(self, node: str) -> dict:
         """The raw control-plane result payload for *node* (tests)."""
         return dict(self._results[node])
-
-
-if __name__ == "__main__":
-    sys.exit(worker_main(sys.argv[1:]))

@@ -1,18 +1,23 @@
 """Multi-process runtime tests: the process cluster must be
 byte-identical to the synchronous simulator and the asyncio runtime —
-including across real process boundaries (fresh interpreters, separate
+including across real process boundaries (forked workers with separate
 interners/evaluation counters, differing hash seeds) and across one real
-``SIGKILL`` + WAL-replay recovery."""
+``SIGKILL`` + WAL-replay recovery — and it must leave nothing behind: no
+descriptor, no zombie, no helper process, no temporary directory."""
 
+import asyncio
 import os
+import resource
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
 import repro
+import repro.cluster.procs as procs
 
-from repro.cluster.gate import check_process_workload
+from repro.cluster.gate import check_process_workload, sync_fingerprint
 from repro.cluster.procs import (
     ProcessCluster,
     build_proc_network,
@@ -23,10 +28,11 @@ from repro.cluster.procs import (
     workload_spec_for,
 )
 from repro.datalog.terms import Fact
+from repro.transducers.runtime import QuiescenceError
 from repro.transducers.telemetry import output_fingerprint
 
-#: Small enough to keep each spawned interpreter's work trivial; still
-#: three disjoint games, so a 2-node block shard is a genuine partition.
+#: Small enough to keep each worker's work trivial; still three disjoint
+#: games, so a 2-node block shard is a genuine partition.
 SMALL = dict(components=3, size=10)
 
 
@@ -40,6 +46,13 @@ def _run(workload, **kwargs) -> ProcessCluster:
     )
     cluster.run_to_quiescence()
     return cluster
+
+
+def _subprocess_env() -> dict:
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 # ----------------------------------------------------------------------
@@ -160,9 +173,6 @@ def test_codec_round_trips_through_a_real_subprocess():
         "blob = sys.stdin.read().strip()\n"
         "print(encode_facts_hex(decode_facts_hex(blob)))\n"
     )
-    src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
     result = subprocess.run(
         [sys.executable, "-c", script],
         input=blob,
@@ -170,7 +180,7 @@ def test_codec_round_trips_through_a_real_subprocess():
         text=True,
         timeout=60,
         check=True,
-        env=env,
+        env=_subprocess_env(),
     )
     assert result.stdout.strip() == blob
 
@@ -179,13 +189,12 @@ def test_process_run_matches_sync(tmp_path):
     """The tentpole gate, small: a 2-process run is byte-identical to the
     centralized Q(I), and each worker evaluated with its own process-local
     evaluation state."""
-    from repro.cluster.gate import sync_fingerprint
-
     workload = _small_workload()
     expected = output_fingerprint(workload.expected())
     # Warm the *parent's* transducer through the sync simulator (which
-    # steps through the step cache): with fork- or thread-based workers
-    # these counters would be visible to them.
+    # steps through the step cache).  Workers are forked from this very
+    # process, so they would see these counters if they reused the
+    # parent's transducer instead of rebuilding their own from the recipe.
     assert sync_fingerprint(workload, nodes=("n1", "n2")) == expected
     warmed = workload.transducer.evaluation_stats()
     assert warmed["cache_misses"] >= 1
@@ -201,9 +210,9 @@ def test_process_run_matches_sync(tmp_path):
         assert result["recovered"] is False
         assert result["stats"]["transitions"] >= 1
         pids.add(result["pid"])
-        # Every worker is a spawned fresh interpreter: the parent's warm
-        # counters did not leak into it (the cluster data plane never
-        # steps through the step cache, so a cold worker reports zeros).
+        # Every worker built its own network: the parent's warm counters
+        # did not leak into it (the cluster data plane never steps through
+        # the step cache, so a cold worker reports zeros).
         assert result["caches"]["cache_hits"] == 0
         assert result["caches"]["cache_misses"] == 0
     assert os.getpid() not in pids
@@ -236,17 +245,40 @@ def test_real_sigkill_recovery(tmp_path):
     assert result["recovered"] is True
 
 
-def test_byte_identical_across_hash_seeds(monkeypatch):
-    """Two clusters whose workers run under different PYTHONHASHSEED
-    values produce identical fingerprints — nothing in the pipeline leans
-    on builtin ``hash`` iteration order."""
-    workload = _small_workload()
+HASH_SEED_DRIVER = """
+from repro.cluster.procs import ProcessCluster, scaling_workload, workload_spec_for
+from repro.transducers.telemetry import output_fingerprint
+
+workload = scaling_workload(components={components}, size={size})
+cluster = ProcessCluster(
+    workload_spec_for(workload), workload.instance, processes=2
+)
+print(output_fingerprint(cluster.run_to_quiescence()))
+"""
+
+
+def test_byte_identical_across_hash_seeds():
+    """Two whole clusters — coordinator and the workers forked from it —
+    under different PYTHONHASHSEED values produce the fingerprint the sync
+    simulator computes here: nothing in the pipeline leans on builtin
+    ``hash`` iteration order.  (Forked workers inherit the coordinator's
+    hash seed, so the seed has to vary per driver process, not per worker.)
+    """
     fingerprints = []
     for seed in ("1", "2"):
-        monkeypatch.setenv("PYTHONHASHSEED", seed)
-        cluster = _run(workload, processes=2)
-        fingerprints.append(output_fingerprint(cluster.global_output()))
-    assert fingerprints[0] == fingerprints[1]
+        env = _subprocess_env()
+        env["PYTHONHASHSEED"] = seed
+        result = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_DRIVER.format(**SMALL)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+            env=env,
+        )
+        fingerprints.append(result.stdout.strip())
+    expected = sync_fingerprint(_small_workload(), nodes=("n1", "n2"))
+    assert fingerprints == [expected, expected]
 
 
 def test_process_gate_verdict():
@@ -260,3 +292,125 @@ def test_process_gate_verdict():
     assert verdict.crashes >= 1
     assert verdict.recoveries >= 1
     assert verdict.wal_replayed >= 1
+
+
+# ----------------------------------------------------------------------
+# Process hygiene: nothing outlives a run
+# ----------------------------------------------------------------------
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _assert_no_children() -> None:
+    """Every child this process ever had has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_proc_fd = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="counts descriptors via /proc"
+)
+
+
+async def _fails_at_boot(spec):
+    """A ``_worker_async`` stand-in.  Workers are forked from the test
+    process, so they inherit a monkeypatched module — and say whose child
+    they are."""
+    raise RuntimeError(f"boom at boot, parent={os.getppid()}")
+
+
+@needs_proc_fd
+def test_runs_leak_no_descriptor_and_no_zombie():
+    """Liveness pipes, stderr files and control connections are all
+    closed, and every worker — including a SIGKILLed one and its
+    replacement — is reaped, by the time a run returns."""
+    workload = _small_workload()
+    before = _open_fds()
+    for index in range(5):
+        kill = {"kill_node": "n2", "kill_after": 1} if index % 2 else {}
+        cluster = _run(workload, processes=2, **kill)
+        assert cluster.crashes == (1 if kill else 0)
+    assert _open_fds() == before
+    _assert_no_children()
+
+
+@needs_proc_fd
+def test_timeout_reaps_workers_and_closes_descriptors(monkeypatch):
+    async def never_boots(spec):
+        await asyncio.sleep(60)
+
+    # A forked worker inherits the patched module: it idles instead of
+    # booting, so the coordinator's wall-clock timeout has to clean up.
+    monkeypatch.setattr(procs, "_worker_async", never_boots)
+    workload = _small_workload()
+    before = _open_fds()
+    cluster = ProcessCluster(
+        workload_spec_for(workload), workload.instance, processes=2, timeout=0.3
+    )
+    with pytest.raises(QuiescenceError, match="did not quiesce within 0.3s"):
+        cluster.run_to_quiescence()
+    assert _open_fds() == before
+    _assert_no_children()
+
+
+def test_worker_that_fails_at_boot_exhausts_restarts(monkeypatch, tmp_path):
+    """A worker that cannot boot is respawned ``MAX_RESTARTS`` times, then
+    the run fails with the child's traceback quoted — written by a direct
+    child of this process, through its own stderr file."""
+    monkeypatch.setattr(procs, "_worker_async", _fails_at_boot)
+    workload = _small_workload()
+    run_dir = tmp_path / "run"
+    cluster = ProcessCluster(
+        workload_spec_for(workload), workload.instance, processes=1, run_dir=run_dir
+    )
+    with pytest.raises(RuntimeError, match="giving up") as failure:
+        cluster.run_to_quiescence()
+    message = str(failure.value)
+    spawns = procs.MAX_RESTARTS + 1
+    assert f"worker n1 died {spawns} times (last returncode 1)" in message
+    assert message.count("Traceback (most recent call last)") == spawns
+    assert message.count(f"boom at boot, parent={os.getpid()}") == spawns
+    assert sorted(path.name for path in run_dir.glob("*.stderr")) == [
+        f"n1-{attempt}.stderr" for attempt in range(spawns)
+    ]
+    assert cluster.crashes == spawns and cluster.recoveries == procs.MAX_RESTARTS
+    _assert_no_children()
+
+
+def test_worker_cpu_is_in_rusage_children_when_the_run_returns():
+    """Workers are direct children reaped inside the run — not children of
+    a fork server or a pool that outlives it — so their CPU time is already
+    charged to RUSAGE_CHILDREN when ``run_to_quiescence`` returns (the
+    benchmark's ``cpu_s_per_run`` reads exactly this)."""
+
+    def children_cpu() -> float:
+        usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+        return usage.ru_utime + usage.ru_stime
+
+    before = children_cpu()
+    _run(_small_workload(), processes=2)
+    assert children_cpu() > before
+    _assert_no_children()
+
+
+def test_self_made_run_directory_is_removed(monkeypatch, tmp_path):
+    """``run_dir=None`` makes a temporary directory; the run removes it —
+    on success and on failure (after the error text quoted what it held)."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    workload = _small_workload()
+    _run(workload, processes=2, kill_node="n2", kill_after=1)
+    assert os.listdir(tmp_path) == []
+
+    monkeypatch.setattr(procs, "_worker_async", _fails_at_boot)
+    with pytest.raises(RuntimeError, match=r"(?s)giving up.*Traceback.*boom at boot"):
+        _run(workload, processes=1)
+    assert os.listdir(tmp_path) == []
+
+
+def test_caller_supplied_run_directory_is_kept(tmp_path):
+    run_dir = tmp_path / "run"
+    _run(_small_workload(), processes=2, run_dir=run_dir)
+    kept = {path.name for path in run_dir.iterdir()}
+    assert {"pids.json", "n1-0.stderr", "n2-0.stderr", "ckpt-n1", "ckpt-n2"} <= kept

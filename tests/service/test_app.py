@@ -2,9 +2,11 @@
 and the concurrent multi-tenant isolation + fingerprint-parity gate."""
 
 import json
+import os
 import threading
 import urllib.error
 import urllib.request
+import warnings
 
 import pytest
 
@@ -425,3 +427,63 @@ class TestConcurrentTenants:
                     f"/v1/runs/{runs[0]['run_id']}?tenant={other}",
                 )
                 assert "error" in code_check
+
+
+class TestProcessesMode:
+    """``mode: "processes"`` as the service runs it: on pool threads, so
+    the cluster forks its workers from a multi-threaded process, several
+    requests at once.  (The cluster tests fork from the main thread of a
+    single-threaded one.)"""
+
+    THREADS = 4
+
+    def test_concurrent_requests_fork_from_threads(self):
+        store = RunStore(":memory:")
+        results: list = []
+
+        def post(index: int) -> None:
+            results.append(
+                execute_request(
+                    store,
+                    {
+                        "tenant": f"tenant-{index}",
+                        "program": TC,
+                        "facts": TC_FACTS,
+                        "mode": "processes",
+                        "nodes": 2,
+                        "seed": index,
+                    },
+                )
+            )
+
+        threads = [
+            threading.Thread(target=post, args=(index,))
+            for index in range(self.THREADS)
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            # Louder than any default: if CPython >= 3.12's
+            # fork-from-threads DeprecationWarning can get past the filter
+            # in repro.cluster.procs, it gets past it here.
+            warnings.simplefilter("always")
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not [w for w in caught if "fork()" in str(w.message)]
+
+        expected = _direct_fingerprint(TC, TC_FACTS)
+        assert len(results) == self.THREADS
+        for status, body in results:
+            assert status == 200 and body["status"] == "ok", body
+            assert body["output_fingerprint"] == expected
+            validate_report_dict(body["report"], kind="cluster")
+            assert body["report"]["transport"] == "proc"
+        # all_reports() re-validates every stored row against the schema.
+        assert sum(1 for _ in store.all_reports()) == self.THREADS
+        assert store.run_count() == self.THREADS
+        store.close()
+
+        # Every worker of every request was reaped by the run that forked it.
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
