@@ -21,43 +21,33 @@ Usage (also via ``python -m repro``):
         Centralized evaluation under the program's natural semantics
         (stratified, or well-founded when unstratifiable).
 
-    repro run PROGRAM.dl FACTS.dl [--nodes N] [--seed S]
-               [--chaos] [--scheduler NAME] [--stream FEED.yaml]
-               [--report OUT.json] [--trace]
-        Distributed evaluation on a simulated N-node network using the
-        analyzer's strategy; prints the output and the run metrics.
-        ``--chaos`` injects channel faults (duplication, delay,
-        drop-with-eventual-redelivery) and defaults to the chaos
-        scheduler; ``--scheduler`` picks any of fair / trickle /
-        singleton / storm / starve / chaos; ``--stream`` trickles in a
-        delta feed (``batches: [...]`` YAML or a full scenario file,
-        docs/SCENARIOS.md), injecting each batch at quiescence and
-        checking live delta preservation for classified programs;
-        ``--report`` writes the structured JSON run report (see
-        docs/CHAOS.md).
-
-    repro cluster PROGRAM.dl FACTS.dl [--nodes N] [--seed S]
-               [--transport memory|tcp] [--chaos] [--crash]
-               [--max-crashes N] [--stream FEED.yaml] [--report OUT.json]
-        Distributed evaluation on the *asynchronous* cluster runtime:
-        one asyncio task per node, wire-encoded envelopes over the chosen
-        transport, quiescence detected decentrally by Safra's token ring
-        (see docs/CLUSTER.md).  ``--chaos`` wraps every endpoint in the
-        fault layer (duplication, delay, drop-with-redelivery); ``--crash``
-        additionally kills and checkpoint-recovers node tasks mid-round
-        (crash-recovery protocol in docs/CLUSTER.md); ``--stream`` feeds
-        delta batches as wire envelopes injected at detected quiescence
-        (the token ring re-arms per epoch, docs/SCENARIOS.md).
-
-    repro cluster PROGRAM.dl FACTS.dl --processes N [--seed S]
-               [--run-dir DIR] [--kill-node NODE --kill-after K]
+    repro run PROGRAM.dl FACTS.dl [--nodes N] [--seed S] [--chaos]
+               [--scheduler NAME] [--trace] [--stream FEED.yaml] [--report OUT.json]
+    repro cluster PROGRAM.dl FACTS.dl [--nodes N] [--seed S] [--chaos]
+               [--transport memory|tcp] [--crash] [--max-crashes N]
+               [--stream FEED.yaml] [--report OUT.json]
+    repro cluster PROGRAM.dl FACTS.dl --processes N [--seed S] [--run-dir DIR]
+               [--kill-node NODE --kill-after K] [--stream FEED.yaml]
                [--report OUT.json]
-        The same evaluation, but with each node in its *own OS process*
-        (true parallelism: per-process GIL, interner, compiled rules) talking
-        worker-to-worker over real TCP, inputs sharded by the planner's
-        distribution policy.  ``--kill-node``/``--kill-after`` SIGKILL a
-        worker mid-run; the coordinator respawns it over its on-disk
-        checkpoint directory and it recovers by snapshot + WAL replay.
+        Distributed evaluation with the analyzer's strategy — one command
+        body over ``repro.runtimes.execute``, on the runtime the command line
+        names: ``run`` = the synchronous N-node simulator (``--scheduler``
+        picks fair / trickle / singleton / storm / starve / chaos);
+        ``cluster`` = one asyncio task per node, wire-encoded envelopes over
+        the chosen transport, quiescence detected decentrally by Safra's
+        token ring; ``--processes`` = each node in its *own OS process* over
+        real TCP, inputs sharded by the planner's distribution policy
+        (docs/CLUSTER.md).  ``--chaos`` injects message faults (duplication,
+        delay, drop-with-redelivery; docs/CHAOS.md), ``--crash`` additionally
+        kills and checkpoint-recovers node tasks, ``--kill-node``/
+        ``--kill-after`` SIGKILL a worker process, which recovers by snapshot
+        + WAL replay.  ``--stream`` trickles in a delta feed (``batches:
+        [...]`` YAML or a scenario file, docs/SCENARIOS.md), each batch
+        injected at quiescence.  Prints the output and the run metrics and
+        exits 0 iff the run refines its spec: it quiesced, matches
+        centralized evaluation and — for classified programs under
+        ``--stream`` — retracted nothing.  ``--report`` writes the JSON run
+        report.
 
     repro solve-game FACTS.dl
         Solve the win-move game in FACTS.dl (Move facts) by retrograde
@@ -105,10 +95,11 @@ import argparse
 import sys
 from typing import Sequence
 
-from .core.analyzer import analyze, distributed_run, plan_distribution, query_for
+from .core.analyzer import analyze, plan_distribution, query_for
 from .datalog.games import solve_game
 from .datalog.instance import Instance
 from .datalog.parser import parse_facts, parse_program
+from .runtimes import node_names
 
 __all__ = ["main", "build_parser"]
 
@@ -266,47 +257,19 @@ def _load_stream(args):
     return load_feed(args.stream)
 
 
-def _stream_instance(instance: Instance, feed) -> Instance:
-    """The full input: base facts plus every fact the feed will deliver."""
-    return instance | [
-        fact for batch in feed.batches for fact in batch.facts
-    ]
-
-
-def _print_stream(program, feed, epoch_outputs, out) -> bool:
-    """Print the epoch trajectory and the live delta-preservation verdict.
-
-    Returns ``False`` when the program carries a monotonicity guarantee
-    and some epoch's output is not a subset of the final output.
-    """
-    sizes = ", ".join(str(len(output)) for output in epoch_outputs)
-    print(
-        f"stream:       {len(feed)} batch(es), {feed.total_facts} fact(s)",
-        file=out,
-    )
+def _print_stream(feed, observation, monotonicity, violations, out) -> None:
+    """Print the epoch trajectory and the live delta-preservation verdict."""
+    sizes = ", ".join(str(len(output)) for output in observation.epoch_outputs)
+    retracted = [v.epoch for v in violations if v.reason == "retraction"]
+    if monotonicity is None:
+        verdict = "skipped (no monotonicity guarantee)"
+    elif retracted:
+        verdict = f"VIOLATED at epoch(s) {retracted} (output was retracted)"
+    else:
+        verdict = f"OK ({monotonicity}: every epoch ⊆ final)"
+    print(f"stream:       {len(feed)} batch(es), {feed.total_facts} fact(s)", file=out)
     print(f"epoch sizes:  {sizes}", file=out)
-    analysis = analyze(program)
-    if analysis.monotonicity is None:
-        print("delta check:  skipped (no monotonicity guarantee)", file=out)
-        return True
-    final = epoch_outputs[-1]
-    violated = [
-        epoch
-        for epoch, output in enumerate(epoch_outputs)
-        if not output <= final
-    ]
-    if violated:
-        print(
-            f"delta check:  VIOLATED at epoch(s) {violated} "
-            f"(output was retracted)",
-            file=out,
-        )
-        return False
-    print(
-        f"delta check:  OK ({analysis.monotonicity}: every epoch ⊆ final)",
-        file=out,
-    )
-    return True
+    print(f"delta check:  {verdict}", file=out)
 
 
 def _cmd_eval(args, out) -> int:
@@ -318,131 +281,63 @@ def _cmd_eval(args, out) -> int:
     return 0
 
 
-def _cmd_run(args, out) -> int:
-    from .transducers.faults import CHAOS_PLAN, FaultyChannel, make_scheduler
-    from .transducers.runtime import QuiescenceError
-    from .transducers.telemetry import build_run_report, write_report
-
-    program = _load_program(args.program)
-    instance = _load_facts(args.facts)
-    feed = _load_stream(args)
-    plan = plan_distribution(program)
-    nodes = tuple(f"n{i + 1}" for i in range(args.nodes))
-    channel = FaultyChannel(CHAOS_PLAN, args.seed) if args.chaos else None
-    scheduler_name = args.scheduler or ("chaos" if args.chaos else "fair")
-    scheduler = make_scheduler(scheduler_name, args.seed)
-    run = distributed_run(program, instance, nodes=nodes, channel=channel)
-    quiesced = True
-    try:
-        if feed is not None:
-            result = run.stream_to_quiescence(feed, scheduler=scheduler)
-        else:
-            result = run.run_to_quiescence(scheduler=scheduler)
-    except QuiescenceError as error:
-        quiesced = False
-        result = run.global_output()
-        print(f"warning:      {error}", file=out)
-    expected = plan.query(
-        instance if feed is None else _stream_instance(instance, feed)
-    )
-    print(f"strategy:     {plan.transducer.name}", file=out)
-    print(f"network:      {', '.join(nodes)}", file=out)
-    print(f"scheduler:    {scheduler_name}", file=out)
-    if args.chaos:
-        print(f"channel:      faulty ({CHAOS_PLAN.describe()})", file=out)
-    preserved = True
-    if feed is not None and quiesced:
-        preserved = _print_stream(program, feed, run.epoch_outputs, out)
-    print(f"{len(result)} output fact(s):", file=out)
-    _print_instance(result, out)
-    status = "OK" if result == expected else "MISMATCH"
-    print(f"matches centralized evaluation: {status}", file=out)
-    if args.report:
-        report = build_run_report(
-            run, scheduler=scheduler, quiesced=quiesced, include_trace=args.trace
-        )
-        write_report(report, args.report)
-        print(f"report:       {args.report}", file=out)
-    return 0 if result == expected and quiesced and preserved else 1
+# What differs between ``repro run``, ``repro cluster`` and ``repro cluster
+# --processes``: the runtime's name, its :func:`repro.runtimes.execute`
+# options, and the lines it prints between ``network:`` and the output.
 
 
-def _cmd_cluster(args, out) -> int:
+def _sync_runtime(args):
+    from .transducers.faults import CHAOS_PLAN
+
+    scheduler = args.scheduler or ("chaos" if args.chaos else "fair")
+    options = {
+        "nodes": node_names(args.nodes),
+        "scheduler": scheduler,
+        "faults": CHAOS_PLAN if args.chaos else None,
+        "trace": args.trace,
+    }
+
+    def lines(observation):
+        yield "scheduler", scheduler
+        if args.chaos:
+            yield "channel", f"faulty ({CHAOS_PLAN.describe()})"
+
+    return "sync", options, lines
+
+
+def _cluster_runtime(args):
     from dataclasses import replace
 
-    from .cluster import ClusterRun, build_cluster_report
-    from .core.analyzer import planned_network
     from .transducers.faults import CHAOS_PLAN, FaultPlan
-    from .transducers.runtime import QuiescenceError
-    from .transducers.telemetry import write_report
 
-    if args.processes:
-        return _cmd_cluster_processes(args, out)
     if args.kill_node or args.kill_after:
         raise ValueError("--kill-node/--kill-after require --processes")
-    program = _load_program(args.program)
-    instance = _load_facts(args.facts)
-    feed = _load_stream(args)
-    plan = plan_distribution(program)
-    nodes = tuple(f"n{i + 1}" for i in range(args.nodes))
-    fault_plan = None
-    if args.chaos:
-        fault_plan = CHAOS_PLAN
+    faults = CHAOS_PLAN if args.chaos else None
     if args.crash:
         # Crash faults layer on whatever message chaos was requested (a
         # quiet wire otherwise); rate 1.0 guarantees the budget is spent.
-        base = fault_plan if fault_plan is not None else FaultPlan(
+        base = faults if faults is not None else FaultPlan(
             duplicate_rate=0.0, delay_rate=0.0, drop_rate=0.0
         )
-        fault_plan = replace(
-            base, crash_rate=1.0, max_crashes=args.max_crashes
-        )
-    run = ClusterRun(
-        planned_network(program, nodes),
-        instance,
-        transport=args.transport,
-        fault_plan=fault_plan,
-        seed=args.seed,
-        delta_feed=feed,
-    )
-    quiesced = True
-    try:
-        result = run.run_to_quiescence()
-    except QuiescenceError as error:
-        quiesced = False
-        result = run.global_output()
-        print(f"warning:      {error}", file=out)
-    expected = plan.query(
-        instance if feed is None else _stream_instance(instance, feed)
-    )
-    print(f"strategy:     {plan.transducer.name}", file=out)
-    print(f"network:      {', '.join(nodes)}", file=out)
-    print(f"transport:    {run.transport_name}", file=out)
-    print(f"token rounds: {run.token_probes}", file=out)
-    if fault_plan is not None:
-        print(f"faults:       {fault_plan.describe()}", file=out)
-    if args.crash:
-        print(f"crashes:      {run.crashes}", file=out)
-        print(f"recoveries:   {run.recoveries}", file=out)
-        print(f"wal replayed: {run.wal_replayed}", file=out)
-    preserved = True
-    if feed is not None and quiesced:
-        preserved = _print_stream(program, feed, run.epoch_outputs, out)
-    print(f"{len(result)} output fact(s):", file=out)
-    _print_instance(result, out)
-    status = "OK" if result == expected else "MISMATCH"
-    print(f"matches centralized evaluation: {status}", file=out)
-    if args.report:
-        report = build_cluster_report(run, quiesced=quiesced)
-        write_report(report, args.report)
-        print(f"report:       {args.report}", file=out)
-    return 0 if result == expected and quiesced and preserved else 1
+        faults = replace(base, crash_rate=1.0, max_crashes=args.max_crashes)
+    options = {
+        "nodes": node_names(args.nodes),
+        "transport": args.transport,
+        "faults": faults,
+    }
+
+    def lines(observation):
+        yield "transport", observation.report.transport
+        yield "token rounds", observation.token_probes
+        if faults is not None:
+            yield "faults", faults.describe()
+        if args.crash:
+            yield from _recovery_lines(observation)
+
+    return "cluster", options, lines
 
 
-def _cmd_cluster_processes(args, out) -> int:
-    from .cluster import ProcessCluster, build_cluster_report
-    from .transducers.runtime import QuiescenceError
-    from .transducers.telemetry import write_report
-
+def _process_runtime(args):
     if args.chaos or args.crash:
         # The injected fault layer is an in-process construct; the process
         # runtime's fault story is real kills (--kill-node/--kill-after).
@@ -452,52 +347,67 @@ def _cmd_cluster_processes(args, out) -> int:
         )
     if args.kill_node and not args.kill_after:
         raise ValueError("--kill-node requires --kill-after K (transitions)")
+    options = {
+        "nodes": node_names(args.processes),
+        "run_dir": args.run_dir,
+        "kill": (args.kill_node, args.kill_after) if args.kill_node else None,
+    }
+
+    def lines(observation):
+        yield "transport", f"{observation.report.transport} (one OS process per node)"
+        yield "token rounds", observation.token_probes
+        if args.kill_node:
+            yield from _recovery_lines(observation)
+
+    return "processes", options, lines
+
+
+def _recovery_lines(observation):
+    yield "crashes", observation.crashes
+    yield "recoveries", observation.recoveries
+    yield "wal replayed", observation.wal_replayed
+
+
+def _cmd_distributed(args, out) -> int:
+    """``repro run`` / ``repro cluster`` [``--processes N``]: one body."""
+    from .monotonicity.classes import MonotonicityClass
+    from .runtimes import execute, program_target, refines, spec_for
+    from .transducers.telemetry import write_report
+
+    if args.command == "run":
+        runtime, options, extra_lines = _sync_runtime(args)
+    elif args.processes:
+        runtime, options, extra_lines = _process_runtime(args)
+    else:
+        runtime, options, extra_lines = _cluster_runtime(args)
     program_text = _read(args.program)
     program = parse_program(program_text)
     instance = _load_facts(args.facts)
     feed = _load_stream(args)
-    plan = plan_distribution(program)
-    cluster = ProcessCluster(
-        {"kind": "program", "text": program_text},
-        instance,
-        processes=args.processes,
-        seed=args.seed,
-        run_dir=args.run_dir,
-        kill_node=args.kill_node,
-        kill_after=args.kill_after,
-        delta_feed=feed,
+    monotonicity = analyze(program).monotonicity
+    kind = MonotonicityClass(monotonicity).addition_kind if monotonicity else None
+    observation = execute(
+        runtime, program_target(program_text), instance,
+        seed=args.seed, feed=feed, **options,
     )
-    quiesced = True
-    try:
-        result = cluster.run_to_quiescence()
-    except QuiescenceError as error:
-        quiesced = False
-        result = cluster.global_output()
-        print(f"warning:      {error}", file=out)
-    expected = plan.query(
-        instance if feed is None else _stream_instance(instance, feed)
-    )
-    print(f"strategy:     {plan.transducer.name}", file=out)
-    print(f"network:      {', '.join(map(str, cluster.nodes()))}", file=out)
-    print(f"transport:    {cluster.transport_name} (one OS process per node)", file=out)
-    print(f"token rounds: {cluster.token_probes}", file=out)
-    if args.kill_node:
-        print(f"crashes:      {cluster.crashes}", file=out)
-        print(f"recoveries:   {cluster.recoveries}", file=out)
-        print(f"wal replayed: {cluster.wal_replayed}", file=out)
-    preserved = True
-    if feed is not None and quiesced:
-        preserved = _print_stream(program, feed, cluster.epoch_outputs, out)
-    print(f"{len(result)} output fact(s):", file=out)
-    _print_instance(result, out)
-    status = "OK" if result == expected else "MISMATCH"
+    spec = spec_for(query_for(program), instance, feed, kind)
+    violations = refines(observation, spec)
+    if not observation.quiesced:
+        print(f"warning:      {observation.error}", file=out)
+    print(f"strategy:     {observation.report.protocol}", file=out)
+    print(f"network:      {', '.join(options['nodes'])}", file=out)
+    for label, value in extra_lines(observation):
+        print(f"{label + ':':<14}{value}", file=out)
+    if feed is not None and observation.quiesced:
+        _print_stream(feed, observation, monotonicity, violations, out)
+    print(f"{len(observation.output)} output fact(s):", file=out)
+    _print_instance(observation.output, out)
+    status = "OK" if observation.output == spec.final else "MISMATCH"
     print(f"matches centralized evaluation: {status}", file=out)
     if args.report:
-        report = build_cluster_report(cluster, quiesced=quiesced)
-        write_report(report, args.report)
+        write_report(observation.report, args.report)
         print(f"report:       {args.report}", file=out)
-    return 0 if result == expected and quiesced and preserved else 1
-
+    return 1 if violations else 0
 
 
 def _cmd_optimize(args, out) -> int:
@@ -732,6 +642,29 @@ def _cmd_solve_game(args, out) -> int:
     return 0
 
 
+def _add_distributed_arguments(command, wire: str) -> None:
+    """The arguments ``run`` and ``cluster`` share (one command body)."""
+    command.add_argument("program")
+    command.add_argument("facts")
+    command.add_argument("--nodes", type=int, default=3)
+    command.add_argument("--seed", type=int, default=0)
+    command.add_argument(
+        "--chaos",
+        action="store_true",
+        help=f"inject {wire} faults (duplication, delay, drop-with-redelivery)",
+    )
+    command.add_argument(
+        "--stream", metavar="FEED",
+        help="YAML delta feed (or scenario file) to trickle in: each batch "
+        "is injected once the network quiesces, then evaluation resumes "
+        "(docs/SCENARIOS.md)",
+    )
+    command.add_argument(
+        "--report", metavar="PATH", help="write the JSON run report to PATH"
+    )
+    command.set_defaults(handler=_cmd_distributed)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -793,15 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.set_defaults(handler=_cmd_serve)
 
     run_cmd = commands.add_parser("run", help="evaluate on a simulated network")
-    run_cmd.add_argument("program")
-    run_cmd.add_argument("facts")
-    run_cmd.add_argument("--nodes", type=int, default=3)
-    run_cmd.add_argument("--seed", type=int, default=0)
-    run_cmd.add_argument(
-        "--chaos",
-        action="store_true",
-        help="inject channel faults (duplication, delay, drop-with-redelivery)",
-    )
+    _add_distributed_arguments(run_cmd, "channel")
     run_cmd.add_argument(
         "--scheduler",
         choices=["fair", "trickle", "singleton", "storm", "starve", "chaos"],
@@ -809,38 +734,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="activation schedule (default: fair; chaos when --chaos is given)",
     )
     run_cmd.add_argument(
-        "--stream", metavar="FEED",
-        help="YAML delta feed (or scenario file) to trickle in: each batch "
-        "is injected once the network quiesces, then evaluation resumes "
-        "(docs/SCENARIOS.md)",
-    )
-    run_cmd.add_argument(
-        "--report", metavar="PATH", help="write the JSON run report to PATH"
-    )
-    run_cmd.add_argument(
         "--trace",
         action="store_true",
         help="embed the transition trace in the report",
     )
-    run_cmd.set_defaults(handler=_cmd_run)
 
     cluster_cmd = commands.add_parser(
         "cluster", help="evaluate on the asynchronous cluster runtime"
     )
-    cluster_cmd.add_argument("program")
-    cluster_cmd.add_argument("facts")
-    cluster_cmd.add_argument("--nodes", type=int, default=3)
-    cluster_cmd.add_argument("--seed", type=int, default=0)
+    _add_distributed_arguments(cluster_cmd, "transport")
     cluster_cmd.add_argument(
         "--transport",
         choices=["memory", "tcp"],
         default="memory",
         help="wire transport (in-process queues or loopback TCP)",
-    )
-    cluster_cmd.add_argument(
-        "--chaos",
-        action="store_true",
-        help="inject transport faults (duplication, delay, drop-with-redelivery)",
     )
     cluster_cmd.add_argument(
         "--crash",
@@ -884,16 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="with --kill-node: deliver the SIGKILL after K transitions",
     )
-    cluster_cmd.add_argument(
-        "--stream", metavar="FEED",
-        help="YAML delta feed (or scenario file) to inject as delta "
-        "envelopes at detected quiescence (works with --processes too; "
-        "docs/SCENARIOS.md)",
-    )
-    cluster_cmd.add_argument(
-        "--report", metavar="PATH", help="write the JSON run report to PATH"
-    )
-    cluster_cmd.set_defaults(handler=_cmd_cluster)
 
     fuzz_cmd = commands.add_parser(
         "fuzz", help="differential + metamorphic conformance fuzzing"

@@ -20,18 +20,20 @@ committed ``BENCH_cluster.json`` is a sweep of these verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import product
 from typing import Hashable, Iterable, Sequence
 
 from ..datalog.instance import Instance
 from ..datalog.parser import parse_facts
-from ..transducers.faults import CHAOS_PLAN, SCHEDULER_NAMES, make_scheduler
+from ..runtimes import Observation, execute, node_names, refines, spec_for
+from ..transducers.faults import CHAOS_PLAN, SCHEDULER_NAMES
 from ..transducers.policy import Network
 from ..transducers.protocols import Section4Protocol, section4_protocols
 from ..transducers.runtime import TransducerNetwork
 from ..transducers.telemetry import output_fingerprint
 from .faults import CRASH_PLAN
-from .runtime import ClusterRun
+from .procs import workload_spec_for
 from .transport import TRANSPORT_NAMES
 
 __all__ = [
@@ -40,7 +42,6 @@ __all__ = [
     "workload_by_key",
     "sync_fingerprint",
     "cluster_fingerprint",
-    "process_fingerprint",
     "check_workload",
     "ProcessGateVerdict",
     "check_process_workload",
@@ -114,6 +115,13 @@ def _build_network(
     )
 
 
+def _target(workload: Section4Protocol, nodes: Sequence[Hashable]) -> dict:
+    """The :mod:`repro.runtimes` target for *workload*: its by-key worker
+    recipe, plus the network built from the bundle itself for the
+    in-process runtimes (so a bundle outside the corpus still runs there)."""
+    return {**workload_spec_for(workload), "network": _build_network(workload, nodes)}
+
+
 def sync_fingerprint(
     workload: Section4Protocol,
     *,
@@ -125,9 +133,12 @@ def sync_fingerprint(
     every named scheduler (the sync side of the confluence guarantee)."""
     fingerprints = {}
     for name in schedulers:
-        run = _build_network(workload, nodes).new_run(workload.instance)
-        run.run_to_quiescence(scheduler=make_scheduler(name, seed))
-        fingerprints[name] = output_fingerprint(run.global_output())
+        observation = execute(
+            "sync", _target(workload, nodes), workload.instance,
+            nodes=nodes, seed=seed, scheduler=name,
+        )
+        observation.result()  # a sync run that does not quiesce is an error
+        fingerprints[name] = observation.fingerprint
     distinct = set(fingerprints.values())
     if len(distinct) != 1:
         raise AssertionError(
@@ -145,62 +156,20 @@ def cluster_fingerprint(
     faults: bool = False,
     crashes: bool = False,
     seed: int = 0,
-) -> tuple[str, ClusterRun]:
-    """One cluster execution; returns (fingerprint, finished run).
+) -> tuple[str, Observation]:
+    """One cluster execution; returns (fingerprint, observation).
 
     ``crashes`` layers the crash schedule (:data:`~repro.cluster.faults.
     CRASH_PLAN`) on top of the message chaos: every run under it must kill
-    and recover at least one node, which the gate asserts via the run's
-    ``recoveries`` counter.
+    and recover at least one node, which the gate asserts via the
+    observation's ``recoveries`` counter.
     """
-    if crashes:
-        plan = CRASH_PLAN
-    elif faults:
-        plan = CHAOS_PLAN
-    else:
-        plan = None
-    run = ClusterRun(
-        _build_network(workload, nodes),
-        workload.instance,
-        transport=transport,
-        fault_plan=plan,
-        seed=seed,
+    plan = CRASH_PLAN if crashes else CHAOS_PLAN if faults else None
+    observation = execute(
+        "cluster", _target(workload, nodes), workload.instance,
+        nodes=nodes, seed=seed, transport=transport, faults=plan,
     )
-    run.run_to_quiescence()
-    return output_fingerprint(run.global_output()), run
-
-
-def process_fingerprint(
-    workload: Section4Protocol,
-    *,
-    processes: int = len(GATE_NETWORK_NODES),
-    seed: int = 0,
-    kill_node: str | None = None,
-    kill_after: int | None = None,
-    run_dir=None,
-    timeout: float | None = 120.0,
-):
-    """One multi-process execution; returns (fingerprint, finished cluster).
-
-    The process runtime rebuilds the workload *by key* inside each worker
-    (only input fragments cross the process boundary), so the workload must
-    come from :func:`gate_workloads` or be a scaling workload.  ``kill_node``
-    / ``kill_after`` schedule one real ``SIGKILL`` + WAL-replay recovery.
-    """
-    from .procs import ProcessCluster, workload_spec_for
-
-    cluster = ProcessCluster(
-        workload_spec_for(workload),
-        workload.instance,
-        processes=processes,
-        seed=seed,
-        kill_node=kill_node,
-        kill_after=kill_after,
-        run_dir=run_dir,
-        timeout=timeout,
-    )
-    cluster.run_to_quiescence()
-    return output_fingerprint(cluster.global_output()), cluster
+    return observation.fingerprint, observation
 
 
 @dataclass(frozen=True)
@@ -233,18 +202,7 @@ class ProcessGateVerdict:
         return fingerprints == {self.expected_fingerprint}
 
     def to_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "expected_fingerprint": self.expected_fingerprint,
-            "async_fingerprint": self.async_fingerprint,
-            "process_fingerprint": self.process_fingerprint,
-            "kill_fingerprint": self.kill_fingerprint,
-            "processes": self.processes,
-            "crashes": self.crashes,
-            "recoveries": self.recoveries,
-            "wal_replayed": self.wal_replayed,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def check_process_workload(
@@ -263,42 +221,36 @@ def check_process_workload(
     asyncio cluster (memory transport), a clean process run, and — when
     ``kill`` is set — a process run in which ``kill_node`` (default: the
     second ring position) is ``SIGKILL``ed after ``kill_after`` transitions
-    and recovered from its on-disk snapshot + WAL.
+    and recovered from its on-disk snapshot + WAL.  The workload is rebuilt
+    *by key* inside each worker, so it must come from
+    :func:`gate_workloads` or be a scaling workload.
     """
-    nodes = tuple(f"n{i + 1}" for i in range(processes))
-    expected = sync_fingerprint(workload, nodes=nodes)
-    async_fp, _ = cluster_fingerprint(
-        workload, nodes=nodes, transport="memory", seed=seed
-    )
-    clean_fp, _ = process_fingerprint(
-        workload, processes=processes, seed=seed, timeout=timeout
-    )
-    kill_fp = None
-    crashes = recoveries = wal_replayed = 0
-    if kill:
-        if kill_node is None:
-            kill_node = nodes[1 % len(nodes)]
-        kill_fp, cluster = process_fingerprint(
-            workload,
-            processes=processes,
-            seed=seed,
-            kill_node=kill_node,
-            kill_after=kill_after,
-            timeout=timeout,
+    nodes = node_names(processes)
+
+    def run(runtime: str, **options) -> Observation:
+        observation = execute(
+            runtime, _target(workload, nodes), workload.instance,
+            nodes=nodes, seed=seed, timeout=timeout, **options,
         )
-        crashes = cluster.crashes
-        recoveries = cluster.recoveries
-        wal_replayed = cluster.wal_replayed
+        observation.result()  # a gate run that does not quiesce is an error
+        return observation
+
+    clean = run("processes")
+    killed = None
+    if kill:
+        killed = run(
+            "processes", kill=(kill_node or nodes[1 % len(nodes)], kill_after)
+        )
     return ProcessGateVerdict(
         key=workload.key,
-        expected_fingerprint=expected,
-        async_fingerprint=async_fp,
-        process_fingerprint=clean_fp,
-        kill_fingerprint=kill_fp,
+        expected_fingerprint=sync_fingerprint(workload, nodes=nodes),
+        async_fingerprint=run("cluster").fingerprint,
+        process_fingerprint=clean.fingerprint,
+        kill_fingerprint=killed.fingerprint if killed else None,
         processes=processes,
-        crashes=crashes,
-        recoveries=recoveries,
-        wal_replayed=wal_replayed,
+        crashes=killed.crashes if killed else 0,
+        recoveries=killed.recoveries if killed else 0,
+        wal_replayed=killed.wal_replayed if killed else 0,
     )
 
 
@@ -349,13 +301,14 @@ def check_workload(
     ``recoveries`` counter and surfaced as ``min_recoveries``.
     """
     expected = sync_fingerprint(workload, nodes=nodes)
-    # The paper's expected Q(I) — a third, runtime-independent witness.
-    centralized = output_fingerprint(workload.expected())
+    # The paper's expected Q(I) — the runtime-independent spec every run,
+    # on either runtime, has to refine.
+    spec = spec_for(workload.query, workload.instance)
     divergences = []
     runs = 0
     crash_runs = 0
     min_recoveries: int | None = None
-    if centralized != expected:
+    if output_fingerprint(spec.final) != expected:
         divergences.append(
             {
                 "seed": None,
@@ -366,51 +319,35 @@ def check_workload(
                 "note": "sync output differs from centralized Q(I)",
             }
         )
-    for transport in transports:
-        for faults in fault_modes:
-            for crashes in crash_modes:
-                if crashes and not faults:
-                    continue
-                for seed in seeds:
-                    actual, run = cluster_fingerprint(
-                        workload,
-                        nodes=nodes,
-                        transport=transport,
-                        faults=faults,
-                        crashes=crashes,
-                        seed=seed,
-                    )
-                    runs += 1
-                    if actual != expected:
-                        divergences.append(
-                            {
-                                "seed": seed,
-                                "transport": transport,
-                                "faults": faults,
-                                "crashes": crashes,
-                                "fingerprint": actual,
-                            }
-                        )
-                    if crashes:
-                        crash_runs += 1
-                        if (
-                            min_recoveries is None
-                            or run.recoveries < min_recoveries
-                        ):
-                            min_recoveries = run.recoveries
-                        if run.recoveries < 1:
-                            divergences.append(
-                                {
-                                    "seed": seed,
-                                    "transport": transport,
-                                    "faults": faults,
-                                    "crashes": crashes,
-                                    "fingerprint": actual,
-                                    "note": (
-                                        "crash schedule exercised no recovery"
-                                    ),
-                                }
-                            )
+    for transport, faults, crashes, seed in product(
+        transports, fault_modes, crash_modes, tuple(seeds)
+    ):
+        if crashes and not faults:
+            continue
+        actual, observation = cluster_fingerprint(
+            workload, nodes=nodes, transport=transport, faults=faults,
+            crashes=crashes, seed=seed,
+        )
+        runs += 1
+        notes = [violation.describe() for violation in refines(observation, spec)]
+        if crashes:
+            crash_runs += 1
+            recoveries = observation.recoveries
+            if min_recoveries is None or recoveries < min_recoveries:
+                min_recoveries = recoveries
+            if recoveries < 1:
+                notes.append("crash schedule exercised no recovery")
+        divergences.extend(
+            {
+                "seed": seed,
+                "transport": transport,
+                "faults": faults,
+                "crashes": crashes,
+                "fingerprint": actual,
+                "note": note,
+            }
+            for note in notes
+        )
     return GateVerdict(
         key=workload.key,
         expected_fingerprint=expected,

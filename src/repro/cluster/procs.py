@@ -304,21 +304,39 @@ def build_proc_network(
 
     Deterministic in any process: gate workloads reconstruct by key,
     scaling workloads by their parameter-carrying key, and raw programs
-    re-plan through the (deterministic) distribution analyzer.
+    re-plan through the (deterministic) distribution analyzer under the
+    recipe's ``routing`` decision — ``default``, ``optimized`` (the
+    per-stratum optimizer's bundle) or ``barrier`` (the forced All-barrier).
+    This is also how the in-process runtimes build theirs
+    (:mod:`repro.runtimes`); for those a recipe may carry a pre-built
+    ``network`` or an already parsed ``program``, which workers never get.
     """
+    if workload_spec.get("network") is not None:
+        return workload_spec["network"]
     kind = workload_spec["kind"]
     if kind == "program":
-        from ..core.analyzer import planned_network
+        from ..core.analyzer import network_for_plan, plan_distribution
         from ..datalog.parser import parse_program
 
-        program = parse_program(workload_spec["text"])
-        outputs = workload_spec.get("outputs")
-        if outputs is not None:
-            # Rule text alone cannot carry a designated-output restriction;
-            # rebuild with it so workers agree with the coordinator's
-            # program object on what the output schema is.
-            program = type(program)(program.rules, output_relations=outputs)
-        return planned_network(program, tuple(nodes))
+        program = workload_spec.get("program")
+        if program is None:
+            program = parse_program(workload_spec["text"])
+            outputs = workload_spec.get("outputs")
+            if outputs is not None:
+                # Rule text alone cannot carry a designated-output
+                # restriction; rebuild with it so workers agree with the
+                # coordinator's program object on the output schema.
+                program = type(program)(program.rules, output_relations=outputs)
+        routing = workload_spec.get("routing", "default")
+        if routing == "optimized":
+            from ..optimizer import plan_optimized
+
+            plan = plan_optimized(program).plan
+        elif routing in ("default", "barrier"):
+            plan = plan_distribution(program, force_barrier=routing == "barrier")
+        else:
+            raise ValueError(f"unknown routing {routing!r}")
+        return network_for_plan(plan, tuple(nodes))
     if kind == "scaling":
         workload = scaling_workload_by_key(workload_spec["key"])
     elif kind == "gate":
@@ -612,6 +630,10 @@ async def _worker_async(spec: dict) -> None:
         await cluster_node.run()
     finally:
         control_task.cancel()
+        try:
+            await control_task  # the control stream has one reader at a time
+        except (asyncio.CancelledError, Exception):
+            pass
     stats = cluster_node.stats
     _send_msg(
         cwriter,
@@ -644,6 +666,16 @@ async def _worker_async(spec: dict) -> None:
         },
     )
     await cwriter.drain()
+    # Half-close, then read the coordinator out.  Closing with an unread
+    # ``finish`` in the receive queue makes the kernel answer RST and drop
+    # whatever of a large result is still unsent; the coordinator closes
+    # this connection once it has stored the result.
+    cwriter.write_eof()
+    try:
+        while await creader.read(1 << 16):
+            pass
+    except ConnectionError:
+        pass
     await _close_writers([cwriter])
     await endpoint.close()
 
@@ -1091,6 +1123,7 @@ class ProcessCluster:
                             await writer.drain()
                 elif kind == "result":
                     self._results[node] = message
+                    conns[node].close()  # the EOF the worker is waiting for
                     if not terminated:
                         # Any result implies STOP was broadcast, i.e. the
                         # ring detected global termination.  Relay it to

@@ -12,6 +12,7 @@ attached — the crash-recovery counters ``crashes``/``recoveries``/
 
 from __future__ import annotations
 
+from ..transducers.runtime import NodeState, NodeStats
 from ..transducers.telemetry import (
     NodeReport,
     RunReport,
@@ -23,12 +24,20 @@ __all__ = ["build_cluster_report"]
 
 
 def build_cluster_report(run: ClusterRun, *, quiesced: bool = True) -> RunReport:
-    """Assemble the structured report for a finished cluster run."""
+    """Assemble the structured report for a finished cluster run.
+
+    A run that did not quiesce never harvested its nodes: what it cannot
+    show (per-node counters; for process workers, their state too) reads
+    as zero rather than failing the report.
+    """
     output = run.global_output()
     per_node = []
     for node in run.nodes():
-        stats = run.node_stats[node]
-        state = run.state(node)
+        stats = run.node_stats.get(node) or NodeStats()
+        try:
+            state = run.state(node)
+        except KeyError:
+            state = NodeState()
         per_node.append(
             NodeReport(
                 node=repr(node),

@@ -23,7 +23,7 @@ barrier fallback for programs without a monotonicity guarantee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..datalog.evaluation import naive_fixpoint
 from ..datalog.instance import Instance
@@ -117,74 +117,53 @@ class KernelStack(EvaluationStack):
         return query_for(program)(instance)
 
 
-class SyncRunStack(EvaluationStack):
-    """The synchronous simulator under a named scheduler, optionally with
-    channel faults (duplication, delay, drop-with-redelivery)."""
+class RuntimeStack(EvaluationStack):
+    """A transducer runtime of :mod:`repro.runtimes` on the analyzer's
+    network, under the context's schedule and fault plan.  The crash
+    schedule exists on the cluster runtime only; elsewhere a crash context
+    runs as its message-chaos part."""
 
-    name = "sync-run"
-
-    def evaluate(self, program, instance, context):
-        from ..core.analyzer import distributed_run
-        from ..transducers.faults import CHAOS_PLAN, FaultyChannel, make_scheduler
-
-        channel = (
-            FaultyChannel(CHAOS_PLAN, context.seed) if context.chaos else None
-        )
-        run = distributed_run(
-            program, instance, nodes=context.nodes, channel=channel
-        )
-        return run.run_to_quiescence(
-            scheduler=make_scheduler(context.scheduler, context.seed)
-        )
-
-
-class ClusterStack(EvaluationStack):
-    """The asynchronous cluster runtime on the chosen transport, with
-    optional message chaos and crash-recovery schedules."""
-
-    name = "cluster"
+    def __init__(self, name: str, runtime: str) -> None:
+        self.name = name
+        self.runtime = runtime
 
     def evaluate(self, program, instance, context):
         from ..cluster.faults import CRASH_PLAN
-        from ..cluster.runtime import ClusterRun
-        from ..core.analyzer import planned_network
+        from ..runtimes import execute, program_target
         from ..transducers.faults import CHAOS_PLAN
 
-        if context.crash:
-            fault_plan = CRASH_PLAN
-        elif context.chaos:
-            fault_plan = CHAOS_PLAN
+        if context.crash and self.runtime == "cluster":
+            faults = CRASH_PLAN
         else:
-            fault_plan = None
-        run = ClusterRun(
-            planned_network(program, context.nodes),
+            faults = CHAOS_PLAN if context.chaos else None
+        return execute(
+            self.runtime,
+            program_target(program),
             instance,
-            transport=context.transport,
-            fault_plan=fault_plan,
+            nodes=context.nodes,
             seed=context.seed,
-        )
-        return run.run_to_quiescence()
+            scheduler=context.scheduler,
+            transport=context.transport,
+            faults=faults,
+        ).result()
 
 
-_STACK_CLASSES: dict[str, type[EvaluationStack]] = {
-    stack.name: stack
-    for stack in (
-        NaiveStack,
-        KernelStack,
-        SyncRunStack,
-        ClusterStack,
-    )
+_STACKS: dict[str, EvaluationStack] = {
+    "naive": NaiveStack(),
+    "kernel": KernelStack(),
+    # The synchronous simulator under a named scheduler (the incremental
+    # step-cache path), optionally with channel faults.
+    "sync-run": RuntimeStack("sync-run", "sync"),
+    # The asynchronous cluster on the chosen transport, with optional
+    # message chaos and crash-recovery schedules.
+    "cluster": RuntimeStack("cluster", "cluster"),
 }
 
 
 def build_stacks(names=DEFAULT_STACK_NAMES) -> tuple[EvaluationStack, ...]:
-    """Instantiate stacks by name, preserving order."""
+    """The stacks by name, preserving order."""
     try:
-        return tuple(_STACK_CLASSES[name]() for name in names)
+        return tuple(_STACKS[name] for name in names)
     except KeyError as error:
-        known = ", ".join(sorted(_STACK_CLASSES))
+        known = ", ".join(sorted(_STACKS))
         raise KeyError(f"unknown stack {error.args[0]!r} (known: {known})")
-
-
-def with_scheduler(context: StackContext, scheduler: str) -> StackContext:
-    return replace(context, scheduler=scheduler)

@@ -33,9 +33,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from ..core.analyzer import analyze, distributed_run, query_for
+from ..core.analyzer import analyze, query_for
 from ..datalog.instance import Instance
 from ..datalog.program import Program
+from ..monotonicity.classes import AdditionKind
+from ..runtimes import Observation, execute, program_target, refines, spec_for
 from ..streaming.feed import DeltaFeed
 from .metamorphic import KIND_FOR_CLASS, _facts_text
 from .stacks import StackContext
@@ -112,110 +114,20 @@ class _StreamCase:
         return DeltaFeed(self.batches)
 
 
-def _run_sync(
-    case: _StreamCase, context: StackContext, mutate: str | None
-) -> list[Instance]:
-    from ..transducers.faults import make_scheduler
-
-    run = distributed_run(case.program, case.base, nodes=context.nodes)
-    scheduler = make_scheduler(context.scheduler, context.seed)
-    run.run_to_quiescence(scheduler=scheduler)
-    epochs = [run.global_output()]
+def _retract_on_delta(observation: Observation) -> Observation:
+    """The planted bug, as a function of what was observed: each delta
+    arrival "invalidates" a previously derived fact.  The suppression is
+    sticky — the fact stays missing from every output observed from then
+    on, the final one included — which is what distinguishes a real
+    retraction bug from a transient one that heals by re-derivation."""
+    epochs = [observation.epoch_outputs[0]]
     suppressed: set = set()
-    for batch in case.feed().batches:
-        if mutate == "retract-on-delta":
-            # The planted bug: delta arrival "invalidates" a previously
-            # derived fact.  The suppression is sticky — the fact stays
-            # missing from every output observed from here on — which is
-            # what distinguishes a real retraction bug from a transient
-            # one that heals by re-derivation.
-            visible = sorted(epochs[-1] - suppressed)
-            if visible:
-                suppressed.add(visible[0])
-        run.ingest(batch.facts)
-        run.run_to_quiescence(scheduler=scheduler)
-        epochs.append(run.global_output() - suppressed)
-    return epochs
-
-
-def _run_cluster(case: _StreamCase, context: StackContext) -> list[Instance]:
-    import asyncio
-
-    from ..cluster.runtime import ClusterRun
-    from ..core.analyzer import planned_network
-
-    run = ClusterRun(
-        planned_network(case.program, context.nodes),
-        case.base,
-        transport=context.transport,
-        seed=context.seed,
-        delta_feed=case.feed(),
-    )
-    asyncio.run(run.arun())
-    return run.epoch_outputs
-
-
-def _run_procs(case: _StreamCase, context: StackContext) -> list[Instance]:
-    from ..cluster.procs import ProcessCluster
-
-    program_text = "\n".join(repr(rule) for rule in case.program.rules)
-    cluster = ProcessCluster(
-        {
-            "kind": "program",
-            "text": program_text,
-            # Rule text drops the designated-output restriction; carry it
-            # explicitly so workers compute the same output schema the
-            # centralized oracle queries.
-            "outputs": sorted(case.program.output_relations),
-        },
-        case.base,
-        nodes=tuple(context.nodes),
-        seed=context.seed,
-        delta_feed=case.feed(),
-    )
-    cluster.run_to_quiescence()
-    return cluster.epoch_outputs
-
-
-def _violation_for(
-    case: _StreamCase,
-    epochs: list[Instance],
-    *,
-    runtime: str,
-    fragment: str,
-    monotonicity: str,
-    kind_name: str,
-) -> StreamingViolation | None:
-    query = query_for(case.program)
-    prefixes = case.feed().prefixes(case.base.restrict(case.program.edb()))
-    final = epochs[-1]
-    make = lambda epoch, reason, lost: StreamingViolation(
-        program_text="\n".join(repr(rule) for rule in case.program.rules),
-        output_relations=tuple(sorted(case.program.output_relations)),
-        fragment=fragment,
-        monotonicity=monotonicity,
-        kind=kind_name,
-        runtime=runtime,
-        base_text=_facts_text(case.base),
-        batch_texts=tuple(
-            _facts_text(Instance(batch)) for batch in case.batches
-        ),
-        epoch=epoch,
-        reason=reason,
-        lost_text=_facts_text(lost),
-    )
-    # Delta preservation first: a retraction is the property the paper
-    # names, and the planted mutation's signature.
-    for epoch, output in enumerate(epochs):
-        if not output <= final:
-            return make(epoch, "retraction", output - final)
-    for epoch, output in enumerate(epochs):
-        expected = query(prefixes[epoch])
-        if output != expected:
-            return make(
-                epoch, "prefix-mismatch", (output - expected) | (expected - output)
-            )
-    return None
+    for output in observation.epoch_outputs[1:]:
+        visible = sorted(epochs[-1] - suppressed)
+        if visible:
+            suppressed.add(visible[0])
+        epochs.append(output - suppressed)
+    return replace(observation, output=epochs[-1], epoch_outputs=tuple(epochs))
 
 
 def check_streaming(
@@ -277,19 +189,39 @@ def _check_case(
     kind_name: str,
     mutate: str | None,
 ) -> StreamingViolation | None:
-    if runtime == "sync" or mutate is not None:
-        epochs = _run_sync(case, context, mutate)
-    elif runtime == "cluster":
-        epochs = _run_cluster(case, context)
-    else:
-        epochs = _run_procs(case, context)
-    return _violation_for(
-        case,
-        epochs,
-        runtime=runtime if mutate is None else "sync",
+    if mutate is not None:
+        runtime = "sync"
+    feed = case.feed()
+    observation = execute(
+        "processes" if runtime == "procs" else runtime,
+        program_target(case.program),
+        case.base,
+        nodes=context.nodes,
+        seed=context.seed,
+        feed=feed,
+        scheduler=context.scheduler,
+        transport=context.transport,
+    )
+    observation.result()  # non-quiescence is a crash of the case, as before
+    if mutate == "retract-on-delta":
+        observation = _retract_on_delta(observation)
+    spec = spec_for(query_for(case.program), case.base, feed, AdditionKind(kind_name))
+    violations = refines(observation, spec)
+    if not violations:
+        return None
+    first = violations[0]
+    return StreamingViolation(
+        program_text="\n".join(repr(rule) for rule in case.program.rules),
+        output_relations=tuple(sorted(case.program.output_relations)),
         fragment=fragment,
         monotonicity=monotonicity,
-        kind_name=kind_name,
+        kind=kind_name,
+        runtime=runtime,
+        base_text=_facts_text(case.base),
+        batch_texts=tuple(_facts_text(Instance(batch)) for batch in case.batches),
+        epoch=first.epoch,
+        reason=first.reason,
+        lost_text=_facts_text(first.facts),
     )
 
 

@@ -29,7 +29,8 @@ from ..transducers.protocols import (
     disjoint_protocol_transducer,
     distinct_protocol_transducer,
 )
-from ..transducers.runtime import FairScheduler, RunMetrics, TransducerNetwork
+from ..runtimes import execute
+from ..transducers.runtime import RunMetrics, TransducerNetwork
 from ..transducers.schema import POLICY_AWARE_NO_ALL
 from .analyzer import analyze
 from .calm import refute_by_relocation
@@ -611,6 +612,49 @@ def theorem54_experiment(*, seed: int = 13) -> list[ExperimentRow]:
 # ----------------------------------------------------------------------
 
 
+def protocol_costs(
+    node_count: int, instance: Instance, seed: int, *, barrier: bool = False
+) -> list[tuple[str, RunMetrics]]:
+    """(label, cost counters) of one fair synchronous run to quiescence of
+    each Section-4 protocol on a *node_count*-node network: TC by broadcast,
+    co-TC by the distinct and the disjoint protocol, and with *barrier* also
+    co-TC behind the All-barrier."""
+    from ..transducers.barrier import global_barrier_transducer
+
+    network = Network([f"n{i}" for i in range(node_count)])
+    tc, cotc = transitive_closure_query(), complement_tc_query()
+    configs = [
+        ("broadcast/M", broadcast_transducer(tc), hash_policy(tc.input_schema, network)),
+        (
+            "distinct/Mdistinct",
+            distinct_protocol_transducer(cotc),
+            hash_policy(cotc.input_schema, network),
+        ),
+        (
+            "disjoint/Mdisjoint",
+            disjoint_protocol_transducer(cotc),
+            domain_guided_policy(
+                cotc.input_schema, network, hash_domain_assignment(network)
+            ),
+        ),
+    ]
+    if barrier:
+        configs.append(
+            ("barrier", global_barrier_transducer(cotc), hash_policy(cotc.input_schema, network))
+        )
+    costs = []
+    for label, transducer, policy in configs:
+        observation = execute(
+            "sync",
+            {"network": TransducerNetwork(network, transducer, policy)},
+            instance,
+            seed=seed,
+        )
+        observation.result()
+        costs.append((label, RunMetrics(**observation.report.metrics)))
+    return costs
+
+
 def protocol_size_sweep(
     *,
     edge_counts: Iterable[int] = (4, 8, 16),
@@ -619,32 +663,13 @@ def protocol_size_sweep(
 ) -> list[tuple[str, int, RunMetrics]]:
     """The companion sweep: fixed network, growing input — how the three
     protocols' data-driven messaging scales with the instance."""
-    network = Network([f"n{i}" for i in range(nodes)])
-    tc = transitive_closure_query()
-    cotc = complement_tc_query()
-    results: list[tuple[str, int, RunMetrics]] = []
-    for edges in edge_counts:
-        instance = random_graph(max(6, edges), edges, seed=seed)
-        configs = [
-            ("broadcast/M", broadcast_transducer(tc), hash_policy(tc.input_schema, network)),
-            (
-                "distinct/Mdistinct",
-                distinct_protocol_transducer(cotc),
-                hash_policy(cotc.input_schema, network),
-            ),
-            (
-                "disjoint/Mdisjoint",
-                disjoint_protocol_transducer(cotc),
-                domain_guided_policy(
-                    cotc.input_schema, network, hash_domain_assignment(network)
-                ),
-            ),
-        ]
-        for label, transducer, policy in configs:
-            run = TransducerNetwork(network, transducer, policy).new_run(instance)
-            run.run_to_quiescence(scheduler=FairScheduler(seed))
-            results.append((label, edges, run.metrics))
-    return results
+    return [
+        (label, edges, metrics)
+        for edges in edge_counts
+        for label, metrics in protocol_costs(
+            nodes, random_graph(max(6, edges), edges, seed=seed), seed
+        )
+    ]
 
 
 def protocol_cost_sweep(
@@ -657,28 +682,8 @@ def protocol_cost_sweep(
     input across network sizes; substantiates the Section 4.3 observation
     that the richer classes pay in (data-driven, not global) coordination."""
     instance = random_graph(6, edge_count, seed=seed)
-    tc = transitive_closure_query()
-    cotc = complement_tc_query()
-    results: list[tuple[str, int, RunMetrics]] = []
-    for count in node_counts:
-        network = Network([f"n{i}" for i in range(count)])
-        configs = [
-            ("broadcast/M", broadcast_transducer(tc), hash_policy(tc.input_schema, network)),
-            (
-                "distinct/Mdistinct",
-                distinct_protocol_transducer(cotc),
-                hash_policy(cotc.input_schema, network),
-            ),
-            (
-                "disjoint/Mdisjoint",
-                disjoint_protocol_transducer(cotc),
-                domain_guided_policy(
-                    cotc.input_schema, network, hash_domain_assignment(network)
-                ),
-            ),
-        ]
-        for label, transducer, policy in configs:
-            run = TransducerNetwork(network, transducer, policy).new_run(instance)
-            run.run_to_quiescence(scheduler=FairScheduler(seed))
-            results.append((label, count, run.metrics))
-    return results
+    return [
+        (label, count, metrics)
+        for count in node_counts
+        for label, metrics in protocol_costs(count, instance, seed)
+    ]

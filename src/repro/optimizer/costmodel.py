@@ -197,57 +197,16 @@ def calibration_observations(
     All-barrier, over the same inputs across network and input sizes
     (the union of the two ``bench_protocol_costs.py`` sweeps plus the
     barrier arm they lack)."""
-    from ..core.experiments import (
-        complement_tc_query,
-        random_graph,
-        transitive_closure_query,
-    )
-    from ..transducers.barrier import global_barrier_transducer
-    from ..transducers.policy import (
-        Network,
-        domain_guided_policy,
-        hash_domain_assignment,
-        hash_policy,
-    )
-    from ..transducers.protocols import (
-        broadcast_transducer,
-        disjoint_protocol_transducer,
-        distinct_protocol_transducer,
-    )
-    from ..transducers.runtime import FairScheduler, TransducerNetwork
+    from ..core.experiments import protocol_costs, random_graph
 
-    tc = transitive_closure_query()
-    cotc = complement_tc_query()
     observations: list[tuple[str, int, int, Any]] = []
     for edges in edge_counts:
         instance = random_graph(max(6, int(edges)), int(edges), seed=seed)
-        facts = len(instance)
         for count in node_counts:
-            network = Network([f"n{i}" for i in range(count)])
-            configs = [
-                ("broadcast", broadcast_transducer(tc), hash_policy(tc.input_schema, network)),
-                (
-                    "distinct",
-                    distinct_protocol_transducer(cotc),
-                    hash_policy(cotc.input_schema, network),
-                ),
-                (
-                    "disjoint",
-                    disjoint_protocol_transducer(cotc),
-                    domain_guided_policy(
-                        cotc.input_schema, network, hash_domain_assignment(network)
-                    ),
-                ),
-                (
-                    "barrier",
-                    global_barrier_transducer(cotc),
-                    hash_policy(cotc.input_schema, network),
-                ),
-            ]
-            for kind, transducer, policy in configs:
-                run = TransducerNetwork(network, transducer, policy).new_run(instance)
-                run.run_to_quiescence(scheduler=FairScheduler(seed))
-                observations.append((kind, count, facts, run.metrics))
+            for label, metrics in protocol_costs(count, instance, seed, barrier=True):
+                observations.append(
+                    (label.partition("/")[0], count, len(instance), metrics)
+                )
     return observations
 
 

@@ -16,8 +16,7 @@ from typing import Any
 from ..core.analyzer import network_for_plan
 from ..datalog.instance import Instance
 from ..datalog.program import Program
-from ..transducers.runtime import FairScheduler
-from ..transducers.telemetry import output_fingerprint
+from ..runtimes import execute, node_names
 from .costmodel import DEFAULT_COST_MODEL, CostModel, CostVector
 from .plan import OptimizedPlan, plan_optimized
 
@@ -85,22 +84,29 @@ def execute_arm(
     """Run one plan arm to quiescence and package its cost evidence."""
     plan = optimized.plan
     base = instance.restrict(optimized.program.edb())
-    network = network_for_plan(plan, [f"n{i + 1}" for i in range(nodes)])
-    run = network.new_run(base)
-    output = run.run_to_quiescence(
-        scheduler=scheduler if scheduler is not None else FairScheduler(seed)
+    names = node_names(nodes)
+    # A pre-built network, not a routing recipe: a planted-bug plan
+    # (``mutate=``) is no routing a recipe could name.
+    observation = execute(
+        "sync",
+        {"network": network_for_plan(plan, names)},
+        base,
+        nodes=names,
+        seed=seed,
+        scheduler=scheduler,
     )
-    metrics = run.metrics
+    output = observation.result()
+    metrics = observation.report.metrics
     measured = CostVector(
-        rounds=float(metrics.rounds),
-        messages=float(metrics.message_facts_sent),
-        transitions=float(metrics.transitions),
+        rounds=float(metrics["rounds"]),
+        messages=float(metrics["message_facts_sent"]),
+        transitions=float(metrics["transitions"]),
     )
     predicted = model.predict(optimized.kind, nodes=nodes, facts=len(base))
     return OptimizedArm(
         protocol=plan.transducer.name,
         output=output,
-        fingerprint=output_fingerprint(output),
+        fingerprint=observation.fingerprint,
         measured=measured,
         predicted=predicted,
     )

@@ -58,8 +58,8 @@ from ..core.certificate import (
 )
 from ..datalog.instance import Instance
 from ..datalog.parser import parse_facts, parse_program
-from ..transducers.runtime import FairScheduler, QuiescenceError
-from ..transducers.telemetry import build_run_report, output_fingerprint
+from ..runtimes import execute, node_names, program_target, refines, spec_for
+from ..transducers.telemetry import output_fingerprint
 from .store import RunStore
 
 __all__ = [
@@ -80,8 +80,9 @@ SERVICE_VERSION = 1
 DEFAULT_RATE_LIMIT = 120
 DEFAULT_RATE_WINDOW = 10.0
 
-#: Execution modes and the runtime each one maps to.
-MODES = ("eval", "cluster", "processes")
+#: Execution modes, and the :mod:`repro.runtimes` name each one maps to.
+_RUNTIME_BY_MODE = {"eval": "sync", "cluster": "cluster", "processes": "processes"}
+MODES = tuple(_RUNTIME_BY_MODE)
 
 
 @dataclass(frozen=True)
@@ -179,8 +180,6 @@ def _validated(payload: dict[str, Any], config: ServiceConfig) -> dict[str, Any]
             "'check_pairs' does not combine with 'ilog' (value invention "
             "makes the empirical oracle ill-defined)"
         )
-    if mode == "processes" and force_barrier:
-        raise _BadRequest("'force_barrier' does not combine with mode 'processes'")
     return {
         "tenant": tenant,
         "program": program,
@@ -197,6 +196,8 @@ def _validated(payload: dict[str, Any], config: ServiceConfig) -> dict[str, Any]
 
 def _plan_and_certificate(request: dict[str, Any]):
     """Parse + classify; returns (plan, certificate, decision)."""
+    forced = request["force_barrier"]
+    reason, extra = None, {}
     if request["ilog"]:
         from ..ilog.program import parse_ilog_program
 
@@ -216,91 +217,57 @@ def _plan_and_certificate(request: dict[str, Any]):
             check_pairs=request["check_pairs"],
             seed=request["seed"],
         )
-        decision = {
-            "protocol": plan.transducer.name,
-            "requires_barrier": plan.requires_barrier,
-            "forced_barrier": False,
-            "model": plan.analysis.model,
-            "coordination_class": plan.analysis.coordination_class,
-            "reason": optimized.reason,
+        reason = optimized.reason
+        extra = {
             "optimized": True,
             "effective_monotonicity": optimized.effective_monotonicity,
             "upgraded": optimized.upgraded,
         }
-        return plan, cert, decision
     else:
         program = parse_program(request["program"])
-        plan = plan_distribution(
-            program, force_barrier=request["force_barrier"]
-        )
+        plan = plan_distribution(program, force_barrier=forced)
         cert = certificate_for_plan(
             program,
             plan,
-            forced_barrier=request["force_barrier"],
+            forced_barrier=forced,
             check_pairs=request["check_pairs"],
             seed=request["seed"],
         )
     decision = {
         "protocol": plan.transducer.name,
         "requires_barrier": plan.requires_barrier,
-        "forced_barrier": request["force_barrier"],
+        "forced_barrier": forced,
         "model": plan.analysis.model,
         "coordination_class": plan.analysis.coordination_class,
-        "reason": protocol_reason(plan, forced_barrier=request["force_barrier"]),
+        "reason": reason or protocol_reason(plan, forced_barrier=forced),
+        **extra,
     }
     return plan, cert, decision
 
 
-def _execute_plan(plan, request: dict[str, Any]):
-    """Run the planned protocol on the requested runtime.
+def _execute_plan(plan, request: dict[str, Any], instance: Instance):
+    """Run the planned protocol on the requested runtime; the
+    :class:`~repro.runtimes.Observation`.
 
-    Returns (result instance, quiesced, report dict)."""
-    instance = Instance(parse_facts(request["facts"]))
-    nodes = tuple(f"n{i + 1}" for i in range(request["nodes"]))
-    mode = request["mode"]
-    if mode == "eval":
-        run = network_for_plan(plan, nodes).new_run(instance)
-        scheduler = FairScheduler(request["seed"])
-        quiesced = True
-        try:
-            result = run.run_to_quiescence(scheduler=scheduler)
-        except QuiescenceError:
-            quiesced = False
-            result = run.global_output()
-        report = build_run_report(run, scheduler=scheduler, quiesced=quiesced)
-        return result, quiesced, report.to_dict()
-    if mode == "cluster":
-        from ..cluster import ClusterRun, build_cluster_report
-
-        run = ClusterRun(
-            network_for_plan(plan, nodes),
-            instance,
-            transport="memory",
-            seed=request["seed"],
-        )
-        quiesced = True
-        try:
-            result = run.run_to_quiescence()
-        except QuiescenceError:
-            quiesced = False
-            result = run.global_output()
-        return result, quiesced, build_cluster_report(run, quiesced=quiesced).to_dict()
-    # mode == "processes"
-    from ..cluster import ProcessCluster, build_cluster_report
-
-    cluster = ProcessCluster(
-        {"kind": "program", "text": request["program"]},
+    One target serves all three modes: the in-process runtimes take the
+    network of the plan the certificate describes, process workers rebuild
+    the same network from the program text and the routing decision.
+    """
+    nodes = node_names(request["nodes"])
+    target = {"network": network_for_plan(plan, nodes)}
+    if not request["ilog"]:
+        if request["optimize"]:
+            routing = "optimized"
+        else:
+            routing = "barrier" if request["force_barrier"] else "default"
+        target.update(program_target(request["program"], routing=routing))
+    return execute(
+        _RUNTIME_BY_MODE[request["mode"]],
+        target,
         instance,
-        processes=request["nodes"],
+        nodes=nodes,
         seed=request["seed"],
     )
-    quiesced = True
-    try:
-        result = cluster.run_to_quiescence()
-    except QuiescenceError:
-        quiesced = False
-        result = cluster.global_output()
-    return result, quiesced, build_cluster_report(cluster, quiesced=quiesced).to_dict()
 
 
 def execute_request(
@@ -348,15 +315,15 @@ def execute_request(
         )
         return 400, {"error": str(error)}
     try:
-        result, quiesced, report = _execute_plan(plan, request)
-        expected = plan.query(Instance(parse_facts(request["facts"])))
-        matches = result == expected
-        status = "ok" if matches and quiesced else "failed"
-        error_text = None
-        if not quiesced:
-            error_text = "run did not quiesce"
-        elif not matches:
-            error_text = "distributed output diverged from centralized evaluation"
+        instance = Instance(parse_facts(request["facts"]))
+        observation = _execute_plan(plan, request, instance)
+        result, quiesced = observation.output, observation.quiesced
+        report = observation.report.to_dict()
+        spec = spec_for(plan.query, instance)
+        violations = refines(observation, spec)
+        matches = result == spec.final
+        status = "failed" if violations else "ok"
+        error_text = violations[0].describe() if violations else None
         elapsed = time.perf_counter() - started
         run_id = store.record_run(
             request["tenant"],
@@ -367,7 +334,7 @@ def execute_request(
             decision=decision,
             certificate=cert,
             report=report,
-            output_fingerprint=output_fingerprint(result),
+            output_fingerprint=observation.fingerprint,
             output_facts=len(result),
             elapsed_s=elapsed,
             error=error_text,
@@ -394,7 +361,7 @@ def execute_request(
         "matches_centralized": matches,
         "certificate": cert,
         "decision": decision,
-        "output_fingerprint": output_fingerprint(result),
+        "output_fingerprint": observation.fingerprint,
         "output_facts": len(result),
         "elapsed_s": round(elapsed, 6),
         "report": report,

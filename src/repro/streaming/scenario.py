@@ -4,28 +4,28 @@ A scenario is one committed YAML file under ``scenarios/`` at the repo
 top: a Datalog¬ program, a base instance, an epoch-ordered list of delta
 batches, and an ``oracle`` declaration naming which addition kind the
 feed respects (``any`` / ``distinct`` / ``disjoint`` / ``none``).  The
-gate (:func:`check_stream_scenario`) replays the same feed through the
-synchronous simulator, the asyncio cluster, and the process cluster
-(clean and kill-and-recover), and demands:
+gate (:func:`check_stream_scenario`) replays the same feed through every
+runtime of :mod:`repro.runtimes` (the process cluster clean and
+kill-and-recover), and demands:
 
-* **byte-identical final fingerprints** across all runtimes, and
-  identical per-epoch fingerprints — streamed evaluation is confluent;
-* when ``oracle`` names a kind, the **live delta-preservation property**:
-  every epoch's output is a subset of the final output *and* equals the
-  centralized query answer on the corresponding input prefix (the
-  operational reading of ``Q(I_k) ⊆ Q(I_B)`` from Section 3.1).
+* **byte-identical per-epoch fingerprints** across all runtimes — streamed
+  evaluation is confluent;
+* when ``oracle`` names a kind, that every run **refines the query's spec**
+  (:func:`repro.runtimes.refines`): no epoch's output is missing from the
+  final one, and each equals the centralized answer on the corresponding
+  input prefix (the operational reading of ``Q(I_k) ⊆ Q(I_B)``, Section 3.1).
 
-``oracle: none`` marks scenarios whose query carries no guarantee for the
-feed's shape — they still gate cross-runtime confluence, and exist to
-document *why* delta-preservation matters (a non-monotone query under
-streaming accumulates derivations that the final instance refutes).
+``oracle: none`` marks a scenario whose feed breaks the kind its query
+would need — it gates cross-runtime confluence only, and exists because
+under that kind's spec it is the run that *fails* to refine (a
+non-monotone query under streaming accumulates derivations that the final
+instance refutes; see docs/SCENARIOS.md).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 from ..datalog.instance import Instance
 from ..datalog.parser import parse_facts, parse_program
@@ -164,8 +164,8 @@ class StreamGateVerdict:
     epochs: int
     runtimes: dict[str, list[str]] = field(default_factory=dict)
     fingerprints_ok: bool = False
-    oracle_ok: bool = True
     oracle_checked: bool = False
+    oracle_ok: bool = True
     preservation_failures: list[str] = field(default_factory=list)
     crashes: int = 0
     recoveries: int = 0
@@ -173,74 +173,7 @@ class StreamGateVerdict:
     passed: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "oracle": self.oracle,
-            "epochs": self.epochs,
-            "runtimes": self.runtimes,
-            "fingerprints_ok": self.fingerprints_ok,
-            "oracle_checked": self.oracle_checked,
-            "oracle_ok": self.oracle_ok,
-            "preservation_failures": self.preservation_failures,
-            "crashes": self.crashes,
-            "recoveries": self.recoveries,
-            "wal_replayed": self.wal_replayed,
-            "passed": self.passed,
-        }
-
-
-def _epoch_fingerprints(outputs: Sequence[Instance]) -> list[str]:
-    from ..transducers.telemetry import output_fingerprint
-
-    return [output_fingerprint(output) for output in outputs]
-
-
-def _sync_stream(scenario: StreamScenario) -> list[Instance]:
-    from ..core.analyzer import distributed_run
-    from ..transducers.runtime import FairScheduler
-
-    run = distributed_run(
-        scenario.program(), scenario.base(), nodes=scenario.nodes
-    )
-    run.stream_to_quiescence(
-        scenario.feed(), scheduler=FairScheduler(scenario.seed)
-    )
-    return run.epoch_outputs
-
-
-def _cluster_stream(scenario: StreamScenario) -> list[Instance]:
-    import asyncio
-
-    from ..cluster.runtime import ClusterRun
-    from ..core.analyzer import planned_network
-
-    run = ClusterRun(
-        planned_network(scenario.program(), scenario.nodes),
-        scenario.base(),
-        seed=scenario.seed,
-        delta_feed=scenario.feed(),
-    )
-    asyncio.run(run.arun())
-    return run.epoch_outputs
-
-
-def _process_stream(
-    scenario: StreamScenario, *, kill: bool, run_dir: str | None = None
-) -> tuple[list[Instance], "object"]:
-    from ..cluster.procs import ProcessCluster
-
-    cluster = ProcessCluster(
-        {"kind": "program", "text": scenario.program_text},
-        scenario.base(),
-        nodes=scenario.nodes,
-        seed=scenario.seed,
-        run_dir=run_dir,
-        delta_feed=scenario.feed(),
-        kill_node=scenario.nodes[1 % len(scenario.nodes)] if kill else None,
-        kill_after=2 if kill else None,
-    )
-    cluster.run_to_quiescence()
-    return cluster.epoch_outputs, cluster
+        return asdict(self)
 
 
 def check_stream_scenario(
@@ -255,53 +188,49 @@ def check_stream_scenario(
     ``kill=False`` skips the kill-and-recover arm.
     """
     from ..core.analyzer import query_for
+    from ..runtimes import execute, program_target, refines, spec_for
+    from ..transducers.telemetry import output_fingerprint
 
+    feed, base = scenario.feed(), scenario.base()
+    target = program_target(scenario.program_text)
     verdict = StreamGateVerdict(
-        scenario=scenario.name,
-        oracle=scenario.oracle,
-        epochs=len(scenario.feed()) + 1,
+        scenario=scenario.name, oracle=scenario.oracle, epochs=len(feed) + 1
     )
-    trajectories: dict[str, list[Instance]] = {"sync": _sync_stream(scenario)}
-    trajectories["cluster"] = _cluster_stream(scenario)
+    arms: dict[str, tuple[str, dict]] = {"sync": ("sync", {}), "cluster": ("cluster", {})}
     if processes:
-        outputs, _ = _process_stream(scenario, kill=False)
-        trajectories["process"] = outputs
+        arms["process"] = ("processes", {})
         if kill:
-            outputs, cluster = _process_stream(scenario, kill=True)
-            trajectories["process-kill"] = outputs
-            verdict.crashes = cluster.crashes
-            verdict.recoveries = cluster.recoveries
-            verdict.wal_replayed = cluster.wal_replayed
+            victim = scenario.nodes[1 % len(scenario.nodes)]
+            arms["process-kill"] = ("processes", {"kill": (victim, 2)})
+    kind = scenario.oracle_kind()
+    verdict.oracle_checked = kind is not None
+    spec = spec_for(query_for(scenario.program()), base, feed, kind)
+    for arm, (runtime, options) in arms.items():
+        observation = execute(
+            runtime, target, base,
+            nodes=scenario.nodes, seed=scenario.seed, feed=feed, **options,
+        )
+        observation.result()  # a scenario run that does not quiesce is an error
+        verdict.runtimes[arm] = [
+            output_fingerprint(output) for output in observation.epoch_outputs
+        ]
+        if kind is not None:
+            # oracle: none promises nothing of the trajectory; such a
+            # scenario gates cross-runtime confluence only.
+            verdict.preservation_failures.extend(
+                f"{arm}: {violation.describe()}"
+                for violation in refines(observation, spec)
+            )
+        if arm == "process-kill":
+            verdict.crashes = observation.crashes
+            verdict.recoveries = observation.recoveries
+            verdict.wal_replayed = observation.wal_replayed
 
-    verdict.runtimes = {
-        name: _epoch_fingerprints(outputs) for name, outputs in trajectories.items()
-    }
     reference = verdict.runtimes["sync"]
     verdict.fingerprints_ok = all(
         prints == reference for prints in verdict.runtimes.values()
     )
-
-    kind = scenario.oracle_kind()
-    if kind is not None:
-        verdict.oracle_checked = True
-        query = query_for(scenario.program())
-        base = scenario.base().restrict(scenario.program().edb())
-        prefixes = scenario.feed().prefixes(base)
-        epochs = trajectories["sync"]
-        final = epochs[-1]
-        for k, output in enumerate(epochs):
-            if not output <= final:
-                verdict.preservation_failures.append(
-                    f"epoch {k}: output is not a subset of the final output"
-                )
-            expected = query(prefixes[k]) if k < len(prefixes) else None
-            if expected is not None and output != expected:
-                verdict.preservation_failures.append(
-                    f"epoch {k}: streamed output differs from centralized "
-                    f"answer on prefix {k}"
-                )
-        verdict.oracle_ok = not verdict.preservation_failures
-
+    verdict.oracle_ok = not verdict.preservation_failures
     verdict.passed = verdict.fingerprints_ok and verdict.oracle_ok
     if processes and kill and verdict.recoveries < 1:
         verdict.passed = False

@@ -48,7 +48,7 @@ def test_crash_runs_match_sync(key, transport):
         assert run.crashes >= 1
         assert run.recoveries == run.crashes
         assert run.wal_replayed >= 1
-        assert run.snapshot_bytes > 0
+        assert run.report.snapshot_bytes > 0
 
 
 def test_crash_budget_is_respected():
@@ -114,7 +114,7 @@ def test_no_fault_run_reports_zero_crash_telemetry():
     assert run.crashes == 0
     assert run.recoveries == 0
     assert run.wal_replayed == 0
-    assert run.snapshot_bytes == 0
+    assert run.report.snapshot_bytes == 0
 
 
 def test_cluster_report_carries_crash_telemetry():

@@ -294,6 +294,25 @@ def test_process_gate_verdict():
     assert verdict.wal_replayed >= 1
 
 
+def test_large_results_are_not_mistaken_for_crashes():
+    """A worker whose result outgrows the socket buffers must still deliver
+    it.  It used to close the control socket with the coordinator's
+    ``finish`` unread, the kernel answered RST and dropped the unsent tail,
+    and the coordinator counted a crash and respawned: right output, wrong
+    ``crashes`` / ``recoveries`` (3 runs of 5 before the half-close)."""
+    from repro.datalog import Instance, parse_facts
+
+    tc = "T(x, y) :- E(x, y).\nT(x, z) :- T(x, y), E(y, z).\n"
+    chain = Instance(parse_facts(" ".join(f"E({i}, {i + 1})." for i in range(120))))
+    for seed in range(5):
+        cluster = ProcessCluster(
+            {"kind": "program", "text": tc}, chain, processes=3, seed=seed
+        )
+        assert len(cluster.run_to_quiescence()) == 120 * 121 // 2
+        assert len(cluster.worker_result("n1")["output"]) > 300_000  # hex chars
+        assert (cluster.crashes, cluster.recoveries) == (0, 0), seed
+
+
 # ----------------------------------------------------------------------
 # Process hygiene: nothing outlives a run
 # ----------------------------------------------------------------------

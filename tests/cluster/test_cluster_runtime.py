@@ -3,7 +3,7 @@ synchronous simulator, decentralization, termination, and telemetry."""
 
 import pytest
 
-from repro.cluster import ClusterRun, build_cluster_report
+from repro.cluster import ClusterRun
 from repro.cluster.gate import (
     check_workload,
     cluster_fingerprint,
@@ -98,7 +98,12 @@ def test_single_node_network():
 
 def test_run_is_one_shot():
     workload = workload_by_key("zoo-tc")
-    _, run = cluster_fingerprint(workload)
+    network = Network(("n1", "n2", "n3"))
+    run = ClusterRun(
+        TransducerNetwork(network, workload.transducer, workload.policy(network)),
+        workload.instance,
+    )
+    run.run_to_quiescence()
     with pytest.raises(RuntimeError, match="one-shot"):
         run.run_to_quiescence()
 
@@ -217,15 +222,15 @@ def test_non_quiescing_run_raises():
 def test_telemetry_and_report():
     workload = workload_by_key("thm43-distinct")
     _, run = cluster_fingerprint(workload, transport="memory", faults=True, seed=2)
-    assert run.metrics.transitions > 0
-    assert run.metrics.rounds == run.token_probes
-    assert set(run.fault_counters()) == {
+    report = run.report
+    assert report.metrics["transitions"] > 0
+    assert report.metrics["rounds"] == run.token_probes
+    assert set(report.faults) == {
         "duplicated", "delayed", "dropped", "redelivered",
     }
-    assert run.in_flight_high_water >= 0
-    assert any(s.buffer_high_water >= 1 for s in run.node_stats.values())
+    assert report.in_flight_high_water >= 0
+    assert any(node.buffer_high_water >= 1 for node in report.per_node)
 
-    report = build_cluster_report(run)
     assert report.transport == "memory+faulty"
     assert report.token_rounds == run.token_probes
     assert report.scheduler == "async"

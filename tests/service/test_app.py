@@ -487,3 +487,38 @@ class TestProcessesMode:
         # Every worker of every request was reaped by the run that forked it.
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+class TestRoutingIsWhatRuns:
+    """One target per request: whatever the mode, the runtime executes the
+    protocol the decision names and the certificate certifies.  (Until the
+    ``repro.runtimes`` seam, ``processes`` re-planned from the program text
+    alone: with ``optimize`` it certified ``distinct[...]`` and ran
+    ``barrier[...]``, and it refused ``force_barrier`` outright.)"""
+
+    FACTS = "E(1,2). E(2,3). E(3,1). S(1). S(3). L(2)."
+
+    @pytest.mark.parametrize("mode", ["eval", "cluster", "processes"])
+    @pytest.mark.parametrize(
+        "routing, protocol",
+        [
+            ({"optimize": True}, "distinct[datalog[O]]"),
+            ({"force_barrier": True}, "barrier[datalog[O]]"),
+            ({}, "barrier[datalog[O]]"),
+        ],
+    )
+    def test_decision_report_and_certificate_agree(self, mode, routing, protocol):
+        program = "\n".join(repr(rule) for rule in zoo_program("tagged-edges").rules)
+        store = RunStore(":memory:")
+        status, body = execute_request(
+            store,
+            {"tenant": "t", "program": program, "facts": self.FACTS,
+             "mode": mode, "nodes": 2, **routing},
+        )
+        store.close()
+        assert status == 200 and body["status"] == "ok", body
+        assert body["decision"]["protocol"] == protocol
+        assert body["report"]["protocol"] == protocol
+        assert body["certificate"]["protocol"]["name"] == protocol
+        assert body["output_fingerprint"] == _direct_fingerprint(program, self.FACTS)
+
