@@ -115,11 +115,16 @@ def _build_network(
     )
 
 
-def _target(workload: Section4Protocol, nodes: Sequence[Hashable]) -> dict:
-    """The :mod:`repro.runtimes` target for *workload*: its by-key worker
-    recipe, plus the network built from the bundle itself for the
-    in-process runtimes (so a bundle outside the corpus still runs there)."""
-    return {**workload_spec_for(workload), "network": _build_network(workload, nodes)}
+def _target(
+    workload: Section4Protocol, nodes: Sequence[Hashable], runtime: str
+) -> dict:
+    """The :mod:`repro.runtimes` target for *workload* on *runtime*: the
+    by-key recipe for process workers, the network built from the bundle
+    itself for the in-process runtimes (so a bundle outside the corpus
+    still runs there)."""
+    if runtime == "processes":
+        return workload_spec_for(workload)
+    return {"network": _build_network(workload, nodes)}
 
 
 def sync_fingerprint(
@@ -134,7 +139,7 @@ def sync_fingerprint(
     fingerprints = {}
     for name in schedulers:
         observation = execute(
-            "sync", _target(workload, nodes), workload.instance,
+            "sync", _target(workload, nodes, "sync"), workload.instance,
             nodes=nodes, seed=seed, scheduler=name,
         )
         observation.result()  # a sync run that does not quiesce is an error
@@ -166,7 +171,7 @@ def cluster_fingerprint(
     """
     plan = CRASH_PLAN if crashes else CHAOS_PLAN if faults else None
     observation = execute(
-        "cluster", _target(workload, nodes), workload.instance,
+        "cluster", _target(workload, nodes, "cluster"), workload.instance,
         nodes=nodes, seed=seed, transport=transport, faults=plan,
     )
     return observation.fingerprint, observation
@@ -229,7 +234,7 @@ def check_process_workload(
 
     def run(runtime: str, **options) -> Observation:
         observation = execute(
-            runtime, _target(workload, nodes), workload.instance,
+            runtime, _target(workload, nodes, runtime), workload.instance,
             nodes=nodes, seed=seed, timeout=timeout, **options,
         )
         observation.result()  # a gate run that does not quiesce is an error

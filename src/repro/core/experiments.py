@@ -615,23 +615,23 @@ def theorem54_experiment(*, seed: int = 13) -> list[ExperimentRow]:
 def protocol_costs(
     node_count: int, instance: Instance, seed: int, *, barrier: bool = False
 ) -> list[tuple[str, RunMetrics]]:
-    """(label, cost counters) of one fair synchronous run to quiescence of
-    each Section-4 protocol on a *node_count*-node network: TC by broadcast,
-    co-TC by the distinct and the disjoint protocol, and with *barrier* also
-    co-TC behind the All-barrier."""
+    """(protocol kind, cost counters) of one fair synchronous run to
+    quiescence of each Section-4 protocol on a *node_count*-node network: TC
+    by ``broadcast``, co-TC by the ``distinct`` and the ``disjoint`` protocol,
+    and with *barrier* also co-TC behind the All-``barrier``."""
     from ..transducers.barrier import global_barrier_transducer
 
     network = Network([f"n{i}" for i in range(node_count)])
     tc, cotc = transitive_closure_query(), complement_tc_query()
     configs = [
-        ("broadcast/M", broadcast_transducer(tc), hash_policy(tc.input_schema, network)),
+        ("broadcast", broadcast_transducer(tc), hash_policy(tc.input_schema, network)),
         (
-            "distinct/Mdistinct",
+            "distinct",
             distinct_protocol_transducer(cotc),
             hash_policy(cotc.input_schema, network),
         ),
         (
-            "disjoint/Mdisjoint",
+            "disjoint",
             disjoint_protocol_transducer(cotc),
             domain_guided_policy(
                 cotc.input_schema, network, hash_domain_assignment(network)
@@ -643,7 +643,7 @@ def protocol_costs(
             ("barrier", global_barrier_transducer(cotc), hash_policy(cotc.input_schema, network))
         )
     costs = []
-    for label, transducer, policy in configs:
+    for kind, transducer, policy in configs:
         observation = execute(
             "sync",
             {"network": TransducerNetwork(network, transducer, policy)},
@@ -651,8 +651,12 @@ def protocol_costs(
             seed=seed,
         )
         observation.result()
-        costs.append((label, RunMetrics(**observation.report.metrics)))
+        costs.append((kind, RunMetrics(**observation.report.metrics)))
     return costs
+
+
+#: The class each protocol serves; the sweeps label a row ``kind/class``.
+_SERVES = {"broadcast": "M", "distinct": "Mdistinct", "disjoint": "Mdisjoint"}
 
 
 def protocol_size_sweep(
@@ -664,9 +668,9 @@ def protocol_size_sweep(
     """The companion sweep: fixed network, growing input — how the three
     protocols' data-driven messaging scales with the instance."""
     return [
-        (label, edges, metrics)
+        (f"{kind}/{_SERVES[kind]}", edges, metrics)
         for edges in edge_counts
-        for label, metrics in protocol_costs(
+        for kind, metrics in protocol_costs(
             nodes, random_graph(max(6, edges), edges, seed=seed), seed
         )
     ]
@@ -683,7 +687,7 @@ def protocol_cost_sweep(
     that the richer classes pay in (data-driven, not global) coordination."""
     instance = random_graph(6, edge_count, seed=seed)
     return [
-        (label, count, metrics)
+        (f"{kind}/{_SERVES[kind]}", count, metrics)
         for count in node_counts
-        for label, metrics in protocol_costs(count, instance, seed)
+        for kind, metrics in protocol_costs(count, instance, seed)
     ]

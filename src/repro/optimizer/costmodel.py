@@ -203,10 +203,8 @@ def calibration_observations(
     for edges in edge_counts:
         instance = random_graph(max(6, int(edges)), int(edges), seed=seed)
         for count in node_counts:
-            for label, metrics in protocol_costs(count, instance, seed, barrier=True):
-                observations.append(
-                    (label.partition("/")[0], count, len(instance), metrics)
-                )
+            for kind, metrics in protocol_costs(count, instance, seed, barrier=True):
+                observations.append((kind, count, len(instance), metrics))
     return observations
 
 

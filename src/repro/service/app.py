@@ -249,25 +249,21 @@ def _execute_plan(plan, request: dict[str, Any], instance: Instance):
     """Run the planned protocol on the requested runtime; the
     :class:`~repro.runtimes.Observation`.
 
-    One target serves all three modes: the in-process runtimes take the
-    network of the plan the certificate describes, process workers rebuild
-    the same network from the program text and the routing decision.
+    The in-process runtimes take the network of the plan the certificate
+    describes; process workers rebuild the same network from the program
+    text and the routing decision (never ILOG: that is mode ``eval`` only).
     """
     nodes = node_names(request["nodes"])
-    target = {"network": network_for_plan(plan, nodes)}
-    if not request["ilog"]:
+    runtime = _RUNTIME_BY_MODE[request["mode"]]
+    if runtime == "processes":
         if request["optimize"]:
             routing = "optimized"
         else:
             routing = "barrier" if request["force_barrier"] else "default"
-        target.update(program_target(request["program"], routing=routing))
-    return execute(
-        _RUNTIME_BY_MODE[request["mode"]],
-        target,
-        instance,
-        nodes=nodes,
-        seed=request["seed"],
-    )
+        target = program_target(request["program"], routing=routing)
+    else:
+        target = {"network": network_for_plan(plan, nodes)}
+    return execute(runtime, target, instance, nodes=nodes, seed=request["seed"])
 
 
 def execute_request(

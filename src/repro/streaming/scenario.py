@@ -191,8 +191,9 @@ def check_stream_scenario(
     from ..runtimes import execute, program_target, refines, spec_for
     from ..transducers.telemetry import output_fingerprint
 
-    feed, base = scenario.feed(), scenario.base()
-    target = program_target(scenario.program_text)
+    feed, base, program = scenario.feed(), scenario.base(), scenario.program()
+    # Parsed once for the in-process arms; process workers re-parse the text.
+    target = {**program_target(scenario.program_text), "program": program}
     verdict = StreamGateVerdict(
         scenario=scenario.name, oracle=scenario.oracle, epochs=len(feed) + 1
     )
@@ -204,7 +205,7 @@ def check_stream_scenario(
             arms["process-kill"] = ("processes", {"kill": (victim, 2)})
     kind = scenario.oracle_kind()
     verdict.oracle_checked = kind is not None
-    spec = spec_for(query_for(scenario.program()), base, feed, kind)
+    spec = spec_for(query_for(program), base, feed, kind)
     for arm, (runtime, options) in arms.items():
         observation = execute(
             runtime, target, base,

@@ -53,6 +53,13 @@ CASES.update(
 # invades the arena.  No guarantee, so the final output really differs: exit 1.
 CASES["run-contested-stream"] = ["run", "--stream", "CONTESTED"]
 CONTESTED = Path(__file__).parents[2] / "scenarios" / "winmove-contested-arena.yaml"
+# An Mdisjoint program under a feed that is not domain-disjoint, whose answer
+# goes {O(1)}, {}, {O(1)}: epoch 1 shows O(1) where Q(prefix_1) is empty, the
+# final output is right.  Nothing was promised of that epoch: exit 0.
+CASES["run-inadmissible-stream"] = ["run", "--stream", "FLIPPING"]
+FLIP = "P(x) :- B(x), not C(x).\nO(x) :- A(x), not P(x).\n"
+FLIP_FACTS = "A(1).\n"
+FLIP_FEED = 'batches:\n  - "B(1)."\n  - "C(1)."\n'
 
 _COUNTERS = re.compile(
     r"^(token rounds|crashes|recoveries|wal replayed):( +)\d+$", re.MULTILINE
@@ -68,9 +75,17 @@ def render(name: str, directory: Path) -> str:
         scenario = load_scenario(CONTESTED)
         (directory / "p.dl").write_text(scenario.program_text)
         (directory / "f.dl").write_text(scenario.base_text)
+    if "FLIPPING" in CASES[name]:
+        (directory / "p.dl").write_text(FLIP)
+        (directory / "f.dl").write_text(FLIP_FACTS)
+        (directory / "flip.yaml").write_text(FLIP_FEED)
     report = directory / "report.json"
     command, *options = CASES[name]
-    feeds = {"FEED": str(directory / "feed.yaml"), "CONTESTED": str(CONTESTED)}
+    feeds = {
+        "FEED": str(directory / "feed.yaml"),
+        "CONTESTED": str(CONTESTED),
+        "FLIPPING": str(directory / "flip.yaml"),
+    }
     options = [feeds.get(option, option) for option in options]
     argv = [command, str(directory / "p.dl"), str(directory / "f.dl"), *options]
     out = io.StringIO()

@@ -47,7 +47,9 @@ TC_QUERY = query_for(parse_program(TC))
 @pytest.mark.parametrize("runtime", RUNTIMES)
 def test_gate_workload_refines_its_spec(runtime, key):
     workload = WORKLOADS[key]
-    observation = execute(runtime, _target(workload, NODES), workload.instance, nodes=NODES)
+    observation = execute(
+        runtime, _target(workload, NODES, runtime), workload.instance, nodes=NODES
+    )
     assert refines(observation, spec_for(workload.query, workload.instance)) == []
 
 
