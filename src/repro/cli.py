@@ -392,9 +392,9 @@ def _cmd_distributed(args, out) -> int:
         runtime, target, instance, seed=args.seed, feed=feed, **options
     )
     spec = spec_for(query_for(program), instance, feed, kind)
-    # As before the seam, a streamed run is held to Q(I) at the end and to
-    # "nothing retracted" on the way.  A bare --stream feed claims no addition
-    # kind, so Q(prefix_k) is not promised of its intermediate epochs.
+    # A bare --stream feed claims no addition kind, so Q(prefix_k) is not
+    # promised of its intermediate epochs: the run is held to Q(I) at the end
+    # and to "nothing retracted" on the way.
     violations = [
         violation for violation in refines(observation, spec)
         if violation.reason != "prefix-mismatch" or violation.epoch == len(feed)
