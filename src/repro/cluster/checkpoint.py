@@ -47,6 +47,7 @@ __all__ = [
     "CheckpointError",
     "NodeSnapshot",
     "ReplayOp",
+    "closure_op",
     "group_replay_ops",
     "CheckpointStore",
     "MemoryCheckpointStore",
@@ -238,6 +239,35 @@ class ReplayOp:
     frame_ids: tuple = ()
 
 
+def closure_op(envelopes) -> ReplayOp:
+    """The closure one accepted batch of data / delta envelopes calls for
+    — what live acceptance applies and what replay re-applies."""
+    facts: list = []
+    delta_facts: list = []
+    boundary = -1
+    ids: list = []
+    for envelope in envelopes:
+        if envelope.kind == KIND_DELTA:
+            # A streamed input extension: counted and journaled like data,
+            # but the facts grow the local input instead of being delivered.
+            delta_facts.extend(envelope.facts)
+            boundary = max(boundary, envelope.round)
+        else:
+            facts.extend(envelope.facts)
+            # Data stamped with sender epoch e proves boundary e-1 passed,
+            # even if the delta envelope is still in flight elsewhere.
+            boundary = max(boundary, envelope.round - 1)
+        ids.append((envelope.sender, envelope.sequence))
+    return ReplayOp(
+        kind="closure",
+        envelopes=len(ids),
+        facts=tuple(facts),
+        delta_facts=tuple(delta_facts),
+        epoch_boundary=boundary,
+        frame_ids=tuple(ids),
+    )
+
+
 def group_replay_ops(entries, *, decode_data_frame) -> list[ReplayOp]:
     """Fold a WAL suffix into ordered :class:`ReplayOp`s.
 
@@ -248,34 +278,10 @@ def group_replay_ops(entries, *, decode_data_frame) -> list[ReplayOp]:
     ops: list[ReplayOp] = []
     for entry in entries:
         kind = entry[0]
-        if kind in ("boot", "batch"):
-            if kind == "boot":
-                ops.append(ReplayOp(kind="closure", boot=True))
-            else:
-                frames = entry[1]
-                facts: list = []
-                delta_facts: list = []
-                boundary = -1
-                ids: list = []
-                for frame in frames:
-                    envelope = decode_data_frame(frame)
-                    if envelope.kind == KIND_DELTA:
-                        delta_facts.extend(envelope.facts)
-                        boundary = max(boundary, envelope.round)
-                    else:
-                        facts.extend(envelope.facts)
-                        boundary = max(boundary, envelope.round - 1)
-                    ids.append((envelope.sender, envelope.sequence))
-                ops.append(
-                    ReplayOp(
-                        kind="closure",
-                        envelopes=len(frames),
-                        facts=tuple(facts),
-                        delta_facts=tuple(delta_facts),
-                        epoch_boundary=boundary,
-                        frame_ids=tuple(ids),
-                    )
-                )
+        if kind == "boot":
+            ops.append(ReplayOp(kind="closure", boot=True))
+        elif kind == "batch":
+            ops.append(closure_op(decode_data_frame(frame) for frame in entry[1]))
         elif kind == "send":
             if not ops or ops[-1].kind not in ("closure", "delta"):
                 raise CheckpointError(
@@ -448,31 +454,18 @@ class NodeJournal:
     def has_history(self) -> bool:
         return self._store.has_state(self._node)
 
-    def _append(self, entry: tuple) -> None:
+    @property
+    def snapshot_bytes(self) -> int:
+        """Snapshot bytes the underlying store has written (telemetry)."""
+        return self._store.snapshot_bytes
+
+    def append(self, entry: tuple) -> None:
+        """Append one WAL entry — ``("boot",)``, ``("batch", frames)``,
+        ``("send", target, sequence, copies)``, ``("token", frame)``,
+        ``("token-sent", probe, sequence)`` or ``("delta", epoch)``; which
+        one, and when, is the node core's write-ahead discipline."""
         self._store.append_wal(self._node, encode_entry(entry))
         self._position += 1
-
-    # -- the write-ahead side ---------------------------------------------
-
-    def append_boot(self) -> None:
-        self._append(("boot",))
-
-    def append_batch(self, frames) -> None:
-        self._append(("batch", tuple(frames)))
-
-    def append_token(self, frame: bytes) -> None:
-        self._append(("token", frame))
-
-    def append_send(self, target: Hashable, sequence: int, count: int) -> None:
-        self._append(("send", target, sequence, count))
-
-    def append_token_sent(self, probe: int, sequence: int) -> None:
-        self._append(("token-sent", probe, sequence))
-
-    def append_delta(self, epoch: int) -> None:
-        """Log that the feed's *epoch* is about to be injected (initiator
-        only; written before any of the epoch's delta envelopes ship)."""
-        self._append(("delta", epoch))
 
     # -- the recovery side -------------------------------------------------
 

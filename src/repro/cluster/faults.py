@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+from dataclasses import replace
 from typing import Hashable
 
 from ..transducers.faults import CHAOS_PLAN, FAULT_COUNTER_NAMES, FaultPlan
@@ -180,25 +181,9 @@ class FaultyEndpoint(Endpoint):
         if peek_kind(frame) != KIND_DATA:
             return await self._inner.send(target, frame)
         envelope = decode_envelope(frame)
-        plan = self._layer.plan
-        rng = self._rng
-        counters = self._layer.counters
-        now: list = []
-        held: list[tuple[int, object]] = []  # (ticks, fact)
-        for fact in envelope.facts:
-            draw = rng.random()
-            if draw < plan.drop_rate:
-                held.append((1 + rng.randrange(plan.redelivery_delay), fact))
-                counters["dropped"] += 1
-            elif draw < plan.drop_rate + plan.delay_rate:
-                held.append((1 + rng.randrange(plan.max_delay), fact))
-                counters["delayed"] += 1
-            else:
-                copies = 1
-                if rng.random() < plan.duplicate_rate:
-                    copies = rng.randint(2, plan.max_copies)
-                    counters["duplicated"] += copies - 1
-                now.extend([fact] * copies)
+        now, held = self._layer.plan.route(
+            self._rng, envelope.facts, self._layer.counters
+        )
         dispatched = 0
         if now:
             # The immediate portion stays one frame, so it keeps the
@@ -206,11 +191,9 @@ class FaultyEndpoint(Endpoint):
             # fresh identities.
             dispatched += await self._inner.send(
                 target,
-                encode_envelope(
-                    self._replace_facts(envelope, now, envelope.sequence)
-                ),
+                encode_envelope(replace(envelope, facts=tuple(now))),
             )
-        for ticks, fact in held:
+        for ticks, fact, _ in held:
             # Each withheld fact becomes its own in-flight envelope with a
             # freshly minted sequence (distinct frames must have distinct
             # (sender, sequence) identities), counted here and now: the
@@ -222,22 +205,11 @@ class FaultyEndpoint(Endpoint):
             sequence = self._layer.next_redelivery_sequence(envelope.sender)
             task = asyncio.ensure_future(
                 self._redeliver(
-                    target, self._replace_facts(envelope, [fact], sequence), ticks
+                    target, replace(envelope, facts=(fact,), sequence=sequence), ticks
                 )
             )
             self._layer.track(task)
         return dispatched
-
-    def _replace_facts(
-        self, envelope: Envelope, facts: list, sequence: int
-    ) -> Envelope:
-        return Envelope(
-            kind=envelope.kind,
-            sender=envelope.sender,
-            round=envelope.round,
-            sequence=sequence,
-            facts=tuple(facts),
-        )
 
     async def _redeliver(self, target: Hashable, envelope: Envelope, ticks: int) -> None:
         await asyncio.sleep(ticks * self._layer.tick)

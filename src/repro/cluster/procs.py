@@ -3,8 +3,9 @@
 The asyncio runtime (:mod:`repro.cluster.runtime`) made the cluster
 *concurrent*; this module makes it *parallel*.  Each node runs in its own
 OS process, forked from the coordinator — its own GIL, its own interner, its
-own compiled rules — hosting an unmodified
-:class:`~repro.cluster.runtime.ClusterNode` over a real TCP data plane.  A
+own compiled rules — hosting the same
+:class:`~repro.cluster.runtime.ClusterNode` driver (over the same
+:class:`~repro.transducers.node.NodeCore`) on a real TCP data plane.  A
 parent :class:`ProcessCluster` coordinates:
 
 * **sharding** — the parent distributes the input database horizontally
@@ -37,7 +38,7 @@ A kill can strand frames three ways, and each has a dedicated repair:
    announces the peer's restart.
 2. *Receiver accepted (WAL-logged) a frame the sender retransmits anyway*
    — receivers deduplicate by durable ``(sender, sequence)`` identity
-   (``ClusterNode(dedup=True)``), rebuilt from the WAL on recovery, and
+   (``NodeCore(dedup=True)``), rebuilt from the WAL on recovery, and
    drop the copy without touching the Safra counter.
 3. *Sender died after logging a send that never left user space* — the
    recovering sender re-dispatches the byte-identical regenerated frame
@@ -95,7 +96,7 @@ import tempfile
 import time
 import traceback
 import warnings
-from typing import Hashable, Iterable, NoReturn, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from ..datalog.instance import Instance
 from ..datalog.terms import Fact
@@ -104,14 +105,9 @@ from ..transducers.policy import (
     block_domain_assignment,
     domain_guided_policy,
 )
+from ..transducers.node import NodeCore, NodeState, NodeStats, NodeSummary
 from ..transducers.protocols import Section4Protocol, local_shard_transducer
-from ..transducers.runtime import (
-    NodeState,
-    NodeStats,
-    QuiescenceError,
-    RunMetrics,
-    TransducerNetwork,
-)
+from ..transducers.runtime import QuiescenceError, TransducerNetwork
 from .checkpoint import DiskCheckpointStore, NodeJournal
 from .codec import (
     KIND_STOP,
@@ -120,7 +116,7 @@ from .codec import (
     encode_envelope,
     encode_value,
 )
-from .runtime import ClusterNode
+from .runtime import ClusterNode, RingRun
 from .transport import (
     DEFAULT_MAILBOX_CAPACITY,
     Mailbox,
@@ -351,6 +347,39 @@ def build_proc_network(
     )
 
 
+def _encode_summary(summary: NodeCore | NodeSummary) -> dict:
+    """A node's summary as control-plane JSON (the worker result message)."""
+    return {
+        "output": encode_facts_hex(summary.state.output),
+        "memory": encode_facts_hex(summary.state.memory),
+        "stats": summary.stats.to_dict(),
+        "token_probes": summary.token_probes,
+        "wal_replayed": summary.wal_replayed,
+        "epochs": summary.epochs_injected,
+        "epoch_outputs": {
+            str(epoch): encode_facts_hex(facts)
+            for epoch, facts in summary.epoch_outputs.items()
+        },
+    }
+
+
+def _decode_summary(message: dict) -> NodeSummary:
+    return NodeSummary(
+        state=NodeState(
+            Instance(decode_facts_hex(message["output"])),
+            Instance(decode_facts_hex(message["memory"])),
+        ),
+        stats=NodeStats(**message["stats"]),
+        token_probes=message["token_probes"],
+        wal_replayed=message["wal_replayed"],
+        epochs_injected=message["epochs"],
+        epoch_outputs={
+            int(epoch): decode_facts_hex(text)
+            for epoch, text in message["epoch_outputs"].items()
+        },
+    )
+
+
 # ----------------------------------------------------------------------
 # Worker side: the data-plane endpoint and the process entry point
 # ----------------------------------------------------------------------
@@ -369,16 +398,10 @@ class ProcessEndpoint:
         host: str,
         *,
         mailbox_capacity: int = DEFAULT_MAILBOX_CAPACITY,
-        dial_timeout: float = 5.0,
-        dial_attempts: int = 8,
-        dial_backoff: float = 0.05,
     ) -> None:
         self._node = node
         self._host = host
         self._mailbox = Mailbox(mailbox_capacity)
-        self._dial_timeout = dial_timeout
-        self._dial_attempts = dial_attempts
-        self._dial_backoff = dial_backoff
         self._server: asyncio.base_events.Server | None = None
         self.port: int | None = None
         self._peer_addrs: dict[str, tuple[str, int]] = {}
@@ -435,13 +458,7 @@ class ProcessEndpoint:
             try:
                 if writer is None:
                     host, port = self._peer_addrs[target]
-                    _, writer = await dial_with_retry(
-                        host,
-                        port,
-                        timeout=self._dial_timeout,
-                        attempts=min(self._dial_attempts, 3),
-                        backoff=self._dial_backoff,
-                    )
+                    _, writer = await dial_with_retry(host, port, attempts=3)
                     self._writers[target] = writer
                 writer.write(_U32.pack(len(frame)) + frame)
                 await writer.drain()
@@ -554,17 +571,12 @@ async def _worker_async(spec: dict) -> None:
     node: str = spec["node"]
     nodes: list[str] = list(spec["nodes"])
     net = build_proc_network(spec["workload"], nodes)
-    ordered = net.network.sorted_nodes()
-    index = ordered.index(node)
     fragment = Instance(set(decode_facts_hex(spec["fragment"])))
 
     endpoint = ProcessEndpoint(
         node,
         spec["host"],
         mailbox_capacity=int(spec.get("mailbox_capacity", DEFAULT_MAILBOX_CAPACITY)),
-        dial_timeout=float(spec.get("dial_timeout", 5.0)),
-        dial_attempts=int(spec.get("dial_attempts", 8)),
-        dial_backoff=float(spec.get("dial_backoff", 0.05)),
     )
     await endpoint.start()
     creader, cwriter = await dial_with_retry(
@@ -582,46 +594,27 @@ async def _worker_async(spec: dict) -> None:
         {name: (host, int(port)) for name, (host, port) in peers_msg["peers"].items()}
     )
 
-    feed_assignment = None
-    if spec.get("feed") and index == 0:
-        # The whole deterministic feed ships in every worker spec; only
-        # the initiator consumes it.  The assignment is a pure function of
-        # the epoch index (per-fact memoized policies), so WAL replay of
-        # an injection after a real SIGKILL regenerates it identically.
-        feed_batches = [decode_facts_hex(text) for text in spec["feed"]]
-        inputs = net.transducer.schema.inputs
-
-        def feed_assignment(epoch: int, _batches=feed_batches, _inputs=inputs):
-            if epoch >= len(_batches):
-                return None
-            delta = Instance(set(_batches[epoch])).restrict(_inputs)
-            fragments = net.policy.distribute(delta)
-            return {
-                name: tuple(sorted(fragments[name])) for name in ordered
-            }
-
     journal = NodeJournal(DiskCheckpointStore(spec["checkpoint_dir"]), node)
     recovered = journal.has_history()
-    replayed = [0]
-    crash_probe = None
-    if spec.get("kill_after"):
-        crash_probe = _make_kill_probe(spec["kill_after"])
-
-    cluster_node = ClusterNode(
-        node=node,
-        network=net,
-        fragment=fragment,
-        endpoint=endpoint,
-        peers=[n for n in ordered if n != node],
-        ring_next=ordered[(index + 1) % len(ordered)],
-        initiator=index == 0,
+    core = NodeCore(
+        net,
+        node,
+        fragment,
         max_probes=int(spec.get("max_probes", 10_000)),
-        journal=journal,
-        crash_probe=crash_probe,
         snapshot_every=int(spec.get("snapshot_every", 1)),
-        replay_sink=lambda entries: replayed.__setitem__(0, entries),
         dedup=True,
-        feed=feed_assignment,
+        # The whole deterministic feed ships in every worker spec; only the
+        # initiator's core consumes it.  It is a fixed list, so WAL replay
+        # of an injection after a real SIGKILL regenerates it identically.
+        feed=[decode_facts_hex(text) for text in spec["feed"]],
+    )
+    cluster_node = ClusterNode(
+        core,
+        endpoint,
+        journal=journal,
+        crash_probe=(
+            _make_kill_probe(spec["kill_after"]) if spec.get("kill_after") else None
+        ),
     )
     control_task = asyncio.ensure_future(
         _control_loop(creader, endpoint, node)
@@ -634,35 +627,20 @@ async def _worker_async(spec: dict) -> None:
             await control_task  # the control stream has one reader at a time
         except (asyncio.CancelledError, Exception):
             pass
-    stats = cluster_node.stats
+    core.stats.buffer_high_water = endpoint.high_water
     _send_msg(
         cwriter,
         {
             "type": "result",
             "node": node,
             "pid": os.getpid(),
-            "output": encode_facts_hex(cluster_node.state.output),
-            "memory": encode_facts_hex(cluster_node.state.memory),
-            "stats": {
-                "transitions": stats.transitions,
-                "heartbeats": stats.heartbeats,
-                "deliveries": stats.deliveries,
-                "sent_facts": stats.sent_facts,
-            },
-            "mailbox_high_water": endpoint.high_water,
-            "token_probes": cluster_node.token_probes,
-            "wal_replayed": replayed[0],
             "recovered": bool(recovered),
-            "snapshot_bytes": journal._store.snapshot_bytes,
+            "snapshot_bytes": journal.snapshot_bytes,
             # This process's evaluation counters: tests assert per-process
             # isolation on them (a worker builds its own network from
             # the recipe, so it starts cold).
             "caches": net.transducer.evaluation_stats(),
-            "epochs": cluster_node._epochs_injected,
-            "epoch_outputs": {
-                str(epoch): encode_facts_hex(facts)
-                for epoch, facts in cluster_node.epoch_outputs.items()
-            },
+            **_encode_summary(core),
         },
     )
     await cwriter.drain()
@@ -804,7 +782,7 @@ class ClusterShutdown(RuntimeError):
     and the control-plane socket is closed (no orphans)."""
 
 
-class ProcessCluster:
+class ProcessCluster(RingRun):
     """A one-shot multi-process execution of a transducer network.
 
     Mirrors :class:`~repro.cluster.runtime.ClusterRun`'s telemetry surface
@@ -850,11 +828,9 @@ class ProcessCluster:
             raise ValueError(f"kill_node {kill_node!r} is not in {nodes}")
         self._workload_spec = dict(workload_spec)
         self._node_names = nodes
-        self._network = build_proc_network(self._workload_spec, nodes)
-        self._instance = instance.restrict(
-            self._network.transducer.schema.inputs
+        super().__init__(
+            build_proc_network(self._workload_spec, nodes), instance, delta_feed
         )
-        self._fragments = self._network.policy.distribute(self._instance)
         self._seed = seed
         self._host = host
         self._run_dir = run_dir
@@ -864,65 +840,16 @@ class ProcessCluster:
         self._snapshot_every = snapshot_every
         self._max_probes = max_probes
         self._mailbox_capacity = mailbox_capacity
-        self._delta_feed = delta_feed
-        self._completed = False
-
-        self._states: dict[str, NodeState] = {}
         self._results: dict[str, dict] = {}
-        self.node_stats: dict[Hashable, NodeStats] = {}
-        self.metrics = RunMetrics()
-        self.token_probes = 0
-        self.in_flight_high_water = 0
-        self.crashes = 0
-        self.recoveries = 0
-        self.wal_replayed = 0
-        self.snapshot_bytes = 0
-        self.epoch_outputs: list[Instance] = []
-        self.epochs = 0
-
-    # -- the ClusterRun-compatible surface ---------------------------------
-
-    @property
-    def network(self) -> TransducerNetwork:
-        return self._network
-
-    @property
-    def instance(self) -> Instance:
-        return self._instance
 
     @property
     def transport_name(self) -> str:
         return "proc"
 
-    def nodes(self) -> list[Hashable]:
-        return self._network.network.sorted_nodes()
-
-    def state(self, node: Hashable) -> NodeState:
-        return self._states[node]
-
-    def local_input(self, node: Hashable) -> Instance:
-        return self._fragments[node]
-
-    def global_output(self) -> Instance:
-        result = Instance()
-        for state in self._states.values():
-            result = result | state.output
-        return result
-
-    def fault_counters(self) -> dict[str, int]:
-        return {}
-
     # -- execution ---------------------------------------------------------
 
-    def run_to_quiescence(self) -> Instance:
-        """Spawn the workers, run to detected quiescence, collect results.
-        Synchronous wrapper over :meth:`arun`."""
-        return asyncio.run(self.arun())
-
     async def arun(self) -> Instance:
-        if self._completed:
-            raise RuntimeError("a ProcessCluster is one-shot; build a new one")
-        self._completed = True
+        self._begin()
         if self._run_dir is not None:
             run_dir = os.fspath(self._run_dir)
             os.makedirs(run_dir, exist_ok=True)
@@ -1011,12 +938,8 @@ class ProcessCluster:
                 "max_probes": self._max_probes,
                 "mailbox_capacity": self._mailbox_capacity,
                 "seed": self._seed,
+                "feed": [encode_facts_hex(facts) for facts in self._feed_batches()],
             }
-            if self._delta_feed is not None:
-                spec["feed"] = [
-                    encode_facts_hex(batch.facts)
-                    for batch in self._delta_feed.batches
-                ]
             if kill and self._kill_after is not None:
                 spec["kill_after"] = self._kill_after
             log_fd = os.open(
@@ -1190,49 +1113,19 @@ class ProcessCluster:
                     write_pids()  # now records zero live workers
                 except OSError:
                     pass
-
-        self._harvest()
-        return self.global_output()
-
-    def _harvest(self) -> None:
-        fanout = max(len(self._node_names) - 1, 0)
-        for node in self.nodes():
-            result = self._results[node]
-            state = NodeState()
-            state.output = Instance(set(decode_facts_hex(result["output"])))
-            state.memory = Instance(set(decode_facts_hex(result["memory"])))
-            self._states[node] = state
-            raw = result["stats"]
-            stats = NodeStats(
-                transitions=raw["transitions"],
-                heartbeats=raw["heartbeats"],
-                deliveries=raw["deliveries"],
-                sent_facts=raw["sent_facts"],
-                buffer_high_water=result.get("mailbox_high_water", 0),
+            # On the error path too: whichever workers delivered a result
+            # show their work; a killed worker shows nothing.
+            self._harvest(
+                {
+                    node: _decode_summary(self._results[node])
+                    for node in ordered
+                    if node in self._results
+                }
             )
-            self.node_stats[node] = stats
-            self.metrics.transitions += stats.transitions
-            self.metrics.heartbeats += stats.heartbeats
-            self.metrics.message_deliveries += stats.deliveries
-            self.metrics.message_facts_sent += stats.sent_facts * fanout
-            if result.get("token_probes"):
-                self.token_probes = result["token_probes"]
-            self.wal_replayed += result.get("wal_replayed", 0)
-            self.snapshot_bytes += result.get("snapshot_bytes", 0)
-        self.metrics.rounds = self.token_probes
-        self.epochs = max(
-            (result.get("epochs", 0) for result in self._results.values()),
-            default=0,
-        )
-        if self._delta_feed is not None:
-            for epoch in range(self.epochs):
-                output = Instance()
-                for result in self._results.values():
-                    text = result.get("epoch_outputs", {}).get(str(epoch))
-                    if text:
-                        output = output | decode_facts_hex(text)
-                self.epoch_outputs.append(output)
-            self.epoch_outputs.append(self.global_output())
+            self.snapshot_bytes = sum(
+                result["snapshot_bytes"] for result in self._results.values()
+            )
+        return self.global_output()
 
     def worker_result(self, node: str) -> dict:
         """The raw control-plane result payload for *node* (tests)."""

@@ -6,9 +6,11 @@ once — an omniscient coordinator, exactly the thing the paper's Section 4
 protocols are designed to live without.  :class:`ClusterRun` executes the
 same network as genuinely concurrent processes:
 
-* every node runs as an independent ``asyncio`` task holding only its own
-  :class:`~repro.transducers.runtime.NodeState`, its input fragment, and
-  one transport :class:`~repro.cluster.transport.Endpoint`;
+* every node runs as an independent ``asyncio`` task: a
+  :class:`ClusterNode` driving one sans-IO
+  :class:`~repro.transducers.node.NodeCore` (state, input fragment, Safra
+  and epoch bookkeeping — every protocol decision) against one transport
+  :class:`~repro.cluster.transport.Endpoint` and, optionally, a journal;
 * all communication is encoded through the wire codec
   (:mod:`repro.cluster.codec`) and moved by a pluggable transport —
   in-process queues by default, loopback TCP behind the same interface;
@@ -17,8 +19,8 @@ same network as genuinely concurrent processes:
   another node's mailbox, and termination is decided purely from envelope
   metadata.
 
-Safra's algorithm, as implemented here
---------------------------------------
+Safra's algorithm, as implemented in the core
+---------------------------------------------
 
 Nodes are arranged in a ring (sorted node order).  Each node keeps a
 message *counter* (data envelopes sent − received) and a *colour* (black
@@ -53,7 +55,7 @@ snapshots its transducer state (a small local database, per the relational
 transducer model) after closures.  An injected crash
 (:exc:`~repro.cluster.faults.NodeCrashed`, from ``FaultPlan.crash_rate``)
 kills the node's task mid-round; the run supervisor then builds a fresh
-:class:`ClusterNode` over the *same* endpoint and journal, which
+core and :class:`ClusterNode` over the *same* endpoint and journal, which
 
 1. reloads the last snapshot (state, Safra counter/colour, sequence
    allocator),
@@ -66,8 +68,8 @@ kills the node's task mid-round; the run supervisor then builds a fresh
    (infrastructure, like a kernel socket buffer), its sends stayed counted,
    so the token can never declare termination over a dead node's facts.
 
-Crash points are cooperative — checked only between a transition's
-journal append and the next, so "dispatch + log" is atomic with respect to
+Crash points are cooperative — the core offers one only between a
+transition's journal append and the next, so "dispatch + log" is atomic with respect to
 injected crashes and the replayed send sequence is always a prefix of the
 deterministic regeneration.  Crashes are suppressed during recovery, and a
 per-run ``max_crashes`` budget bounds the adversary, so every crashed run
@@ -77,11 +79,20 @@ is still a fair run and converges to the same output (Theorems 4.3–4.5).
 from __future__ import annotations
 
 import asyncio
-from collections import deque
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable
 
 from ..datalog.instance import Instance
-from ..datalog.terms import Fact
+from ..transducers.node import (
+    BackOff,
+    CrashPoint,
+    Effects,
+    Log,
+    NodeCore,
+    NodeSummary,
+    SaveSnapshot,
+    Send,
+    Stop,
+)
 from ..transducers.runtime import (
     NodeState,
     NodeStats,
@@ -89,25 +100,7 @@ from ..transducers.runtime import (
     RunMetrics,
     TransducerNetwork,
 )
-from ..transducers.transducer import LocalView
-from .checkpoint import (
-    CheckpointError,
-    CheckpointStore,
-    NodeJournal,
-    NodeSnapshot,
-    group_replay_ops,
-    make_checkpoint_store,
-)
-from .codec import (
-    KIND_DATA,
-    KIND_DELTA,
-    KIND_STOP,
-    KIND_TOKEN,
-    Envelope,
-    TokenState,
-    decode_envelope,
-    encode_envelope,
-)
+from .checkpoint import CheckpointStore, NodeJournal, make_checkpoint_store
 from .faults import FaultLayer, FaultPlan, NodeCrashed
 from .transport import (
     DEFAULT_MAILBOX_CAPACITY,
@@ -115,563 +108,181 @@ from .transport import (
     make_transport,
 )
 
-__all__ = ["ClusterRun", "ClusterNode"]
-
-
-def _wire_sender(node: Hashable) -> Hashable:
-    """A codec-representable stand-in for a node identifier."""
-    if isinstance(node, (str, int, float, bytes, tuple, bool)) or node is None:
-        return node
-    return repr(node)
+__all__ = ["ClusterRun", "ClusterNode", "RingRun"]
 
 
 class ClusterNode:
-    """One node of the cluster: transducer state, a transport endpoint, and
-    the Safra bookkeeping.  Sees nothing of the rest of the world."""
+    """The asyncio driver of one :class:`~repro.transducers.node.NodeCore`:
+    it moves frames between the core and an endpoint and performs the
+    core's effects — and decides nothing.  Without a ``journal`` the log
+    and snapshot effects are dropped; ``crash_probe`` (raises
+    :exc:`~repro.cluster.faults.NodeCrashed`, or delivers a real signal) is
+    consulted at the core's cooperative crash points."""
 
     def __init__(
         self,
-        *,
-        node: Hashable,
-        network: TransducerNetwork,
-        fragment: Instance,
+        core: NodeCore,
         endpoint,
-        peers: list[Hashable],
-        ring_next: Hashable,
-        initiator: bool,
-        max_probes: int,
+        *,
         journal: NodeJournal | None = None,
         crash_probe: Callable[[], None] | None = None,
-        snapshot_every: int = 1,
-        replay_sink: Callable[[int], None] | None = None,
-        dedup: bool = False,
-        feed: Callable[[int], dict | None] | None = None,
     ) -> None:
-        self.node = node
-        self._network = network
-        self._fragment = fragment
+        self.core = core
         self._endpoint = endpoint
-        self._peers = peers  # every other node, sorted (broadcast targets)
-        self._ring_next = ring_next
-        self._initiator = initiator
-        self._max_probes = max_probes
         self._journal = journal
-        self._crash_probe = crash_probe  # raises NodeCrashed when scheduled
-        self._snapshot_every = max(1, snapshot_every)
-        self._replay_sink = replay_sink
-        # At-least-once transports (the process runtime retransmits every
-        # frame a restarted peer might have missed) need receiver-side
-        # dedup by durable (sender, sequence) identity.  The in-process
-        # runtimes deliver exactly once, so this stays off by default and
-        # their wire behaviour is bit-for-bit unchanged.
-        self._dedup = dedup
-        self._seen_frames: set[tuple] = set()
-        # Streaming ingestion: the initiator holds the feed callback (a
-        # pure function epoch -> per-node fragment assignment, or None when
-        # the feed is exhausted — purity is what makes crash replay of an
-        # injection deterministic).  Every node tracks the late input it
-        # accepted and its output trajectory at each epoch boundary.
-        self._feed = feed
-        self._epochs_injected = 0
-        self._extra_input: set[Fact] = set()
-        self.epoch_outputs: dict[int, tuple[Fact, ...]] = {}
-        # The epoch this node currently works in.  Stamped onto outgoing
-        # data envelopes so receivers can close epoch boundaries even when
-        # a peer's post-injection data races ahead of the initiator's
-        # delta envelope on a different connection (transport ordering is
-        # per-pair only).
-        self._epoch = 0
-
-        self.state = NodeState()
-        self.stats = NodeStats()
-        self.counter = 0  # data envelopes sent − received (Safra)
-        self.black = False
-        self.token: TokenState | None = None
-        self.token_probes = 0  # filled at the initiator on success
-        self._probe_started = False
-        self._failed_probes = 0
-        self._sequence = 0
-        self._transitions = 0
+        self._crash_probe = crash_probe
         self._stopped = False
-        self._recovering = False
-        self._replay_sends: deque[tuple[Hashable, int, int]] = deque()
-        self._closures_since_snapshot = 0
 
-    # -- the transducer transition, node-locally --------------------------
-
-    def _view(self, delivered: Instance) -> LocalView:
-        return LocalView(
-            node=self.node,
-            network=self._network.network,
-            schema=self._network.transducer.schema,
-            policy=self._network.policy,
-            local_input=self._fragment,
-            output=self.state.output,
-            memory=self.state.memory,
-            delivered=delivered,
-            db_token=None,  # cluster steps always evaluate (no shared clock)
-        )
-
-    def _transition(self, delivered_facts: Iterable[Fact]) -> tuple[Instance, bool]:
-        """One transducer transition; returns (messages, state_changed).
-
-        The state update is exactly :meth:`repro.transducers.runtime.
-        Run.transition`: output grows monotonically, memory becomes
-        ``(mem ∪ (ins \\ del)) \\ (del \\ ins)``.
-        """
-        delivered_set = Instance(set(delivered_facts))
-        update = self._network.transducer.step(self._view(delivered_set))
-        state = self.state
-        before = state.snapshot()
-        state.output = state.output | update.output
-        ins_only = update.insertions - update.deletions
-        del_only = update.deletions - update.insertions
-        state.memory = (state.memory | ins_only) - del_only
-        changed = state.snapshot() != before
-        self._transitions += 1
-        self.stats.transitions += 1
-        if not delivered_set:
-            self.stats.heartbeats += 1
-        self.stats.sent_facts += len(update.messages)
-        return update.messages, changed
-
-    async def _deliver_and_close(self, delivered_facts: list[Fact]) -> None:
-        """Deliver a batch, then heartbeat to the local fixpoint, sending
-        each transition's messages as it goes.
-
-        Crash decision points live here, after each transition's sends are
-        dispatched *and* journaled — so an injected crash can never split
-        a dispatch from its WAL entry, and recovery's deterministic
-        re-execution always finds the logged sends as a prefix of what it
-        regenerates.
-        """
-        delivered: list[Fact] = delivered_facts
-        while True:
-            messages, changed = self._transition(delivered)
-            if messages:
-                await self._broadcast(messages)
-            self._maybe_crash()
-            if not changed and not messages:
-                break
-            delivered = []
-        self._maybe_snapshot()
-
-    async def _broadcast(self, messages: Instance) -> None:
-        facts = tuple(sorted(messages))
-        for target in self._peers:
-            await self._dispatch(
-                target,
-                Envelope(
-                    kind=KIND_DATA,
-                    sender=_wire_sender(self.node),
-                    round=self._epoch,
-                    sequence=self._next_sequence(),
-                    facts=facts,
-                ),
-            )
-
-    async def _dispatch(self, target: Hashable, envelope: Envelope) -> None:
-        """Send one counted envelope (data or delta) to *target*, honouring
-        the write-ahead contract and recovery's logged-send consumption."""
-        sequence = envelope.sequence
-        target_wire = _wire_sender(target)
-        if self._replay_sends:
-            # Recovery replay: this send already happened before the
-            # crash (it is on the wire); verify the regeneration
-            # matches the log and restore the counter, nothing else.
-            logged_target, logged_sequence, logged_count = (
-                self._replay_sends.popleft()
-            )
-            if (logged_target, logged_sequence) != (target_wire, sequence):
-                raise CheckpointError(
-                    f"replay divergence at node {self.node!r}: "
-                    f"regenerated send ({target_wire!r}, seq {sequence}) "
-                    f"but the WAL recorded ({logged_target!r}, seq "
-                    f"{logged_sequence})"
-                )
-            self.counter += logged_count
-            if self._dedup:
-                # A real process kill cannot prove the logged dispatch
-                # ever left user space (the log records the intent,
-                # the kernel buffer records the truth).  Re-dispatch
-                # the byte-identical regeneration, uncounted: peers
-                # that already accepted it drop the duplicate by its
-                # durable (sender, sequence) identity, and a peer that
-                # never saw it finally gets it.
-                await self._endpoint.send(target, encode_envelope(envelope))
-            return
-        dispatched = await self._endpoint.send(target, encode_envelope(envelope))
-        if self._journal is not None:
-            self._journal.append_send(target_wire, sequence, dispatched)
-        self.counter += dispatched
-
-    def _next_sequence(self) -> int:
-        self._sequence += 1
-        return self._sequence
-
-    # -- streaming ingestion -----------------------------------------------
-
-    def _record_epoch(self, epoch: int) -> None:
-        """Snapshot the output trajectory at an epoch boundary, once.
-        Record-once matters: the *first* frame carrying evidence of a
-        boundary finds the local output exactly at that boundary (global
-        quiescence preceded the injection), while later frames for the
-        same boundary may arrive after post-injection work has landed."""
-        if epoch not in self.epoch_outputs:
-            self.epoch_outputs[epoch] = tuple(sorted(self.state.output))
-
-    def _note_epoch_boundary(self, boundary: int) -> None:
-        """Close every epoch boundary up to *boundary* from the current
-        output.  Called before anything from the triggering drain takes
-        effect: a delta envelope names its boundary directly, and a data
-        frame stamped with sender epoch ``e`` proves boundary ``e - 1``
-        passed — either way, this node's output is still its share of
-        each unrecorded boundary's global output (epochs only advance
-        through global quiescence, so the boundaries collapse together
-        for a node that saw no traffic in between)."""
-        for epoch in range(boundary + 1):
-            self._record_epoch(epoch)
-        self._epoch = max(self._epoch, boundary + 1)
-
-    def _apply_delta(self, facts: Iterable[Fact]) -> None:
-        added = [fact for fact in facts if fact not in self._fragment]
-        if not added:
-            return
-        self._fragment = self._fragment | added
-        self._extra_input.update(added)
-
-    async def _inject_epoch(self) -> bool:
-        """Initiator only: inject the next feed epoch, if any.
-
-        Runs at the success point of a termination probe — a true global
-        synchronisation point (all nodes passive, nothing in flight), so
-        the injected envelopes are the only traffic and every receiver can
-        snapshot its pre-delta output consistently.  Each peer gets one
-        delta envelope (possibly empty — the uniform wake-up is also the
-        uniform epoch marker); they are counted and journaled exactly like
-        data, so the Safra accounting stays truthful and the ring re-arms.
-        """
-        if self._feed is None:
-            return False
-        epoch = self._epochs_injected
-        assignment = self._feed(epoch)
-        if assignment is None:
-            return False
-        if self._journal is not None and not self._recovering:
-            # Write-ahead: the injection decision is durable before any of
-            # its envelopes ship; replay recomputes the assignment from
-            # the (pure) feed and consumes the logged sends.
-            self._journal.append_delta(epoch)
-        self._record_epoch(epoch)
-        for target in self._peers:
-            await self._dispatch(
-                target,
-                Envelope(
-                    kind=KIND_DELTA,
-                    sender=_wire_sender(self.node),
-                    round=epoch,
-                    sequence=self._next_sequence(),
-                    facts=tuple(sorted(assignment.get(target, ()))),
-                ),
-            )
-        self._epochs_injected = epoch + 1
-        self._epoch = epoch + 1
-        self._apply_delta(assignment.get(self.node, ()))
-        await self._deliver_and_close([])
-        return True
-
-    # -- durability ---------------------------------------------------------
-
-    def _maybe_crash(self) -> None:
-        if self._crash_probe is not None and not self._recovering:
-            self._crash_probe()
-
-    def _maybe_snapshot(self) -> None:
-        if self._journal is None or self._recovering:
-            return
-        self._closures_since_snapshot += 1
-        if self._closures_since_snapshot >= self._snapshot_every:
-            self._take_snapshot()
-
-    def _take_snapshot(self) -> None:
-        assert self._journal is not None
-        self._journal.save_snapshot(
-            NodeSnapshot(
-                counter=self.counter,
-                black=self.black,
-                sequence=self._sequence,
-                transitions=self._transitions,
-                probe_started=self._probe_started,
-                wal_position=self._journal.position,
-                stats=(
-                    self.stats.transitions,
-                    self.stats.heartbeats,
-                    self.stats.deliveries,
-                    self.stats.sent_facts,
-                ),
-                output=tuple(sorted(self.state.output)),
-                memory=tuple(sorted(self.state.memory)),
-                extra_input=tuple(sorted(self._extra_input)),
-                epochs=self._epochs_injected,
-                epoch_outputs=tuple(sorted(self.epoch_outputs.items())),
-                current_epoch=self._epoch,
-            )
-        )
-        self._closures_since_snapshot = 0
-
-    async def _recover(self) -> None:
-        """Rebuild pre-crash state: snapshot, then deterministic WAL-suffix
-        replay.  Crashes are suppressed throughout (including the live tail
-        of a closure the crash interrupted), so each recovery makes real
-        progress."""
-        assert self._journal is not None
-        self._recovering = True
+    async def _perform(self, effects: Effects) -> None:
+        answer = None
         try:
-            snapshot = self._journal.load_snapshot()
-            start = 0
-            if snapshot is not None:
-                self.counter = snapshot.counter
-                self.black = snapshot.black
-                self._sequence = snapshot.sequence
-                self._transitions = snapshot.transitions
-                self._probe_started = snapshot.probe_started
-                self.state.output = Instance(set(snapshot.output))
-                self.state.memory = Instance(set(snapshot.memory))
-                (
-                    self.stats.transitions,
-                    self.stats.heartbeats,
-                    self.stats.deliveries,
-                    self.stats.sent_facts,
-                ) = snapshot.stats
-                self._extra_input = set(snapshot.extra_input)
-                self._fragment = self._fragment | snapshot.extra_input
-                self._epochs_injected = snapshot.epochs
-                self.epoch_outputs = {
-                    epoch: facts for epoch, facts in snapshot.epoch_outputs
-                }
-                self._epoch = snapshot.current_epoch
-                start = snapshot.wal_position
-            entries = self._journal.entries()[start:]
-            if self._dedup:
-                # Rebuild accepted-frame identities from the *entire* WAL
-                # (not just the replayed suffix): frames folded into the
-                # snapshot are just as accepted, and a restarted peer will
-                # retransmit them too.
-                for op in group_replay_ops(
-                    self._journal.entries(), decode_data_frame=decode_envelope
-                ):
-                    self._seen_frames.update(op.frame_ids)
-            for op in group_replay_ops(entries, decode_data_frame=decode_envelope):
-                if op.kind == "closure":
-                    if not op.boot:
-                        self.counter -= op.envelopes
-                        self.black = True
-                        self.stats.deliveries += len(op.facts)
-                    if op.epoch_boundary >= 0:
-                        self._note_epoch_boundary(op.epoch_boundary)
-                    self._apply_delta(op.delta_facts)
-                    self._replay_sends = deque(op.sends)
-                    await self._deliver_and_close(list(op.facts))
-                    if self._replay_sends:
-                        raise CheckpointError(
-                            f"replay divergence at node {self.node!r}: "
-                            f"{len(self._replay_sends)} logged sends were "
-                            f"never regenerated"
+            while True:
+                effect = effects.send(answer)
+                answer = None
+                kind = type(effect)
+                if kind is Send:
+                    answer = await self._endpoint.send(effect.target, effect.frame)
+                elif kind is Log:
+                    if self._journal is not None:
+                        self._journal.append(effect.entry)
+                elif kind is SaveSnapshot:
+                    if self._journal is not None:
+                        self._journal.save_snapshot(
+                            self.core.snapshot(self._journal.position)
                         )
-                elif op.kind == "delta":
-                    # Re-run the logged injection: the feed is pure, so the
-                    # assignment regenerates identically; logged sends are
-                    # consumed (and, under dedup, re-dispatched uncounted)
-                    # exactly like a closure's.
-                    self._epochs_injected = op.epoch
-                    self._replay_sends = deque(op.sends)
-                    if not await self._inject_epoch():
-                        raise CheckpointError(
-                            f"replay divergence at node {self.node!r}: the "
-                            f"WAL records injecting epoch {op.epoch} but "
-                            f"the feed has no such epoch"
-                        )
-                    if self._replay_sends:
-                        raise CheckpointError(
-                            f"replay divergence at node {self.node!r}: "
-                            f"{len(self._replay_sends)} logged delta sends "
-                            f"were never regenerated"
-                        )
-                elif op.kind == "token":
-                    self.token = op.token
-                else:  # token-sent: the token left again before the crash
-                    self.token = None
-                    self.black = False
-                    self._probe_started = True
-                    self._sequence = op.sequence
-            if self._replay_sink is not None:
-                self._replay_sink(len(entries))
-        finally:
-            self._recovering = False
-        self._take_snapshot()
-
-    # -- Safra's termination detection ------------------------------------
-
-    async def _send_token(self, token: TokenState) -> None:
-        envelope = Envelope(
-            kind=KIND_TOKEN,
-            sender=_wire_sender(self.node),
-            round=token.probe,
-            sequence=self._next_sequence(),
-            token=token,
-        )
-        await self._endpoint.send(self._ring_next, encode_envelope(envelope))
-        if self._journal is not None:
-            # Log the departure (and the post-send sequence allocator, which
-            # closure replay alone cannot reconstruct): a node that crashes
-            # after forwarding must not resurrect holding the token.
-            self._journal.append_token_sent(token.probe, self._sequence)
-
-    async def _announce_stop(self) -> None:
-        for target in self._peers:
-            envelope = Envelope(
-                kind=KIND_STOP,
-                sender=_wire_sender(self.node),
-                round=self._transitions,
-                sequence=self._next_sequence(),
-            )
-            await self._endpoint.send(target, encode_envelope(envelope))
-
-    async def _token_action_while_passive(self) -> None:
-        """Called only at passive points: mailbox drained, closure done."""
-        if self._initiator and not self._probe_started:
-            self._probe_started = True
-            self.black = False
-            await self._send_token(TokenState(count=0, black=False, probe=1))
-            return
-        if self.token is None:
-            return
-        token, self.token = self.token, None
-        if not self._initiator:
-            forwarded = TokenState(
-                count=token.count + self.counter,
-                black=token.black or self.black,
-                probe=token.probe,
-            )
-            self.black = False
-            await self._send_token(forwarded)
-            return
-        # The probe came home.  Termination iff everything is white and the
-        # global envelope count balances out.
-        if not token.black and not self.black and token.count + self.counter == 0:
-            if await self._inject_epoch():
-                # Global quiescence held, but the feed had another epoch:
-                # the injection re-armed the ring (counted envelopes are in
-                # flight), so circulate a fresh white probe instead of
-                # STOP.  The probe budget resets — each epoch is entitled
-                # to its own detection rounds.
-                self._failed_probes = 0
-                self.black = False
-                await self._send_token(
-                    TokenState(count=0, black=False, probe=token.probe + 1)
-                )
-                return
-            self.token_probes = token.probe
-            await self._announce_stop()
-            self._stopped = True
-            return
-        self._failed_probes += 1
-        if self._failed_probes >= self._max_probes:
-            raise QuiescenceError(
-                f"cluster did not quiesce within {self._max_probes} "
-                f"termination probes (counter={self.counter}, "
-                f"token={token})"
-            )
-        # Give redelivery timers room before burning another circulation.
-        if self._failed_probes > 3:
-            await asyncio.sleep(min(0.001 * (self._failed_probes - 3), 0.02))
-        self.black = False
-        await self._send_token(
-            TokenState(count=0, black=False, probe=token.probe + 1)
-        )
-
-    # -- the task body -----------------------------------------------------
-
-    async def _startup(self) -> None:
-        """First run: journal a boot marker, then the startup heartbeat
-        closure.  Restart: recover from durable state instead."""
-        if self._journal is not None and self._journal.has_history():
-            await self._recover()
-            return
-        if self._journal is not None:
-            self._journal.append_boot()
-        await self._deliver_and_close([])
+                elif kind is CrashPoint:
+                    if self._crash_probe is not None:
+                        self._crash_probe()
+                elif kind is BackOff:
+                    await asyncio.sleep(effect.seconds)
+                elif kind is Stop:
+                    self._stopped = True
+                else:
+                    raise TypeError(f"not an effect: {effect!r}")
+        except StopIteration:
+            pass
 
     async def run(self) -> None:
-        await self._startup()
-        while not self._stopped:
-            await self._token_action_while_passive()
+        """Boot (or, over a journal with history, recover), then alternate
+        the passive-point token action with one drained mailbox batch
+        until the core says stop."""
+        core, journal = self.core, self._journal
+        if journal is not None and journal.has_history():
+            await self._perform(core.recover(journal.load_snapshot(), journal.entries()))
+        else:
+            await self._perform(core.boot())
+        while True:
+            await self._perform(core.passive())
             if self._stopped:
-                break
+                return
             frames = [await self._endpoint.recv()]
-            while True:
-                extra = self._endpoint.recv_nowait()
-                if extra is None:
-                    break
+            while (extra := self._endpoint.recv_nowait()) is not None:
                 frames.append(extra)
-            batch: list[Fact] = []
-            data_frames: list[bytes] = []
-            delta_facts: list[Fact] = []
-            boundary = -1
-            for frame in frames:
-                envelope = decode_envelope(frame)
-                if self._dedup and envelope.kind != KIND_STOP:
-                    # Retransmitted copy of a frame this node already
-                    # accepted (durably, via the WAL): drop it without
-                    # touching the Safra counter or colour — the original
-                    # acceptance already accounted for it.
-                    ident = (envelope.sender, envelope.sequence)
-                    if ident in self._seen_frames:
-                        continue
-                    self._seen_frames.add(ident)
-                if envelope.kind == KIND_STOP:
-                    self._stopped = True
-                elif envelope.kind == KIND_TOKEN:
-                    # Write-ahead: the token is durable before it is held.
-                    if self._journal is not None:
-                        self._journal.append_token(frame)
-                    self.token = envelope.token
-                elif envelope.kind == KIND_DELTA:
-                    # A streamed input extension: counted and journaled
-                    # like data (same batch entry), but the facts grow the
-                    # local input fragment instead of being delivered.
-                    data_frames.append(frame)
-                    delta_facts.extend(envelope.facts)
-                    boundary = max(boundary, envelope.round)
-                else:
-                    data_frames.append(frame)
-                    batch.extend(envelope.facts)
-                    # Data stamped with sender epoch e proves boundary e-1
-                    # passed, even if our delta envelope is still in flight
-                    # on another connection.
-                    boundary = max(boundary, envelope.round - 1)
+            await self._perform(core.frames(frames))
             if self._stopped:
-                # STOP implies global quiescence was detected, so no data
-                # frame can share this drain — nothing is lost by exiting.
-                break
-            if data_frames:
-                # Write-ahead: acceptance is durable before any effect, so
-                # a crash inside the closure can replay the exact batch.
-                if self._journal is not None:
-                    self._journal.append_batch(data_frames)
-                self.counter -= len(data_frames)
-                self.black = True
-                if boundary >= 0:
-                    # Close the boundary first: output so far is still the
-                    # previous epoch's final share (nothing in this drain
-                    # has been delivered yet).
-                    self._note_epoch_boundary(boundary)
-                self._apply_delta(delta_facts)
-                self.stats.deliveries += len(batch)
-                await self._deliver_and_close(batch)
+                return
 
 
-class ClusterRun:
+class RingRun:
+    """What the asyncio and the process cluster runs share: the sharded
+    input, the ``Run``-compatible telemetry surface, and the harvest that
+    folds per-node summaries into it."""
+
+    def __init__(
+        self, network: TransducerNetwork, instance: Instance, delta_feed
+    ) -> None:
+        self._network = network
+        self._instance = instance.restrict(network.transducer.schema.inputs)
+        self._fragments = network.policy.distribute(self._instance)
+        self._delta_feed = delta_feed
+        self._completed = False
+        self._summaries: dict[Hashable, NodeSummary | NodeCore] = {}
+        self.metrics = RunMetrics()
+        self.node_stats: dict[Hashable, NodeStats] = {}
+        self.token_probes = 0
+        self.in_flight_high_water = 0
+        self.crashes = 0
+        self.recoveries = 0
+        self.wal_replayed = 0
+        self.snapshot_bytes = 0
+        # Streaming telemetry (populated by _harvest when a feed ran):
+        # the global output at each epoch boundary, final output last.
+        self.epoch_outputs: list[Instance] = []
+        self.epochs = 0
+
+    @property
+    def network(self) -> TransducerNetwork:
+        return self._network
+
+    @property
+    def instance(self) -> Instance:
+        return self._instance
+
+    def nodes(self) -> list[Hashable]:
+        return self._network.network.sorted_nodes()
+
+    def state(self, node: Hashable) -> NodeState:
+        return self._summaries[node].state
+
+    def local_input(self, node: Hashable) -> Instance:
+        return self._fragments[node]
+
+    def global_output(self) -> Instance:
+        result = Instance()
+        for summary in self._summaries.values():
+            result = result | summary.state.output
+        return result
+
+    def fault_counters(self) -> dict[str, int]:
+        return {}
+
+    def run_to_quiescence(self) -> Instance:
+        """Execute to detected quiescence; returns the global output.
+        Synchronous wrapper over ``arun`` — must not be called from inside
+        a running event loop."""
+        return asyncio.run(self.arun())
+
+    def _begin(self) -> None:
+        if self._completed:
+            raise RuntimeError(
+                f"a {type(self).__name__} is one-shot; build a new one"
+            )
+        self._completed = True
+
+    def _feed_batches(self) -> list:
+        """The feed as the list of batches a core consumes (only the
+        initiator's core looks at it); empty without a feed."""
+        feed = self._delta_feed
+        return [batch.facts for batch in feed.batches] if feed is not None else []
+
+    def _harvest(self, summaries: dict[Hashable, NodeSummary | NodeCore]) -> None:
+        """Fold per-node summaries into Run-compatible telemetry.  Runs
+        only after every node has stopped — on the error path too, over
+        whichever nodes can still show their work — and is reporting, not
+        decision making; no node ever saw any of it."""
+        self._summaries = summaries
+        fanout = max(len(self.nodes()) - 1, 0)
+        for node, summary in summaries.items():
+            stats = self.node_stats[node] = summary.stats
+            self.metrics.transitions += stats.transitions
+            self.metrics.heartbeats += stats.heartbeats
+            self.metrics.message_deliveries += stats.deliveries
+            self.metrics.message_facts_sent += stats.sent_facts * fanout
+            self.wal_replayed += summary.wal_replayed
+            if summary.token_probes:
+                self.token_probes = summary.token_probes
+        self.metrics.rounds = self.token_probes
+        self.epochs = max((s.epochs_injected for s in summaries.values()), default=0)
+        if self._delta_feed is not None:
+            for epoch in range(self.epochs):
+                output = Instance()
+                for summary in summaries.values():
+                    output = output | summary.epoch_outputs.get(epoch, ())
+                self.epoch_outputs.append(output)
+            self.epoch_outputs.append(self.global_output())
+
+
+class ClusterRun(RingRun):
     """A one-shot asynchronous execution of a transducer network.
 
     Mirrors :class:`~repro.transducers.runtime.Run`'s surface where it can
@@ -697,10 +308,7 @@ class ClusterRun:
         snapshot_every: int = 1,
         delta_feed=None,
     ) -> None:
-        self._network = network
-        self._instance = instance.restrict(network.transducer.schema.inputs)
-        self._fragments = network.policy.distribute(self._instance)
-        self._delta_feed = delta_feed
+        super().__init__(network, instance, delta_feed)
         if isinstance(transport, Transport):
             self._transport = transport
         else:
@@ -724,55 +332,16 @@ class ClusterRun:
             make_checkpoint_store(checkpoints) if checkpoints is not None else None
         )
         self._snapshot_every = snapshot_every
-        self._seed = seed
         self._max_probes = max_probes
         self._timeout = timeout
         self._nodes: dict[Hashable, ClusterNode] = {}
         self._endpoints: dict[Hashable, object] = {}
         self._journals: dict[Hashable, NodeJournal] = {}
-        self._completed = False
-        self.metrics = RunMetrics()
-        self.node_stats: dict[Hashable, NodeStats] = {}
-        self.token_probes = 0
-        self.in_flight_high_water = 0
-        self.crashes = 0
-        self.recoveries = 0
-        self.wal_replayed = 0
-        self.snapshot_bytes = 0
-        # Streaming telemetry (populated by _harvest when a feed ran):
-        # the global output at each epoch boundary, final output last.
-        self.epoch_outputs: list[Instance] = []
-        self.epochs = 0
-
-    # -- accessors ---------------------------------------------------------
-
-    @property
-    def network(self) -> TransducerNetwork:
-        return self._network
-
-    @property
-    def instance(self) -> Instance:
-        return self._instance
 
     @property
     def transport_name(self) -> str:
         name = self._transport.name
         return f"{name}+faulty" if self._fault_layer is not None else name
-
-    def nodes(self) -> list[Hashable]:
-        return self._network.network.sorted_nodes()
-
-    def state(self, node: Hashable) -> NodeState:
-        return self._nodes[node].state
-
-    def local_input(self, node: Hashable) -> Instance:
-        return self._fragments[node]
-
-    def global_output(self) -> Instance:
-        result = Instance()
-        for cluster_node in self._nodes.values():
-            result = result | cluster_node.state.output
-        return result
 
     def fault_counters(self) -> dict[str, int]:
         if self._fault_layer is None:
@@ -781,53 +350,26 @@ class ClusterRun:
 
     # -- execution ---------------------------------------------------------
 
-    def run_to_quiescence(self) -> Instance:
-        """Execute the cluster to detected quiescence; returns the global
-        output.  Synchronous wrapper over :meth:`arun` — must not be called
-        from inside a running event loop."""
-        return asyncio.run(self.arun())
-
-    def _feed_assignment(self, epoch: int) -> dict | None:
-        """The per-node fragment assignment of feed epoch *epoch* (None
-        past the end).  Pure in *epoch* — distribution policies are
-        per-fact and memoized, so replaying an epoch after a crash yields
-        the same assignment the pre-crash injection shipped."""
-        batch = self._delta_feed.batch(epoch)
-        if batch is None:
-            return None
-        delta = Instance(batch).restrict(self._network.transducer.schema.inputs)
-        fragments = self._network.policy.distribute(delta)
-        return {node: tuple(sorted(fragments[node])) for node in self.nodes()}
-
-    def _make_node(self, index: int, node: Hashable, ordered: list) -> ClusterNode:
+    def _make_node(self, node: Hashable) -> ClusterNode:
         crash_probe = None
         if self._fault_layer is not None and self._fault_layer.plan.crash_rate > 0.0:
             layer = self._fault_layer
-            crash_probe = lambda layer=layer, node=node: layer.maybe_crash(node)
+            crash_probe = lambda: layer.maybe_crash(node)
         return ClusterNode(
-            node=node,
-            network=self._network,
-            fragment=self._fragments[node],
-            endpoint=self._endpoints[node],
-            peers=[n for n in ordered if n != node],
-            ring_next=ordered[(index + 1) % len(ordered)],
-            initiator=index == 0,
-            max_probes=self._max_probes,
+            NodeCore(
+                self._network,
+                node,
+                self._fragments[node],
+                max_probes=self._max_probes,
+                snapshot_every=self._snapshot_every,
+                feed=self._feed_batches(),
+            ),
+            self._endpoints[node],
             journal=self._journals.get(node),
             crash_probe=crash_probe,
-            snapshot_every=self._snapshot_every,
-            replay_sink=self._note_replay,
-            feed=(
-                self._feed_assignment
-                if index == 0 and self._delta_feed is not None
-                else None
-            ),
         )
 
-    def _note_replay(self, entries: int) -> None:
-        self.wal_replayed += entries
-
-    async def _supervise(self, index: int, node: Hashable, ordered: list) -> None:
+    async def _supervise(self, node: Hashable) -> None:
         """Run one node to completion, restarting it from durable state on
         every injected crash.  The endpoint, mailbox, and journal survive
         (they are infrastructure); only the node's volatile task dies."""
@@ -837,13 +379,13 @@ class ClusterRun:
                 return
             except NodeCrashed:
                 self.crashes += 1
-                self._nodes[node] = self._make_node(index, node, ordered)
+                # What the dead incarnation replayed stays counted.
+                self.wal_replayed += self._nodes[node].core.wal_replayed
+                self._nodes[node] = self._make_node(node)
                 self.recoveries += 1
 
     async def arun(self) -> Instance:
-        if self._completed:
-            raise RuntimeError("a ClusterRun is one-shot; build a new one")
-        self._completed = True
+        self._begin()
         ordered = self.nodes()
         endpoints = await self._transport.open(ordered)
         if self._fault_layer is not None:
@@ -856,12 +398,9 @@ class ClusterRun:
             self._journals = {
                 node: NodeJournal(self._checkpoints, node) for node in ordered
             }
-        for index, node in enumerate(ordered):
-            self._nodes[node] = self._make_node(index, node, ordered)
-        tasks = [
-            asyncio.ensure_future(self._supervise(index, node, ordered))
-            for index, node in enumerate(ordered)
-        ]
+        for node in ordered:
+            self._nodes[node] = self._make_node(node)
+        tasks = [asyncio.ensure_future(self._supervise(node)) for node in ordered]
         try:
             gathered = asyncio.gather(*tasks)
             if self._timeout is not None:
@@ -882,36 +421,14 @@ class ClusterRun:
             if self._fault_layer is not None:
                 await self._fault_layer.drain()
             await self._transport.close()
-        self._harvest()
+            self._harvest_nodes()
         return self.global_output()
 
-    def _harvest(self) -> None:
-        """Fold per-node counters into Run-compatible telemetry.  Runs only
-        after every node task has exited — this is reporting, not decision
-        making; no node ever saw any of it."""
-        fanout = max(len(self._nodes) - 1, 0)
-        for node, cluster_node in self._nodes.items():
-            stats = cluster_node.stats
-            stats.buffer_high_water = self._transport.mailbox_high_water(node)
-            self.node_stats[node] = stats
-            self.metrics.transitions += stats.transitions
-            self.metrics.heartbeats += stats.heartbeats
-            self.metrics.message_deliveries += stats.deliveries
-            self.metrics.message_facts_sent += stats.sent_facts * fanout
-            if cluster_node.token_probes:
-                self.token_probes = cluster_node.token_probes
-        self.metrics.rounds = self.token_probes
-        self.epochs = max(
-            (cluster_node._epochs_injected for cluster_node in self._nodes.values()),
-            default=0,
-        )
-        if self._delta_feed is not None:
-            for epoch in range(self.epochs):
-                output = Instance()
-                for cluster_node in self._nodes.values():
-                    output = output | cluster_node.epoch_outputs.get(epoch, ())
-                self.epoch_outputs.append(output)
-            self.epoch_outputs.append(self.global_output())
+    def _harvest_nodes(self) -> None:
+        cores = {node: driver.core for node, driver in self._nodes.items()}
+        for node, core in cores.items():
+            core.stats.buffer_high_water = self._transport.mailbox_high_water(node)
+        self._harvest(cores)
         if self._fault_layer is not None:
             self.in_flight_high_water = self._fault_layer.held_high_water
         if self._checkpoints is not None:

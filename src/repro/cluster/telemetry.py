@@ -26,9 +26,9 @@ __all__ = ["build_cluster_report"]
 def build_cluster_report(run: ClusterRun, *, quiesced: bool = True) -> RunReport:
     """Assemble the structured report for a finished cluster run.
 
-    A run that did not quiesce never harvested its nodes: what it cannot
-    show (per-node counters; for process workers, their state too) reads
-    as zero rather than failing the report.
+    A run that did not quiesce was still harvested, over the nodes that
+    could show their work; a process worker reaped before it delivered a
+    result shows nothing, and reads as zero rather than failing the report.
     """
     output = run.global_output()
     per_node = []

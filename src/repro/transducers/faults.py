@@ -119,6 +119,34 @@ class FaultPlan:
             base += f" crash={self.crash_rate:g}<={self.max_crashes}"
         return base
 
+    def route(
+        self, rng: random.Random, facts: Iterable[Fact], counters: dict[str, int]
+    ) -> tuple[list[Fact], list[tuple[int, Fact, str]]]:
+        """The per-fact fault draw, shared by the synchronous channel and
+        the cluster endpoint wrapper: ``(now, held)`` where ``now`` are the
+        copies to deliver at once and ``held`` the withheld facts as
+        ``(delay, fact, kind)``, ``delay >= 1`` in the caller's unit
+        (transitions, ticks) and ``kind`` ``"dropped"`` or ``"delayed"``.
+        The sequence of ``rng`` calls is part of the contract: seeded chaos
+        runs are byte-reproducible."""
+        now: list[Fact] = []
+        held: list[tuple[int, Fact, str]] = []
+        for fact in facts:
+            draw = rng.random()
+            if draw < self.drop_rate:
+                held.append((1 + rng.randrange(self.redelivery_delay), fact, "dropped"))
+                counters["dropped"] += 1
+            elif draw < self.drop_rate + self.delay_rate:
+                held.append((1 + rng.randrange(self.max_delay), fact, "delayed"))
+                counters["delayed"] += 1
+            else:
+                copies = 1
+                if rng.random() < self.duplicate_rate:
+                    copies = rng.randint(2, self.max_copies)
+                    counters["duplicated"] += copies - 1
+                now.extend([fact] * copies)
+        return now, held
+
 
 #: The default adversarial mix used by ``repro run --chaos`` and the
 #: chaos-confluence benchmark.
@@ -152,29 +180,12 @@ class FaultyChannel(Channel):
     def transmit(
         self, source: Hashable, target: Hashable, facts: Iterable[Fact], clock: int
     ) -> list[Fact]:
-        plan = self.plan
-        rng = self._rng
-        now: list[Fact] = []
-        for fact in facts:
-            draw = rng.random()
-            if draw < plan.drop_rate:
-                due = clock + 1 + rng.randrange(plan.redelivery_delay)
-                self._hold(target, due, fact, "dropped")
-                self._counters["dropped"] += 1
-            elif draw < plan.drop_rate + plan.delay_rate:
-                due = clock + 1 + rng.randrange(plan.max_delay)
-                self._hold(target, due, fact, "delayed")
-                self._counters["delayed"] += 1
-            else:
-                copies = 1
-                if rng.random() < plan.duplicate_rate:
-                    copies = rng.randint(2, plan.max_copies)
-                    self._counters["duplicated"] += copies - 1
-                now.extend([fact] * copies)
+        now, held = self.plan.route(self._rng, facts, self._counters)
+        if held:
+            self._in_flight.setdefault(target, []).extend(
+                (clock + delay, fact, kind) for delay, fact, kind in held
+            )
         return now
-
-    def _hold(self, target: Hashable, due: int, fact: Fact, kind: str) -> None:
-        self._in_flight.setdefault(target, []).append((due, fact, kind))
 
     def release(self, target: Hashable, clock: int) -> list[Fact]:
         queue = self._in_flight.get(target)

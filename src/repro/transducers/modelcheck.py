@@ -32,8 +32,8 @@ from typing import Hashable, Iterator
 
 from ..datalog.instance import Instance
 from ..datalog.terms import Fact
+from .node import NodeCore, NodeState
 from .runtime import TransducerNetwork
-from .transducer import LocalView
 
 __all__ = ["ConfluenceReport", "explore_runs"]
 
@@ -102,41 +102,31 @@ def _initial_configuration(network: TransducerNetwork) -> _Configuration:
 
 
 def _step(
-    network: TransducerNetwork,
-    fragments: dict,
+    cores: dict[Hashable, NodeCore],
     configuration: _Configuration,
     active: Hashable,
     delivered: frozenset,
 ) -> _Configuration:
-    """One transition under the set-buffer abstraction (pure function)."""
+    """One transition under the set-buffer abstraction: a pure function of
+    the configuration (the node's core is loaded with the configuration's
+    state, stepped, and read back)."""
     states = configuration.state_of()
     state = states[active]
-    view = LocalView(
-        node=active,
-        network=network.network,
-        schema=network.transducer.schema,
-        policy=network.policy,
-        local_input=fragments[active],
-        output=Instance(state.output),
-        memory=Instance(state.memory),
-        delivered=Instance(delivered),
-    )
-    update = network.transducer.step(view)
-    ins_only = update.insertions - update.deletions
-    del_only = update.deletions - update.insertions
-    new_memory = (Instance(state.memory) | ins_only) - del_only
+    core = cores[active]
+    core.state = NodeState(Instance(state.output), Instance(state.memory))
+    messages = core.transition(Instance(delivered)).messages
     new_states = dict(states)
     new_states[active] = _NodeState(
-        output=state.output | update.output.facts,
-        memory=frozenset(new_memory.facts),
+        output=core.state.output.facts,
+        memory=core.state.memory.facts,
         pending=state.pending - delivered,
         delivered=state.delivered | delivered,
     )
-    if update.messages:
+    if messages:
         for node, other in states.items():
             if node == active:
                 continue
-            fresh = update.messages.facts - new_states.get(node, other).delivered
+            fresh = messages.facts - new_states.get(node, other).delivered
             base = new_states.get(node, other)
             new_states[node] = _NodeState(
                 output=base.output,
@@ -180,6 +170,9 @@ def explore_runs(
     fragments = network.policy.distribute(
         instance.restrict(network.transducer.schema.inputs)
     )
+    cores = {
+        node: NodeCore(network, node, fragments[node]) for node in network.network
+    }
     start = _initial_configuration(network)
     seen = {start}
     frontier = [start]
@@ -191,7 +184,7 @@ def explore_runs(
         configuration = frontier.pop()
         successors = []
         for node, delivery in _choices(configuration):
-            following = _step(network, fragments, configuration, node, delivery)
+            following = _step(cores, configuration, node, delivery)
             if following != configuration:
                 successors.append(following)
         if not successors:

@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Hashable, Iterable
 
 from ..datalog.instance import Instance
 from ..datalog.terms import Fact
+from .node import NodeCore, NodeState, NodeStats, QuiescenceError
 from .policy import DistributionPolicy, Network
 from .transducer import LocalView, Transducer
 
@@ -59,10 +60,6 @@ __all__ = [
 ]
 
 
-class QuiescenceError(RuntimeError):
-    """Raised when a run fails to quiesce within its transition budget."""
-
-
 #: Modulus for the incremental database fingerprints (64-bit wraparound).
 _HASH_MOD = 1 << 64
 
@@ -79,17 +76,6 @@ def _section_hash(section: str, facts: Iterable[Fact]) -> int:
     for fact in facts:
         total += hash((section, fact))
     return total % _HASH_MOD
-
-
-@dataclass
-class NodeState:
-    """s(x): the output and memory facts stored at one node."""
-
-    output: Instance = field(default_factory=Instance)
-    memory: Instance = field(default_factory=Instance)
-
-    def snapshot(self) -> tuple[Instance, Instance]:
-        return (self.output, self.memory)
 
 
 @dataclass(frozen=True)
@@ -146,37 +132,7 @@ class RunMetrics:
         self.message_deliveries += record.delivered
 
     def to_dict(self) -> dict:
-        return {
-            "transitions": self.transitions,
-            "heartbeats": self.heartbeats,
-            "message_facts_sent": self.message_facts_sent,
-            "message_deliveries": self.message_deliveries,
-            "rounds": self.rounds,
-            "pre_round_transitions": self.pre_round_transitions,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "plans_compiled": self.plans_compiled,
-        }
-
-
-@dataclass
-class NodeStats:
-    """Per-node counters maintained during a run (telemetry)."""
-
-    transitions: int = 0
-    heartbeats: int = 0
-    deliveries: int = 0
-    sent_facts: int = 0
-    buffer_high_water: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "transitions": self.transitions,
-            "heartbeats": self.heartbeats,
-            "deliveries": self.deliveries,
-            "sent_facts": self.sent_facts,
-            "buffer_high_water": self.buffer_high_water,
-        }
+        return asdict(self)
 
 
 class Channel:
@@ -263,13 +219,16 @@ class Run:
     ) -> None:
         self._network = network
         self._instance = instance.restrict(network.transducer.schema.inputs)
-        self._fragments = network.policy.distribute(self._instance)
+        fragments = network.policy.distribute(self._instance)
         # Sorted node order everywhere a dict's insertion order can leak into
         # scheduling or telemetry: Network is a frozenset, and frozenset
         # iteration order varies with the per-process hash salt.
         ordered_nodes = network.network.sorted_nodes()
-        self._states: dict[Hashable, NodeState] = {
-            node: NodeState() for node in ordered_nodes
+        # One sans-IO core per node holds its state, input fragment and
+        # counters and performs the transition; this class is the driver
+        # that owns the buffers, the channel and the global clock.
+        self._cores: dict[Hashable, NodeCore] = {
+            node: NodeCore(network, node, fragments[node]) for node in ordered_nodes
         }
         self._buffers: dict[Hashable, Counter] = {
             node: Counter() for node in ordered_nodes
@@ -291,15 +250,14 @@ class Run:
             network.policy,
         )
         self._input_hash: dict[Hashable, int] = {
-            node: _section_hash("in", self._fragments[node])
-            for node in ordered_nodes
+            node: _section_hash("in", fragments[node]) for node in ordered_nodes
         }
         self._state_hash: dict[Hashable, int] = {
             node: 0 for node in ordered_nodes
         }
         self.metrics = RunMetrics()
         self.node_stats: dict[Hashable, NodeStats] = {
-            node: NodeStats() for node in ordered_nodes
+            node: core.stats for node, core in self._cores.items()
         }
         self._transition_count = 0
         self.history: list[TransitionRecord] = []
@@ -327,7 +285,7 @@ class Run:
         return self._network.network.sorted_nodes()
 
     def state(self, node: Hashable) -> NodeState:
-        return self._states[node]
+        return self._cores[node].state
 
     def buffer(self, node: Hashable) -> Counter:
         return Counter(self._buffers[node])
@@ -336,13 +294,13 @@ class Run:
         return sum(sum(buffer.values()) for buffer in self._buffers.values())
 
     def local_input(self, node: Hashable) -> Instance:
-        return self._fragments[node]
+        return self._cores[node].fragment
 
     def global_output(self) -> Instance:
         """out(R): the union of all output facts produced so far."""
         result = Instance()
-        for state in self._states.values():
-            result = result | state.output
+        for core in self._cores.values():
+            result = result | core.state.output
         return result
 
     # -- the transition relation -----------------------------------------
@@ -354,18 +312,7 @@ class Run:
         *,
         db_token: Hashable | None = None,
     ) -> LocalView:
-        state = self._states[node]
-        return LocalView(
-            node=node,
-            network=self._network.network,
-            schema=self._network.transducer.schema,
-            policy=self._network.policy,
-            local_input=self._fragments[node],
-            output=state.output,
-            memory=state.memory,
-            delivered=delivered,
-            db_token=db_token,
-        )
+        return self._cores[node].view(delivered, db_token=db_token)
 
     def transition(
         self, node: Hashable, deliver: Iterable[Fact] | str | None = "all"
@@ -401,9 +348,9 @@ class Run:
             self._state_hash[node],
             _section_hash("msg", delivered_set),
         )
-        view = self.view(node, delivered_set, db_token=token)
+        core = self._cores[node]
         stats_before = transducer.evaluation_stats()
-        update = transducer.step(view)
+        step = core.transition(delivered_set, db_token=token)
         stats_after = transducer.evaluation_stats()
         self.metrics.cache_hits += (
             stats_after["cache_hits"] - stats_before["cache_hits"]
@@ -415,22 +362,12 @@ class Run:
             stats_after["plans_compiled"] - stats_before["plans_compiled"]
         )
 
-        state = self._states[node]
-        before = state.snapshot()
-        state.output = state.output | update.output
-        ins_only = update.insertions - update.deletions
-        del_only = update.deletions - update.insertions
-        state.memory = (state.memory | ins_only) - del_only
-
         # Maintain the node's output/memory fingerprint incrementally so
         # the next transition's token costs O(|changes|), not O(|state|).
-        added_output = update.output - before[0]
-        added_memory = ins_only - before[1]
-        removed_memory = Instance(f for f in del_only if f in before[1])
-        if added_output or added_memory or removed_memory:
-            delta = _section_hash("out", added_output)
-            delta += _section_hash("mem", added_memory)
-            delta -= _section_hash("mem", removed_memory)
+        if step.changed:
+            delta = _section_hash("out", step.added_output)
+            delta += _section_hash("mem", step.added_memory)
+            delta -= _section_hash("mem", step.removed_memory)
             self._state_hash[node] = (self._state_hash[node] + delta) % _HASH_MOD
 
         buffer.subtract(chosen)
@@ -439,13 +376,13 @@ class Run:
         self._delivered_ever[node].update(delivered_set)
 
         fanout = 0
-        if update.messages:
+        if step.messages:
             # Canonical (sorted) fact and target orders: buffer insertion and
             # the channel's per-fact randomness must not depend on frozenset
             # iteration order, which is salted per process for str values —
             # this is what makes `repro run --chaos --seed S` byte-reproducible
             # across interpreter invocations.
-            outgoing = sorted(update.messages.facts)
+            outgoing = sorted(step.messages.facts)
             others = [
                 n for n in self._network.network.sorted_nodes() if n != node
             ]
@@ -462,19 +399,14 @@ class Run:
             index=self._transition_count,
             node=node,
             delivered=sum(chosen.values()),
-            sent=len(update.messages),
+            sent=len(step.messages),
             heartbeat=not chosen,
-            state_changed=state.snapshot() != before,
-            new_output=len(state.output) - len(before[0]),
+            state_changed=step.changed,
+            new_output=len(step.added_output),
         )
         self._transition_count += 1
-        self.metrics.record(record, fanout if update.messages else 0)
-        stats = self.node_stats[node]
-        stats.transitions += 1
-        stats.deliveries += record.delivered
-        stats.sent_facts += record.sent
-        if record.heartbeat:
-            stats.heartbeats += 1
+        self.metrics.record(record, fanout)
+        core.stats.deliveries += record.delivered
         self.history.append(record)
         return record
 
@@ -586,10 +518,7 @@ class Run:
             return 0
         self._instance = self._instance | delta
         for node, fragment in self._network.policy.distribute(delta).items():
-            added = fragment - self._fragments[node]
-            if not added:
-                continue
-            self._fragments[node] = self._fragments[node] | added
+            added = self._cores[node].grow_input(fragment)
             self._input_hash[node] = (
                 self._input_hash[node] + _section_hash("in", added)
             ) % _HASH_MOD

@@ -116,9 +116,9 @@ class TestStores:
     def test_wal_append_order_and_position(self, store):
         journal = NodeJournal(store, "n1")
         assert journal.position == 0
-        journal.append_boot()
-        journal.append_send("n2", 1, 2)
-        journal.append_token_sent(1, 4)
+        journal.append(("boot",))
+        journal.append(("send", "n2", 1, 2))
+        journal.append(("token-sent", 1, 4))
         assert journal.position == 3
         assert journal.entries() == [
             ("boot",),
@@ -128,7 +128,7 @@ class TestStores:
 
     def test_per_node_isolation(self, store):
         a, b = NodeJournal(store, "n1"), NodeJournal(store, "n2")
-        a.append_boot()
+        a.append(("boot",))
         assert b.entries() == []
         assert a.has_history() and not b.has_history()
 
@@ -153,8 +153,8 @@ class TestStores:
 def test_disk_store_survives_reopen(tmp_path):
     store = DiskCheckpointStore(tmp_path)
     journal = NodeJournal(store, ("node", 1))
-    journal.append_boot()
-    journal.append_send("n2", 1, 1)
+    journal.append(("boot",))
+    journal.append(("send", "n2", 1, 1))
     journal.save_snapshot(_sample_snapshot())
     # A brand-new store over the same directory sees it all (a new process).
     reopened = NodeJournal(DiskCheckpointStore(tmp_path), ("node", 1))
@@ -169,8 +169,8 @@ def test_disk_store_drops_torn_tail_entry(tmp_path):
     effects never ran, or its send is regenerated and deduplicated)."""
     store = DiskCheckpointStore(tmp_path)
     journal = NodeJournal(store, "n1")
-    journal.append_boot()
-    journal.append_send("n2", 1, 1)
+    journal.append(("boot",))
+    journal.append(("send", "n2", 1, 1))
     wal_file = next(tmp_path.glob("*.wal"))
     wal_file.write_bytes(wal_file.read_bytes()[:-1])  # tear the send entry
     reopened = NodeJournal(DiskCheckpointStore(tmp_path), "n1")
@@ -181,7 +181,7 @@ def test_disk_store_drops_torn_tail_entry(tmp_path):
 def test_disk_store_drops_torn_tail_header(tmp_path):
     store = DiskCheckpointStore(tmp_path)
     journal = NodeJournal(store, "n1")
-    journal.append_boot()
+    journal.append(("boot",))
     wal_file = next(tmp_path.glob("*.wal"))
     wal_file.write_bytes(wal_file.read_bytes() + b"\x07\x00")  # half a header
     assert NodeJournal(DiskCheckpointStore(tmp_path), "n1").entries() == [("boot",)]
@@ -196,7 +196,7 @@ def test_make_checkpoint_store():
 def test_make_checkpoint_store_disk(tmp_path):
     disk = make_checkpoint_store(str(tmp_path / "ckpt"))
     assert isinstance(disk, DiskCheckpointStore)
-    NodeJournal(disk, "n1").append_boot()
+    NodeJournal(disk, "n1").append(("boot",))
     assert (tmp_path / "ckpt").is_dir()
 
 

@@ -11,7 +11,7 @@ from repro.cluster.gate import (
     sync_fingerprint,
     workload_by_key,
 )
-from repro.cluster.runtime import _wire_sender
+from repro.transducers.node import _wire_sender
 from repro.cluster.transport import InMemoryTransport
 from repro.datalog import Fact, Instance, Schema, parse_facts
 from repro.transducers import (

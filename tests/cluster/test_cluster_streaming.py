@@ -21,6 +21,7 @@ from repro.cluster.runtime import ClusterRun
 from repro.core.analyzer import distributed_run, planned_network
 from repro.datalog import Instance, parse_facts, parse_program
 from repro.streaming import DeltaFeed
+from repro.transducers.node import NodeCore, Send
 from repro.transducers.runtime import FairScheduler
 from repro.transducers.telemetry import output_fingerprint
 
@@ -28,6 +29,17 @@ TC_TEXT = "T(x, y) :- E(x, y).\nT(x, z) :- T(x, y), E(y, z)."
 BASE = "E(1, 2). E(2, 3)."
 BATCHES = ["E(3, 4).", "E(4, 1). E(4, 5)."]
 NODES = ("n1", "n2", "n3")
+
+
+def _drive(effects):
+    """Run one core event to exhaustion, every send accepted once."""
+    performed, answer = [], None
+    try:
+        while True:
+            performed.append(effects.send(answer))
+            answer = 1 if isinstance(performed[-1], Send) else None
+    except StopIteration:
+        return performed
 
 
 def _sync_trajectory(seed=0):
@@ -125,53 +137,57 @@ class TestProcessStreaming:
 class TestEpochBoundaryRace:
     """The cross-connection race regression: a receiver that sees a data
     frame stamped with a *newer* epoch must close the older boundary from
-    its pre-delivery output, not wait for the (slower) delta envelope."""
+    its pre-delivery output, not wait for the (slower) delta envelope.
+    Events in, effects out, on a bare core — no run, no endpoint."""
 
-    def _node(self):
+    def _booted(self):
         network = planned_network(parse_program(TC_TEXT), NODES)
-        run = ClusterRun(
-            network,
-            Instance(parse_facts(BASE)),
-            delta_feed=DeltaFeed.from_texts(BATCHES),
+        base = Instance(parse_facts(BASE))
+        core = NodeCore(network, "n2", network.policy.distribute(base)["n2"])
+        _drive(core.boot())
+        return core
+
+    def _frame(self, kind, sender, round, facts=""):
+        return encode_envelope(
+            Envelope(
+                kind=kind, sender=sender, round=round, sequence=1,
+                facts=tuple(parse_facts(facts)),
+            )
         )
-        ordered = list(NODES)
-        run._endpoints = {node: None for node in ordered}
-        return run._make_node(1, "n2", ordered)
 
     def test_data_from_next_epoch_closes_the_boundary(self):
-        node = self._node()
-        node.state.output = Instance(parse_facts("T(1, 2)."))
-        node._note_epoch_boundary(0)  # as if epoch-1 data raced ahead
-        assert node.epoch_outputs[0] == tuple(sorted(parse_facts("T(1, 2).")))
-        assert node._epoch == 1
+        core = self._booted()
+        at_boundary = tuple(sorted(core.state.output))
+        # Epoch-1 data from a fast peer races ahead of the delta envelope.
+        _drive(core.frames([self._frame(KIND_DATA, "n3", 1, "cast_E(7, 8).")]))
+        assert core.epoch_outputs[0] == at_boundary
+        assert core.epoch == 1
+        assert len(core.state.output) > len(at_boundary)
         # The late delta envelope for the same boundary must not
         # overwrite the record with post-epoch state.
-        node.state.output = Instance(parse_facts("T(1, 2). T(3, 4)."))
-        node._record_epoch(0)
-        assert node.epoch_outputs[0] == tuple(sorted(parse_facts("T(1, 2).")))
+        _drive(core.frames([self._frame(KIND_DELTA, "n1", 0)]))
+        assert core.epoch_outputs == {0: at_boundary}
+        assert core.epoch == 1
 
     def test_boundaries_collapse_for_a_quiet_node(self):
-        node = self._node()
-        node.state.output = Instance(parse_facts("T(1, 2)."))
-        node._note_epoch_boundary(2)
-        assert set(node.epoch_outputs) == {0, 1, 2}
-        assert len({node.epoch_outputs[e] for e in (0, 1, 2)}) == 1
-        assert node._epoch == 3
+        core = self._booted()
+        _drive(core.frames([self._frame(KIND_DELTA, "n1", 2)]))
+        assert set(core.epoch_outputs) == {0, 1, 2}
+        assert len({core.epoch_outputs[e] for e in (0, 1, 2)}) == 1
+        assert core.epoch == 3
 
     def test_broadcast_frames_carry_the_sender_epoch(self):
-        frames = []
-
-        class _Endpoint:
-            async def send(self, target, frame):
-                frames.append(frame)
-                return 1
-
-        node = self._node()
-        node._endpoint = _Endpoint()
-        node._epoch = 2
-        asyncio.run(node._broadcast(Instance(parse_facts("T(1, 2)."))))
-        assert frames
-        assert all(decode_envelope(f).round == 2 for f in frames)
+        core = self._booted()
+        effects = _drive(
+            core.frames([self._frame(KIND_DELTA, "n1", 1, "E(5, 6).")])
+        )
+        sent = [
+            decode_envelope(effect.frame)
+            for effect in effects
+            if isinstance(effect, Send)
+        ]
+        assert sent and {envelope.kind for envelope in sent} == {KIND_DATA}
+        assert all(envelope.round == 2 for envelope in sent)
 
 
 class TestReplayBoundary:

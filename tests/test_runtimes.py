@@ -122,6 +122,21 @@ def test_non_quiescence_is_an_observation(runtime):
         observation.result()
 
 
+def test_a_timed_out_cluster_reports_the_work_it_did():
+    """The harvest runs on the error path too: output facts without the
+    transitions that derived them was the report of a run that never
+    harvested (465 facts next to ``transitions == 0``)."""
+    chain = Instance(parse_facts(" ".join(f"E({i}, {i + 1})." for i in range(30))))
+    observation = execute("cluster", program_target(TC), chain, timeout=1e-4)
+    assert observation.quiesced is False
+    assert observation.output and observation.report.metrics["transitions"] > 0
+    per_node = {node.node: node for node in observation.report.per_node}
+    assert sum(node.transitions for node in per_node.values()) == (
+        observation.report.metrics["transitions"]
+    )
+    assert max(node.output_facts for node in per_node.values()) > 0
+
+
 def test_unknown_runtime_names_the_registry():
     with pytest.raises(KeyError, match="known: sync, cluster, processes"):
         execute("threads", program_target(TC), CHAIN)

@@ -5,6 +5,10 @@ Only ``repro.runtimes`` (the registry), ``core/analyzer.py`` (which defines
 construct a runtime.  Everything else in ``src/repro`` goes through
 ``repro.runtimes.execute`` — that is what lets the inside of a node be
 swapped without touching a caller.
+
+Below the seam the same holds one level down: the node core
+(``transducers/node.py``) is the only place that states the transition
+relation, and it stays sans-IO.
 """
 
 import ast
@@ -99,3 +103,73 @@ def test_the_lint_sees_a_planted_call():
 def test_the_allowlists_name_real_files():
     for relative in MAY_CONSTRUCT | MODEL_LEVEL:
         assert (SRC / relative).is_file(), relative
+
+
+# ----------------------------------------------------------------------
+# the node core: pure, and the only copy
+# ----------------------------------------------------------------------
+
+IO_MODULES = {"asyncio", "socket", "os", "time", "threading", "tempfile"}
+CORE = "transducers/node.py"
+
+
+def _imports(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def _modules_where(predicate) -> set[str]:
+    return {
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        if any(predicate(node) for node in ast.walk(ast.parse(path.read_text())))
+    }
+
+
+def _is_memory_update(node: ast.AST) -> bool:
+    """``<x>.insertions - <y>.deletions`` or the reverse: a half of
+    ``(mem ∪ (ins ∖ del)) ∖ (del ∖ ins)``."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub)
+        and isinstance(node.left, ast.Attribute)
+        and isinstance(node.right, ast.Attribute)
+        and {node.left.attr, node.right.attr} == {"insertions", "deletions"}
+    )
+
+
+def _builds_local_view(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "LocalView"
+    )
+
+
+def test_the_node_core_imports_no_io():
+    tree = ast.parse((SRC / CORE).read_text())
+    assert not set(_imports(tree)) & IO_MODULES
+    planted = ast.parse("def f():\n    import os.path\n    from time import sleep\n")
+    assert set(_imports(planted)) == {"os", "time"}
+
+
+def test_the_transition_relation_is_stated_once():
+    assert _modules_where(_is_memory_update) == {CORE}
+    assert _modules_where(_builds_local_view) == {CORE}
+
+
+def test_the_cluster_driver_decides_nothing():
+    """``ClusterNode`` performs effects; Safra counters, colours, tokens and
+    epochs are the core's business."""
+    tree = ast.parse((SRC / "cluster/runtime.py").read_text())
+    (driver,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "ClusterNode"
+    ]
+    touched = {
+        node.attr for node in ast.walk(driver) if isinstance(node, ast.Attribute)
+    }
+    assert not touched & {"counter", "black", "token", "epoch", "epochs_injected"}
