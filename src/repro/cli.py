@@ -85,6 +85,15 @@ Usage (also via ``python -m repro``):
         --corpus, persisted as permanent regression entries (see
         docs/TESTING.md).
 
+    repro gate {cluster,scenarios,optimizer} [--smoke] [--output PATH]
+        Run one registered correctness gate (``repro.gates``): cluster
+        quiescence-equivalence, streaming-scenario trajectories, or the
+        optimizer's paired runs.  Prints one line per record and each
+        headline value against its floor; exits 0 iff every floor holds.
+        ``--smoke`` is the CI size; ``--output`` writes the artifact (the
+        committed ``BENCH_<name>.json`` are full runs) — without it nothing
+        is written.
+
 Program files use the conventional syntax (``O(x) :- E(x, y), not S(y).``);
 fact files are plain facts (``E(1, 2).``).
 """
@@ -99,6 +108,7 @@ from .core.analyzer import analyze, plan_distribution, query_for
 from .datalog.games import solve_game
 from .datalog.instance import Instance
 from .datalog.parser import parse_facts, parse_program
+from .gates import GATES, run_gate
 from .runtimes import node_names
 
 __all__ = ["main", "build_parser"]
@@ -637,6 +647,18 @@ def _cmd_fuzz(args, out) -> int:
     return 0 if report["passed"] else 1
 
 
+def _cmd_gate(args, out) -> int:
+    import json
+
+    artifact = run_gate(args.name, smoke=args.smoke, out=out)
+    if args.output:
+        with open(args.output, "w") as handle:
+            handle.write(json.dumps(artifact, indent=2) + "\n")
+        print(f"wrote {args.output}", file=out)
+    print(f"verdict: {'PASS' if artifact['passed'] else 'FAIL'}", file=out)
+    return 0 if artifact["passed"] else 1
+
+
 def _cmd_solve_game(args, out) -> int:
     instance = _load_facts(args.facts)
     solution = solve_game(instance)
@@ -868,6 +890,16 @@ def build_parser() -> argparse.ArgumentParser:
         "the committed coefficients",
     )
     optimize_cmd.set_defaults(handler=_cmd_optimize)
+
+    gate_cmd = commands.add_parser("gate", help="run a registered correctness gate")
+    gate_cmd.add_argument("name", choices=sorted(GATES))
+    gate_cmd.add_argument(
+        "--smoke", action="store_true", help="CI size (fewer seeds per cell)"
+    )
+    gate_cmd.add_argument(
+        "--output", metavar="PATH", help="write the gate artifact to PATH"
+    )
+    gate_cmd.set_defaults(handler=_cmd_gate)
 
     game_cmd = commands.add_parser("solve-game", help="solve a win-move game")
     game_cmd.add_argument("facts")

@@ -15,7 +15,8 @@ through :func:`repro.core.analyzer.plan_distribution` (so the gate also
 covers the planner's protocol selection, including the barrier fallback
 for non-monotone programs).  :func:`check_workload` runs one workload
 through the full matrix and returns a machine-readable verdict; the
-committed ``BENCH_cluster.json`` is a sweep of these verdicts.
+committed ``BENCH_cluster.json`` is ``repro gate cluster``'s sweep of these
+verdicts (:mod:`repro.gates`).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .transport import TRANSPORT_NAMES
 
 __all__ = [
     "GATE_NETWORK_NODES",
+    "ZOO_INSTANCES",
     "gate_workloads",
     "workload_by_key",
     "sync_fingerprint",
@@ -53,7 +55,7 @@ GATE_NETWORK_NODES = ("n1", "n2", "n3")
 #: Small witness inputs for the zoo programs (edb relations differ per
 #: program).  Chosen to exercise recursion, negation and emptiness without
 #: making the async sweep slow.
-_ZOO_INSTANCES: dict[str, str] = {
+ZOO_INSTANCES: dict[str, str] = {
     "tc": "E(1,2). E(2,3). E(3,1).",
     "neq-pairs": "E(1,1). E(1,2). E(2,3).",
     "non-loop-sources": "E(1,1). E(1,2). E(2,3).",
@@ -83,7 +85,7 @@ def _zoo_workloads() -> list[Section4Protocol]:
                 theorem=f"planner:{entry.monotonicity}",
                 transducer=plan.transducer,
                 query=plan.query,
-                instance=Instance(parse_facts(_ZOO_INSTANCES[entry.name])),
+                instance=Instance(parse_facts(ZOO_INSTANCES[entry.name])),
                 domain_guided=plan.requires_domain_guided,
             )
         )

@@ -219,7 +219,7 @@ class _ScalingWorkload(Section4Protocol):
 
 
 def scaling_workload(*, components: int = 24, size: int = 120) -> Section4Protocol:
-    """The fixed partitionable workload behind ``BENCH_scaling.json``.
+    """The fixed partitionable workload (``scaling-wm-c<components>-s<size>``).
 
     ``components`` disjoint win-move games of ``size`` positions each,
     positions of component ``c`` encoded as ``c * SCALING_BLOCK + p``:
@@ -239,13 +239,13 @@ def scaling_workload(*, components: int = 24, size: int = 120) -> Section4Protoc
     stratified convergence depths.  How much wall clock that buys depends
     on what one Γ costs: under the naive Γ (every rule re-matched against
     the whole index, at least twice per Γ) the central run took ~6.5 s and
-    the committed ``BENCH_scaling.json`` curve reads 3.95× at 4 workers;
-    with Γ one semi-naive pass over interned rows the same run takes
-    ~0.2 s, which was below the spawn + handshake floor of the exec'd
-    workers of the time (~0.27 s; forked workers boot in ~0.04 s), so that
-    curve is historical (see docs/PERFORMANCE.md).  Everything is generated
-    by closed-form arithmetic (no RNG, no builtin ``hash``), so every
-    process rebuilds the identical workload from the key alone.
+    a 1→4-worker sweep read 3.95×; with Γ one semi-naive pass over interned
+    rows the same run takes ~0.2 s, which was below the spawn + handshake
+    floor of the exec'd workers of the time (~0.27 s; forked workers boot
+    in ~0.04 s), so that curve was removed (see docs/PERFORMANCE.md).
+    Everything is generated by closed-form arithmetic (no RNG, no builtin
+    ``hash``), so every process rebuilds the identical workload from the
+    key alone.
     """
     from ..queries import win_move_query
 
@@ -831,7 +831,6 @@ class ProcessCluster(RingRun):
         super().__init__(
             build_proc_network(self._workload_spec, nodes), instance, delta_feed
         )
-        self._seed = seed
         self._host = host
         self._run_dir = run_dir
         self._kill_node = kill_node
@@ -937,7 +936,6 @@ class ProcessCluster(RingRun):
                 "snapshot_every": self._snapshot_every,
                 "max_probes": self._max_probes,
                 "mailbox_capacity": self._mailbox_capacity,
-                "seed": self._seed,
                 "feed": [encode_facts_hex(facts) for facts in self._feed_batches()],
             }
             if kill and self._kill_after is not None:

@@ -2,11 +2,11 @@
 
 The Section-4 protocols have sharply different cost shapes — measured by
 ``benchmarks/bench_protocol_costs.py`` / ``bench_coordination_price.py``
-and committed in ``BENCH_service.json``: broadcast quiesces in ~4 rounds,
-the policy-aware absence protocol slightly later, the domain-guided
-handshake and the All-barrier pay extra message hops (ack / OK / done
-chains) that cost ~3 more rounds regardless of input size.  The model
-captures exactly that structure:
+and committed as the paired runs of ``BENCH_optimizer.json``: broadcast
+quiesces in ~4 rounds, the policy-aware absence protocol slightly later,
+the domain-guided handshake and the All-barrier pay extra message hops
+(ack / OK / done chains) that cost ~3 more rounds regardless of input
+size.  The model captures exactly that structure:
 
 * ``rounds ~ a + b * nodes`` per protocol kind (the handshake depth is a
   property of the protocol, input size only perturbs it);
@@ -210,9 +210,9 @@ def calibration_observations(
 
 #: Committed coefficients from ``fit_cost_model(calibration_observations())``
 #: (node_counts 1-4, edge_counts 4/8/16, seed 0).  Regenerate with
-#: ``repro optimize --calibrate`` or ``scripts/bench_report.py --optimizer``;
+#: ``repro optimize --calibrate``; ``repro gate optimizer`` refits too and
 #: the artifact test pins the *ordering* these induce against the measured
-#: ordering in BENCH_service.json, not the raw values.
+#: ordering in BENCH_optimizer.json, not the raw values.
 DEFAULT_COST_MODEL = CostModel(
     rounds={
         "broadcast": (2.0, 0.6),

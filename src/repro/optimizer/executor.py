@@ -5,7 +5,7 @@ plan and the All-barrier plan over the same input on the same seeded
 scheduler, compare output fingerprints byte-for-byte, and report both
 measured and predicted costs.  This is the primitive behind
 ``repro optimize`` (with facts), the fuzz harness's eighth dimension,
-and ``benchmarks/bench_optimizer.py``.
+and ``repro gate optimizer``.
 """
 
 from __future__ import annotations

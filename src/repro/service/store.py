@@ -19,13 +19,6 @@ and on read** — a row that stops validating is corruption, not data.
 Per-tenant isolation is structural: every read API takes the tenant
 name and scopes the SQL to that tenant's id, so one tenant's run ids
 simply do not resolve for another.
-
-The store doubles as the *DataProvider* for report generation
-(`scripts/bench_report.py --service` and CI query it instead of
-re-running benchmarks): the aggregate methods at the bottom
-(:meth:`RunStore.routing_table`, :meth:`RunStore.coordination_comparison`,
-:meth:`RunStore.tenant_summary`) are plain SQL over the stored runs —
-numbers are never hardcoded downstream.
 """
 
 from __future__ import annotations
@@ -37,7 +30,7 @@ import sqlite3
 import threading
 import time
 import uuid
-from typing import Any, Iterable
+from typing import Any
 
 from ..transducers.telemetry import validate_report_dict
 
@@ -399,8 +392,6 @@ class RunStore:
             "options": json.loads(request["options"]),
         }
 
-    # -- aggregates (the DataProvider surface) -----------------------------
-
     def run_count(self, tenant: str | None = None) -> int:
         with self._lock:
             if tenant is None:
@@ -414,124 +405,3 @@ class RunStore:
                     (tenant_id,),
                 ).fetchone()
             return int(row["n"])
-
-    def tenant_summary(self) -> list[dict[str, Any]]:
-        """Per-tenant run counts and mean latency, newest tenants last."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT t.name AS tenant, COUNT(r.id) AS runs,"
-                " SUM(CASE WHEN r.status='ok' THEN 1 ELSE 0 END) AS ok_runs,"
-                " AVG(r.elapsed_s) AS mean_elapsed_s"
-                " FROM tenants t LEFT JOIN runs r ON r.tenant_id = t.id"
-                " GROUP BY t.id ORDER BY t.created_at"
-            ).fetchall()
-        return [
-            {
-                "tenant": row["tenant"],
-                "runs": int(row["runs"]),
-                "ok_runs": int(row["ok_runs"] or 0),
-                "mean_elapsed_s": row["mean_elapsed_s"],
-            }
-            for row in rows
-        ]
-
-    def routing_table(self) -> list[dict[str, Any]]:
-        """How programs were routed: one row per (fragment, monotonicity,
-        protocol, barrier) combination with counts and mean costs."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT fragment, monotonicity, protocol, requires_barrier,"
-                " forced_barrier, COUNT(*) AS runs, AVG(messages) AS mean_messages,"
-                " AVG(rounds) AS mean_rounds, AVG(elapsed_s) AS mean_elapsed_s"
-                " FROM runs WHERE status='ok'"
-                " GROUP BY fragment, monotonicity, protocol, requires_barrier,"
-                " forced_barrier"
-                " ORDER BY fragment, protocol"
-            ).fetchall()
-        return [
-            {
-                "fragment": row["fragment"],
-                "monotonicity": row["monotonicity"],
-                "protocol": row["protocol"],
-                "requires_barrier": bool(row["requires_barrier"]),
-                "forced_barrier": bool(row["forced_barrier"]),
-                "runs": int(row["runs"]),
-                "mean_messages": row["mean_messages"],
-                "mean_rounds": row["mean_rounds"],
-                "mean_elapsed_s": row["mean_elapsed_s"],
-            }
-            for row in rows
-        ]
-
-    def coordination_comparison(self) -> list[dict[str, Any]]:
-        """The paper's claim as stored data: for every program that ran
-        both coordination-free and barrier-forced, the mean cost of each
-        arm.  Coordination cost is *rounds* and *transitions* — the
-        barrier cannot finish a round before explicit word from every
-        node, which is exactly what the Section-4 protocols avoid; they
-        pay instead in data-plane announcement facts (``mean_messages``,
-        reported for transparency, grows with the active domain).  The
-        bench asserts chosen < barrier on (rounds, transitions) for every
-        coordination-free-routed program."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT program_sha, fragment, monotonicity,"
-                " forced_barrier, protocol, COUNT(*) AS runs,"
-                " AVG(messages) AS mean_messages, AVG(rounds) AS mean_rounds,"
-                " AVG(transitions) AS mean_transitions"
-                " FROM runs WHERE status='ok'"
-                " GROUP BY program_sha, forced_barrier"
-                " HAVING COUNT(*) > 0 ORDER BY program_sha, forced_barrier"
-            ).fetchall()
-        by_sha: dict[str, dict[str, Any]] = {}
-        for row in rows:
-            entry = by_sha.setdefault(
-                row["program_sha"],
-                {
-                    "program_sha": row["program_sha"],
-                    "fragment": row["fragment"],
-                    "monotonicity": row["monotonicity"],
-                },
-            )
-            arm = "barrier" if row["forced_barrier"] else "chosen"
-            entry[arm] = {
-                "protocol": row["protocol"],
-                "runs": int(row["runs"]),
-                "mean_messages": row["mean_messages"],
-                "mean_rounds": row["mean_rounds"],
-                "mean_transitions": row["mean_transitions"],
-            }
-        return [
-            entry
-            for entry in by_sha.values()
-            if "chosen" in entry and "barrier" in entry
-        ]
-
-    def fingerprints(self, tenant: str | None = None) -> list[tuple[str, str]]:
-        """(run_id, output_fingerprint) pairs for verification sweeps."""
-        with self._lock:
-            if tenant is None:
-                rows = self._conn.execute(
-                    "SELECT id, output_fingerprint FROM runs"
-                    " WHERE output_fingerprint IS NOT NULL"
-                ).fetchall()
-            else:
-                tenant_id = self.tenant_id(tenant)
-                if tenant_id is None:
-                    return []
-                rows = self._conn.execute(
-                    "SELECT id, output_fingerprint FROM runs"
-                    " WHERE tenant_id=? AND output_fingerprint IS NOT NULL",
-                    (tenant_id,),
-                ).fetchall()
-        return [(row["id"], row["output_fingerprint"]) for row in rows]
-
-    def all_reports(self) -> Iterable[tuple[str, str, dict[str, Any]]]:
-        """Every stored (run_id, mode, report) — the CI smoke job's
-        validation sweep re-checks each against the schema."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT id, mode, report FROM runs WHERE report IS NOT NULL"
-            ).fetchall()
-        for row in rows:
-            yield row["id"], row["mode"], json.loads(row["report"])

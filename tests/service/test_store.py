@@ -112,40 +112,8 @@ class TestTenantIsolation:
         assert store.get_run("alice", run_a) is not None
         assert store.request_for_run("bob", run_a) is None
 
-    def test_tenant_summary(self):
-        store = RunStore(":memory:")
-        _record(store, "alice")
-        _record(store, "alice", status="failed")
-        summary = {row["tenant"]: row for row in store.tenant_summary()}
-        assert summary["alice"]["runs"] == 2
-        assert summary["alice"]["ok_runs"] == 1
-
 
 class TestAggregates:
-    def test_routing_table_groups_by_protocol(self):
-        store = RunStore(":memory:")
-        _record(store, "alice")
-        _record(store, "bob")
-        _record(store, "alice", forced=True, messages=36)
-        table = {row["protocol"]: row for row in store.routing_table()}
-        assert table["broadcast[t]"]["runs"] == 2
-        assert table["barrier[t]"]["forced_barrier"] is True
-
-    def test_coordination_comparison_pairs_arms(self):
-        store = RunStore(":memory:")
-        _record(store, "alice", messages=6)
-        _record(store, "alice", forced=True, messages=36)
-        rows = store.coordination_comparison()
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["chosen"]["mean_messages"] < row["barrier"]["mean_messages"]
-
-    def test_all_reports_revalidate(self):
-        store = RunStore(":memory:")
-        _record(store, "alice")
-        reports = list(store.all_reports())
-        assert len(reports) == 1
-
     def test_set_verified_round_trips(self):
         store = RunStore(":memory:")
         run_id = _record(store, "alice")

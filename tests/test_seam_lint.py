@@ -173,3 +173,105 @@ def test_the_cluster_driver_decides_nothing():
         node.attr for node in ast.walk(driver) if isinstance(node, ast.Attribute)
     }
     assert not touched & {"counter", "black", "token", "epoch", "epochs_injected"}
+
+
+# ----------------------------------------------------------------------
+# the gate registry: floors, schema and entry point in one module
+# ----------------------------------------------------------------------
+
+REPO = SRC.parents[1]
+REGISTRY = SRC / "gates.py"
+LEGACY_FLOOR_DICTS = {
+    "OPTIMIZER_TARGETS", "SCENARIO_TARGETS", "SCALING_TARGETS", "SERVICE_TARGETS",
+}
+
+
+def _outside_the_registry():
+    for root in (SRC, REPO / "benchmarks", REPO / "scripts"):
+        for path in sorted(root.rglob("*.py")):
+            if path != REGISTRY:
+                yield path.relative_to(REPO).as_posix(), ast.parse(path.read_text())
+
+
+def _strings(tree: ast.AST) -> set[str]:
+    return {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def _names(tree: ast.AST) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def _writes_a_file(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        called = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if called in {"write_text", "write_bytes", "dump"}:
+            return True
+        if called == "open" and any(
+            isinstance(arg, ast.Constant) and str(arg.value)[:1] in {"w", "a", "x"}
+            for arg in [*node.args[1:], *(k.value for k in node.keywords)]
+        ):
+            return True
+    return False
+
+
+def _private_gate_imports(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("gate"):
+            yield from (a.name for a in node.names if a.name.startswith("_"))
+
+
+def test_gate_floors_and_the_artifact_schema_live_only_in_the_registry():
+    from repro.gates import GATES
+
+    owned = {metric for gate in GATES.values() for metric in gate.floors} | {"floor"}
+    offenders = [
+        relative
+        for relative, tree in _outside_the_registry()
+        if _strings(tree) & owned or _names(tree) & LEGACY_FLOOR_DICTS
+    ]
+    assert offenders == [], "a headline is compared with a floor outside repro.gates"
+
+
+def test_no_script_or_benchmark_is_a_gate_entry_point():
+    offenders = []
+    for relative, tree in _outside_the_registry():
+        if relative.startswith("src/"):
+            continue
+        if any("BENCH_" in text for text in _strings(tree)) and _writes_a_file(tree):
+            offenders.append(f"{relative} writes a BENCH_*.json")
+        if "argparse" in set(_imports(tree)) and relative != "scripts/matrix.py":
+            offenders.append(f"{relative} parses its own command line")
+    assert offenders == [], "gates are run by `repro gate <name>` only"
+
+
+def test_nothing_outside_cluster_gate_imports_its_private_names():
+    offenders = [
+        f"{relative}: {name}"
+        for relative, tree in _outside_the_registry()
+        for name in _private_gate_imports(tree)
+    ]
+    assert offenders == []
+
+
+def test_the_gate_lints_see_planted_offenders():
+    planted = ast.parse(
+        "import argparse, json\n"
+        "from repro.cluster.gate import _ZOO_INSTANCES, gate_workloads\n"
+        "OPTIMIZER_TARGETS = {'optimizer_byte_identical': 1.0}\n"
+        "def main():\n"
+        "    ok = 1.0 >= OPTIMIZER_TARGETS['optimizer_byte_identical']\n"
+        "    with open('BENCH_optimizer.json', 'w') as handle:\n"
+        "        json.dump({'floor': 1.0, 'ok': ok}, handle)\n"
+    )
+    assert {"floor", "optimizer_byte_identical", "BENCH_optimizer.json"} <= _strings(planted)
+    assert "OPTIMIZER_TARGETS" in _names(planted)
+    assert _writes_a_file(planted)
+    assert "argparse" in set(_imports(planted))
+    assert list(_private_gate_imports(planted)) == ["_ZOO_INSTANCES"]
+    assert not _writes_a_file(ast.parse("open('BENCH_cluster.json').read()"))
