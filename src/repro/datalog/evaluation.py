@@ -300,9 +300,9 @@ class SemiNaiveEvaluator:
 
     Negated atoms are evaluated against the full current database, which is
     sound exactly because semi-positive programs negate only edb relations,
-    whose content never changes during the fixpoint.  The class is reused by
-    the stratified evaluator, one instance per stratum, where the negated
-    relations are those of lower strata.
+    whose content never changes during the fixpoint.  The stratified
+    evaluator relies on the same fact one stratum at a time, where the
+    negated relations are those of lower strata.
 
     The fixpoint runs on :class:`repro.kernel.KernelEvaluator`, built on the
     first :meth:`run` and kept, so an evaluator reused across inputs

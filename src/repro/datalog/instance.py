@@ -35,12 +35,13 @@ class Instance:
 
     def __init__(self, facts: Iterable[Fact] = ()) -> None:
         if isinstance(facts, Instance):
+            # Validated when that instance was built.
             self._facts: frozenset[Fact] = facts._facts
         else:
             self._facts = frozenset(facts)
-        for fact in self._facts:
-            if not isinstance(fact, Fact):
-                raise TypeError(f"instances contain Facts, got {fact!r}")
+            for fact in self._facts:
+                if not isinstance(fact, Fact):
+                    raise TypeError(f"instances contain Facts, got {fact!r}")
         self._adom: frozenset[Hashable] | None = None
 
     @classmethod

@@ -3,15 +3,16 @@
 A :class:`ColumnarRelation` is a hash-set of int rows plus *lazy*
 per-column inverted indexes: a column index is built the first time some
 generated rule body actually probes that column (the rule's bound
-positions), and from then on is maintained incrementally by :meth:`add`.
+positions), and from then on is maintained incrementally by :meth:`merge`.
 Relations that are only ever scanned — or columns no rule binds — never
 pay for indexing.
 
 Semi-naive evaluation needs nothing more: the engine keeps the *delta* as
 plain per-relation row lists (seeds are scanned, never probed), and the
-full database is updated between iterations, so every already-built column
-index stays delta-aware — recursion touches only new rows on the seed side
-and index maintenance is O(built columns) per new row.
+full database is updated between iterations by one :meth:`merge` per head
+relation, so every already-built column index stays delta-aware —
+recursion touches only new rows on the seed side and index maintenance is
+O(built columns) per new row.
 """
 
 from __future__ import annotations
@@ -32,30 +33,30 @@ class ColumnarRelation:
         self.tuples: set[tuple[int, ...]] = set() if tuples is None else tuples
         self._columns: dict[int, dict[int, list[tuple[int, ...]]]] = {}
 
-    def add(self, row: tuple[int, ...]) -> bool:
-        """Insert a row; returns True when it was new.
+    def merge(self, rows: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        """Insert a set of rows; returns the ones that were new, as a list.
 
-        Only columns that some rule has already probed are maintained;
-        unbuilt columns are materialized on first :meth:`index` call.
+        One set difference and one set union, not a membership test per
+        row.  Only columns that some rule has already probed get the new
+        rows appended; unbuilt columns are materialized on first
+        :meth:`index` call.
         """
-        tuples = self.tuples
-        if row in tuples:
-            return False
-        tuples.add(row)
+        new = rows - self.tuples
+        if not new:
+            return []
+        self.tuples.update(new)  # in place: the set may be adopted by reference
+        fresh = list(new)
         for position, column in self._columns.items():
-            if position < len(row):
-                column.setdefault(row[position], []).append(row)
-        return True
-
-    def add_all(self, rows: Iterable[tuple[int, ...]]) -> None:
-        for row in rows:
-            self.add(row)
+            for row in fresh:
+                if position < len(row):
+                    column.setdefault(row[position], []).append(row)
+        return fresh
 
     def index(self, position: int) -> dict[int, list[tuple[int, ...]]]:
         """The inverted index for *position*: value id -> rows.
 
         Built on first use from the current rows (skipping rows too short
-        for the column), then kept current by :meth:`add`.
+        for the column), then kept current by :meth:`merge`.
         """
         column = self._columns.get(position)
         if column is None:
@@ -101,9 +102,6 @@ class ColumnarDatabase:
             relation = ColumnarRelation(name)
             self._relations[name] = relation
         return relation
-
-    def add(self, name: str, row: tuple[int, ...]) -> bool:
-        return self.relation(name).add(row)
 
     def rows(self) -> dict[str, set[tuple[int, ...]]]:
         """A relation -> row-set view of the non-empty relations."""

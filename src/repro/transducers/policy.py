@@ -121,6 +121,10 @@ class DistributionPolicy:
         self.responsible_memo: dict[tuple, frozenset] | None = (
             None if caching_off else {}
         )
+        #: Memo for the Mdistinct protocol's known-absence sweep, keyed by
+        #: (node, known adom, local input).  It lives here, not at module
+        #: level, so it goes with the policy when a run is finished.
+        self.absence_memo: dict[tuple, tuple] | None = None if caching_off else {}
 
     @property
     def schema(self) -> Schema:

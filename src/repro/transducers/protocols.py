@@ -258,32 +258,27 @@ def _known_absences(state: _ProtocolState) -> Iterator[Fact]:
                 yield candidate
 
 
-#: Cross-transition memo for :func:`_known_absences`.  The absence sweep is
-#: a pure function of (policy, node, known adom, local input); the known
-#: adom stabilizes after a few transitions, so most evaluations replay this
-#: instead of probing the |adom|^arity candidate product again.  The policy
-#: object in the key anchors responsibility (and holds a strong reference,
-#: so its id cannot be recycled while the entry lives).
-_ABSENCE_MEMO: dict[tuple, tuple] = {}
+#: Bound of the policy's cross-transition memo for :func:`_known_absences`.
+#: The absence sweep is a pure function of (policy, node, known adom, local
+#: input); the known adom stabilizes after a few transitions, so most
+#: evaluations replay the memo instead of probing the |adom|^arity
+#: candidate product again.  The memo is ``DistributionPolicy.absence_memo``:
+#: the policy anchors responsibility, and the entries die with it.
 _ABSENCE_MEMO_SIZE = 4096
 
 
 def _known_absences_cached(state: _ProtocolState) -> Iterable[Fact]:
     view = state.view
-    if not _sharing_enabled():
+    memo = getattr(view._policy, "absence_memo", None)
+    if memo is None or not _sharing_enabled():
         return _known_absences(state)
-    key = (
-        view._policy,
-        view._node,
-        view._known_values(),
-        view.local_input.facts,
-    )
-    absences = _ABSENCE_MEMO.get(key)
+    key = (view._node, view._known_values(), view.local_input.facts)
+    absences = memo.get(key)
     if absences is None:
         absences = tuple(_known_absences(state))
-        if len(_ABSENCE_MEMO) >= _ABSENCE_MEMO_SIZE:
-            del _ABSENCE_MEMO[next(iter(_ABSENCE_MEMO))]
-        _ABSENCE_MEMO[key] = absences
+        if len(memo) >= _ABSENCE_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = absences
     return absences
 
 

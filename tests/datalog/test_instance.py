@@ -33,6 +33,17 @@ class TestSetInterface:
     def test_rejects_non_facts(self):
         with pytest.raises(TypeError):
             Instance([(1, 2)])
+        with pytest.raises(TypeError):
+            Instance(frozenset({Fact("E", (1, 2)), (1, 2)}))
+
+    def test_instance_argument_is_not_rechecked(self):
+        # An Instance was validated when it was built: wrapping it again
+        # shares its fact set and does not walk it (an unvalidated
+        # element smuggled in through _wrap is not noticed).
+        base = edges((1, 2))
+        assert Instance(base).facts is base.facts
+        smuggled = Instance._wrap(frozenset({(1, 2)}))
+        assert Instance(smuggled).facts == frozenset({(1, 2)})
 
     def test_from_dict_and_tuples(self):
         inst = Instance.from_dict({"E": [(1, 2)], "V": [(3,)]})

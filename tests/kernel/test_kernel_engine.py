@@ -236,8 +236,7 @@ class TestSurfaceParity:
 class TestLazyColumns:
     def test_columns_build_only_when_probed(self):
         relation = ColumnarRelation("E")
-        for row in [(1, 2), (2, 3), (1, 3)]:
-            relation.add(row)
+        relation.merge({(1, 2), (2, 3), (1, 3)})
         assert relation.indexed_positions() == ()
         index = relation.index(1)
         assert relation.indexed_positions() == (1,)
@@ -245,13 +244,13 @@ class TestLazyColumns:
 
     def test_built_columns_are_maintained_incrementally(self):
         relation = ColumnarRelation("E")
-        relation.add((1, 2))
+        relation.merge({(1, 2)})
         index = relation.index(0)
-        relation.add((1, 5))
-        relation.add((1, 5))  # duplicate: must not double-post
+        relation.merge({(1, 5)})
+        relation.merge({(1, 5), (1, 2)})  # duplicates: must not double-post
         assert sorted(index[1]) == [(1, 2), (1, 5)]
         # Unbuilt column untouched; short rows skip tall columns.
-        relation.add((9,))
+        relation.merge({(9,)})
         assert relation.indexed_positions() == (0,)
         assert sorted(relation.index(1).keys()) == [2, 5]
 
@@ -272,7 +271,7 @@ class TestLazyColumns:
         db = ColumnarDatabase()
         table = evaluator.table
         for fact in Instance(random_graph(10, 30, seed=8)):
-            db.add(fact.relation, table.intern_tuple(fact.values))
+            db.relation(fact.relation).merge({table.intern_tuple(fact.values)})
         for compiled in evaluator._seeded:
             compiled.fire(db, list(db.relation(compiled.seed_relation).tuples), lambda row: None)
         # The T-seeded delta rule probes E on its join column 0; the
@@ -280,3 +279,48 @@ class TestLazyColumns:
         # relation is ever materialized.
         assert db.relation("E").indexed_positions() == (0,)
         assert db.relation("T").indexed_positions() == (1,)
+
+
+class TestMerge:
+    """``ColumnarRelation.merge``: the bulk insert the fixpoint applies
+    once per head relation and iteration."""
+
+    def test_returns_exactly_the_new_rows(self):
+        relation = ColumnarRelation("E", {(1, 2), (2, 3)})
+        new = relation.merge({(2, 3), (3, 4), (4, 5)})
+        assert isinstance(new, list)  # the next delta
+        assert sorted(new) == [(3, 4), (4, 5)]
+        assert relation.tuples == {(1, 2), (2, 3), (3, 4), (4, 5)}
+        assert relation.merge({(1, 2), (4, 5)}) == []
+        assert relation.merge(set()) == []
+
+    def test_adopted_set_grows_in_place(self):
+        rows = {(1, 2)}
+        relation = ColumnarRelation("E", rows)
+        relation.merge({(5, 6)})
+        assert relation.tuples is rows and (5, 6) in rows
+
+    def test_built_indexes_equal_rebuilt_ones(self):
+        rng = random.Random(11)
+        relation = ColumnarRelation("R", {(0, 0, 0)})
+        built = {position: relation.index(position) for position in (0, 2)}
+        for _ in range(6):
+            relation.merge(
+                {
+                    tuple(rng.randrange(5) for _ in range(rng.choice((1, 2, 3))))
+                    for _ in range(10)
+                }
+            )
+        rebuilt = ColumnarRelation("R", set(relation.tuples))
+        for position, column in built.items():
+            # Same keys, same postings, no posting twice; short rows skipped.
+            assert {key: sorted(rows) for key, rows in column.items()} == {
+                key: sorted(rows) for key, rows in rebuilt.index(position).items()
+            }
+
+    def test_unbuilt_columns_stay_unbuilt(self):
+        relation = ColumnarRelation("E")
+        relation.index(1)
+        relation.merge({(1, 2), (3, 4)})
+        assert relation.indexed_positions() == (1,)
+        assert sorted(relation.index(0)) == [1, 3]  # built from the rows on demand
