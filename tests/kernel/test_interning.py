@@ -8,6 +8,9 @@ instance generators can produce, plus full-pipeline equivalence runs
 against the legacy tuple engine.
 """
 
+import dataclasses
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datalog import Fact, Instance
@@ -66,6 +69,23 @@ class TestSymbolTableRoundTrip:
             {name: set(rows) for name, rows in relations.items()}, table
         )
         assert decoded == instance
+
+    def test_decoded_facts_are_indistinguishable_and_frozen(self):
+        """decode_database skips Fact.__init__; what it builds must not show it."""
+        checked = [Fact("E", (1, 2)), Fact("R", ("a", (1, None))), Fact("Z", ())]
+        table = SymbolTable()
+        relations = intern_instance(checked, table)
+        decoded = {fact: fact for fact in decode_database(relations, table)}
+        for fact in checked:
+            built = decoded[fact]
+            assert built == fact and fact == built
+            assert hash(built) == hash(fact)
+            assert repr(built) == repr(fact)
+            assert type(built) is Fact
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                built.relation = "X"
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                built.values = ()
 
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
