@@ -1,7 +1,8 @@
 """Runtime feature flags, read from the environment at *call time*.
 
 One switch remains: ``REPRO_DISABLE_QUERY_CACHE=1`` disables the
-incremental transducer memos (step cache, policy and protocol memos).  The
+transducer memos (the step cache and the policy's ``nodes_for`` memo; a
+node's carried cursor is not a memo and has no switch).  The
 predicate re-reads the environment on each call, so setting or clearing the
 switch mid-process takes effect immediately (subprocess-tested in
 ``tests/test_flags.py``).

@@ -29,21 +29,19 @@ verify this):
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
-
 from ..datalog.schema import Schema
 from ..datalog.terms import Fact
 from ..queries.base import Query
 from .protocols import (
     ACK_PREFIX,
     CAST_PREFIX,
-    GOT_PREFIX,
-    _casts,
+    ProtocolTransducer,
+    _NONE,
     _memory_schema,
     _ProtocolState,
 )
 from .schema import ModelVariant, POLICY_AWARE, TransducerSchema
-from .transducer import LocalView, PythonTransducer
+from .transducer import LocalView, Transducer
 
 __all__ = ["global_barrier_transducer", "barrier_baseline", "DONE"]
 
@@ -67,69 +65,55 @@ def _barrier_schema(query: Query, variant: ModelVariant) -> TransducerSchema:
     )
 
 
-def _barrier_messages(state: _ProtocolState) -> list[Fact]:
-    view = state.view
-    me = view.my_id
-    messages: list[Fact] = list(_casts(view.local_input))
+class _Barrier(_ProtocolState):
+    """Casts, acks of every input fact stored (local facts included, so a
+    node whose facts were replicated to us is released without a resend),
+    and ``done(x, y)`` once y's acks cover x's entire local input.
+    Complete when every other node has declared done to x."""
 
-    # Acknowledge everything stored (local facts included, so a node whose
-    # facts were replicated to us is released without a resend).
-    for fact in state.known_facts:
-        messages.append(Fact(ACK_PREFIX + fact.relation, (me,) + fact.values))
+    def __init__(self, query: Query, view: LocalView) -> None:
+        super().__init__(query, view)
+        self._me = view.my_id
+        others = view.all_nodes - {self._me}
+        self._unreleased = set(others)  # nodes we have not declared done to
+        self._waiting = set(others)  # nodes whose done has not reached us
+        self._acked_by: dict = {}  # node -> the input facts it acknowledged
 
-    # Release every node whose acks cover our entire local input.
-    acked_by: dict[Hashable, set[Fact]] = {}
-    for ack in (
-        f for f in state.memory if f.relation.startswith(GOT_PREFIX + ACK_PREFIX)
-    ):
-        relation = ack.relation[len(GOT_PREFIX) + len(ACK_PREFIX):]
-        acked_by.setdefault(ack.values[0], set()).add(Fact(relation, ack.values[1:]))
-    for other in view.all_nodes:
-        if other == me:
-            continue
-        if all(fact in acked_by.get(other, ()) for fact in view.local_input):
-            messages.append(Fact(DONE, (me, other)))
-    return messages
+    def _received(self, relation: str, values: tuple) -> None:
+        if relation == DONE:
+            if values[1] == self._me:
+                self._waiting.discard(values[0])
+        elif relation.startswith(ACK_PREFIX):
+            acked = Fact(relation[len(ACK_PREFIX):], values[1:])
+            self._acked_by.setdefault(values[0], set()).add(acked)
 
+    def _desired(self, view, new_input, new_known):
+        me = self._me
+        messages = [Fact(ACK_PREFIX + f.relation, (me,) + f.values) for f in new_known]
+        local = view.local_input.facts
+        for other in list(self._unreleased):
+            done = Fact(DONE, (me, other))
+            if done in self._sent:
+                self._unreleased.discard(other)
+            elif local <= self._acked_by.get(other, _NONE):
+                messages.append(done)
+                self._unreleased.discard(other)
+        return messages
 
-def _barrier_complete(state: _ProtocolState) -> bool:
-    view = state.view
-    me = view.my_id
-    released_by = {
-        f.values[0]
-        for f in state.got(DONE)
-        if f.values[1] == me
-    }
-    return all(other in released_by for other in view.all_nodes if other != me)
+    def _complete(self) -> bool:
+        return not self._waiting
 
 
 def global_barrier_transducer(
     query: Query, *, variant: ModelVariant = POLICY_AWARE
-) -> PythonTransducer:
+) -> Transducer:
     """A transducer computing *query* distributedly through a global barrier.
 
     Works for every generic query; requires ``Id`` and ``All``; is provably
     not coordination-free (no heartbeat-only witness exists).
     """
-    schema = _barrier_schema(query, variant)
-
-    def out(view: LocalView) -> Iterable[Fact]:
-        state = _ProtocolState(view, query.input_schema)
-        if _barrier_complete(state):
-            return query(state.known_facts)
-        return ()
-
-    def insert(view: LocalView) -> Iterable[Fact]:
-        state = _ProtocolState(view, query.input_schema)
-        yield from state.store_deliveries()
-        yield from state.sent_markers(state.fresh(_barrier_messages(state)))
-
-    def send(view: LocalView) -> Iterable[Fact]:
-        state = _ProtocolState(view, query.input_schema)
-        return state.fresh(_barrier_messages(state))
-
-    return PythonTransducer(
-        schema, out=out, insert=insert, send=send, name=f"barrier[{query.name}]"
+    return ProtocolTransducer(
+        _barrier_schema(query, variant), query, _Barrier, f"barrier[{query.name}]"
     )
 
 

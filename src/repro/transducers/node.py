@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Generator, Hashable, Iterable, NamedTuple, Seq
 
 from ..datalog.instance import Instance
 from ..datalog.terms import Fact
-from .transducer import LocalView
+from .transducer import Cursor, LocalView
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import TransducerNetwork
@@ -220,6 +220,11 @@ class NodeCore:
         self.fragment = fragment
         self.state = NodeState()
         self.stats = NodeStats()
+        # What the transducer carries from one evaluated transition to the
+        # next.  Never snapshotted: a state loaded from outside (recovery, a
+        # model checker's branch) that does not continue what it saw resets
+        # it, and an empty cursor is the from-scratch evaluation.
+        self.cursor = Cursor()
         self._network = network
         self._peers = [n for n in ordered if n != node]  # broadcast targets
         self._ring_next = ordered[(index + 1) % len(ordered)]
@@ -264,6 +269,7 @@ class NodeCore:
             memory=self.state.memory,
             delivered=delivered,
             db_token=db_token,
+            cursor=self.cursor,
         )
 
     def transition(

@@ -113,18 +113,9 @@ class DistributionPolicy:
         # evaluation.
         from ..flags import query_cache_enabled
 
-        caching_off = not query_cache_enabled()
-        self._memo: dict[Fact, frozenset] | None = None if caching_off else {}
-        #: Memo for LocalView.responsible_values, keyed by (node, known
-        #: adom): ownership probes are a pure function of those plus this
-        #: policy, and the known adom repeats across most transitions.
-        self.responsible_memo: dict[tuple, frozenset] | None = (
-            None if caching_off else {}
+        self._memo: dict[Fact, frozenset] | None = (
+            {} if query_cache_enabled() else None
         )
-        #: Memo for the Mdistinct protocol's known-absence sweep, keyed by
-        #: (node, known adom, local input).  It lives here, not at module
-        #: level, so it goes with the policy when a run is finished.
-        self.absence_memo: dict[tuple, tuple] | None = None if caching_off else {}
 
     @property
     def schema(self) -> Schema:

@@ -3,8 +3,8 @@
 The proofs of Theorems 4.3 and 4.4 are constructive: they build policy-aware
 transducers that distributedly compute any query of the matching
 monotonicity class.  This module implements those constructions (plus the
-plain broadcast strategy for M from [13]) as :class:`PythonTransducer`
-instances over an arbitrary :class:`~repro.queries.base.Query`:
+plain broadcast strategy for M from [13]) as transducers over an arbitrary
+:class:`~repro.queries.base.Query`:
 
 * :func:`broadcast_transducer` (class **M**) — every node broadcasts its
   local input facts and outputs Q over everything it has seen; sound for
@@ -24,6 +24,9 @@ instances over an arbitrary :class:`~repro.queries.base.Query`:
 All three deduplicate their sends through ``sent_*`` memory mirrors, so runs
 quiesce; every delivered message is stored in memory, so re-deliveries are
 idempotent (the property the runtime's quiescence detection relies on).
+Memory therefore only grows, and each node decodes it once: its protocol
+state is carried from transition to transition and advanced by the facts
+added since (:class:`_ProtocolState`).
 
 One detail the paper leaves implicit: in the no-``All`` variants of
 Theorem 4.5 a node's identifier is not known to the other nodes, yet
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Hashable, Iterable, Iterator
+from typing import Iterable
 
 from ..datalog.instance import Instance
 from ..datalog.schema import Schema
@@ -70,6 +73,8 @@ SENT_PREFIX = "sent_"
 ANNOUNCE = "announce"
 REQUEST = "request"
 OK = "ok_value"
+_GOT_CAST = GOT_PREFIX + CAST_PREFIX
+_NONE: frozenset = frozenset()
 
 
 def _message_schema(kind: str, inputs: Schema) -> Schema:
@@ -112,93 +117,112 @@ def _protocol_schema(kind: str, query: Query, variant: ModelVariant) -> Transduc
 
 
 class _ProtocolState:
-    """Decoded view of a protocol node's memory + inputs for one transition."""
+    """One node's decoded protocol state, carried in the node's
+    :class:`~repro.transducers.transducer.Cursor` from one evaluated
+    transition to the next.
 
-    def __init__(self, view: LocalView, inputs: Schema) -> None:
-        self.view = view
-        self.inputs = inputs
-        memory = view.memory
-        self.memory = memory
-        self.known_facts = view.local_input | Instance(
-            Fact(f.relation[len(GOT_PREFIX) + len(CAST_PREFIX):], f.values)
-            for f in memory
-            if f.relation.startswith(GOT_PREFIX + CAST_PREFIX)
-        )
-
-    def got(self, relation: str) -> Instance:
-        prefixed = GOT_PREFIX + relation
-        return Instance(f for f in self.memory if f.relation == prefixed)
-
-    def already_sent(self, message: Fact) -> bool:
-        return Fact(SENT_PREFIX + message.relation, message.values) in self.memory
-
-    def store_deliveries(self) -> Iterator[Fact]:
-        """Qins fragment: persist every delivered message as a got_* fact."""
-        for fact in self.view.delivered:
-            yield Fact(GOT_PREFIX + fact.relation, fact.values)
-
-    def fresh(self, messages: Iterable[Fact]) -> list[Fact]:
-        """Messages not sent before (the Qsnd output)."""
-        return [m for m in messages if not self.already_sent(m)]
-
-    @staticmethod
-    def sent_markers(messages: Iterable[Fact]) -> Iterator[Fact]:
-        for message in messages:
-            yield Fact(SENT_PREFIX + message.relation, message.values)
-
-
-def _casts(local_input: Instance) -> Iterator[Fact]:
-    for fact in local_input:
-        yield Fact(CAST_PREFIX + fact.relation, fact.values)
-
-
-def _sharing_enabled() -> bool:
-    """Per-transition work sharing rides the same kill switch as the step
-    cache, so an uncached benchmark baseline recomputes everything the way
-    the pre-plan engine did."""
-    from ..flags import query_cache_enabled
-
-    return query_cache_enabled()
-
-
-def _shared_state(view: LocalView, inputs: Schema) -> _ProtocolState:
-    """The transition's :class:`_ProtocolState`, decoded at most once.
-
-    All four queries of a transition observe the same immutable view, so
-    the decoded state is stashed in ``view.scratch`` and shared between
-    Qout/Qins/Qsnd instead of being rebuilt by each of them.
+    :meth:`absorb` decodes the facts added since (local input, ``got_*``
+    and ``sent_*`` memory); :meth:`transition` answers the four queries of
+    the next transition from that delta.  The answers stay exact because
+    every transition marks each message it sends (Qins writes ``sent_m``
+    for every m of Qsnd): afterwards ``sent ⊇ desired(D)``, so ``desired(D′)
+    − sent`` lies among the messages the delta newly makes desired and the
+    conditions still pending (an OK or DONE awaiting acks).  A state built
+    from nothing and handed the whole database is the from-scratch
+    computation.  Subclasses add :meth:`_desired`, :meth:`_received` and
+    :meth:`_complete`.
     """
-    if not _sharing_enabled():
-        return _ProtocolState(view, inputs)
-    state = view.scratch.get("protocol_state")
-    if state is None:
-        state = _ProtocolState(view, inputs)
-        view.scratch["protocol_state"] = state
-    return state
+
+    def __init__(self, query: Query, view: LocalView) -> None:
+        self._query = query
+        self._known: set[Fact] = set()  # the input facts seen: local ∪ got_cast_*
+        self._sent: set[Fact] = set()  # the messages marked sent_*
+        self._new_input: list[Fact] = []  # absorbed, not yet reacted to
+        self._new_known: list[Fact] = []
+        self._answer: Instance | None = None  # Q(known), while known is unchanged
+        self._started = False  # has a transition been evaluated?
+
+    def absorb(self, new_input, new_output, new_memory) -> None:
+        self._new_input.extend(new_input)
+        self._learn(new_input)
+        learned = []
+        for fact in new_memory:
+            relation = fact.relation
+            if relation.startswith(SENT_PREFIX):
+                self._sent.add(Fact(relation[len(SENT_PREFIX):], fact.values))
+            elif relation.startswith(_GOT_CAST):
+                learned.append(Fact(relation[len(_GOT_CAST):], fact.values))
+            else:
+                self._received(relation[len(GOT_PREFIX):], fact.values)
+        self._learn(learned)
+
+    def _learn(self, facts: Iterable[Fact]) -> None:
+        new = [fact for fact in facts if fact not in self._known]
+        if new:
+            self._known.update(new)
+            self._new_known.extend(new)
+            self._answer = None
+
+    def transition(self, view: LocalView) -> tuple[Iterable[Fact], list[Fact], list[Fact]]:
+        """(Qout, Qins, Qsnd) of the transition *view* presents."""
+        new_input, self._new_input = self._new_input, []
+        new_known, self._new_known = self._new_known, []
+        desired = [Fact(CAST_PREFIX + fact.relation, fact.values) for fact in new_input]
+        desired += self._desired(view, new_input, new_known)
+        fresh = list({message for message in desired if message not in self._sent})
+        self._started = True
+        insertions = [
+            Fact(GOT_PREFIX + fact.relation, fact.values) for fact in view.delivered
+        ]
+        insertions += (Fact(SENT_PREFIX + m.relation, m.values) for m in fresh)
+        if not self._complete():
+            return (), insertions, fresh
+        if self._answer is None:
+            self._answer = self._query(Instance(self._known))
+        return self._answer, insertions, fresh
+
+    def _desired(
+        self, view: LocalView, new_input: list[Fact], new_known: list[Fact]
+    ) -> list[Fact]:
+        """Messages besides the casts of *new_input* that may be desired now
+        and not before."""
+        return []
+
+    def _received(self, relation: str, values: tuple) -> None:
+        """Decode one stored delivery of a message *relation* other than a cast."""
+
+    def _complete(self) -> bool:
+        """May Qout answer now?"""
+        return True
 
 
-def _desired_once(state: _ProtocolState, key: str, build) -> list[Fact]:
-    """Memoize a desired-message list on the view (Qins and Qsnd both need
-    it; it is a pure function of the view)."""
-    messages = state.view.scratch.get(key)
-    if messages is None:
-        messages = build(state)
-        if _sharing_enabled():
-            state.view.scratch[key] = messages
-    return messages
+class ProtocolTransducer(Transducer):
+    """A Section-4 construction over *query*: per node, one carried
+    *state_type* state answers all four queries of a transition at once."""
 
+    def __init__(
+        self,
+        schema: TransducerSchema,
+        query: Query,
+        state_type: type[_ProtocolState],
+        name: str,
+    ) -> None:
+        super().__init__(schema, name)
+        self._query = query
+        self._state_type = state_type
 
-def _fresh_once(state: _ProtocolState, key: str, build) -> list[Fact]:
-    """The not-yet-sent subset of a desired-message list, computed once per
-    view (Qins emits the sent_* markers for exactly the messages Qsnd sends,
-    so both need the same list)."""
-    fresh_key = key + ":fresh"
-    fresh = state.view.scratch.get(fresh_key)
-    if fresh is None:
-        fresh = state.fresh(_desired_once(state, key, build))
-        if _sharing_enabled():
-            state.view.scratch[fresh_key] = fresh
-    return fresh
+    def queries(self, view: LocalView) -> tuple[Iterable[Fact], ...]:
+        cursor = view.cursor
+        state = cursor.carried(self)
+        if state is None:
+            state = cursor.carry(self, self._state_type(self._query, view))
+        try:
+            output, insertions, messages = state.transition(view)
+        except BaseException:
+            cursor.reset()  # the state may be half advanced
+            raise
+        cursor.expect(insertions)
+        return output, insertions, (), messages
 
 
 # ----------------------------------------------------------------------
@@ -208,32 +232,14 @@ def _fresh_once(state: _ProtocolState, key: str, build) -> list[Fact]:
 
 def broadcast_transducer(
     query: Query, *, variant: ModelVariant = POLICY_AWARE
-) -> PythonTransducer:
+) -> Transducer:
     """The naive strategy for monotone queries: broadcast all local input
     facts; output Q over every fact seen so far, every transition."""
-    schema = _protocol_schema("broadcast", query, variant)
-
-    def desired_messages(state: _ProtocolState) -> list[Fact]:
-        return list(_casts(state.view.local_input))
-
-    def fresh_messages(state: _ProtocolState) -> list[Fact]:
-        return _fresh_once(state, "broadcast_desired", desired_messages)
-
-    def out(view: LocalView) -> Iterable[Fact]:
-        state = _shared_state(view, query.input_schema)
-        return query(state.known_facts)
-
-    def insert(view: LocalView) -> Iterable[Fact]:
-        state = _shared_state(view, query.input_schema)
-        yield from state.store_deliveries()
-        yield from state.sent_markers(fresh_messages(state))
-
-    def send(view: LocalView) -> Iterable[Fact]:
-        state = _shared_state(view, query.input_schema)
-        return fresh_messages(state)
-
-    return PythonTransducer(
-        schema, out=out, insert=insert, send=send, name=f"broadcast[{query.name}]"
+    return ProtocolTransducer(
+        _protocol_schema("broadcast", query, variant),
+        query,
+        _ProtocolState,
+        f"broadcast[{query.name}]",
     )
 
 
@@ -242,72 +248,67 @@ def broadcast_transducer(
 # ----------------------------------------------------------------------
 
 
-def _known_absences(state: _ProtocolState) -> Iterator[Fact]:
-    """Candidate input facts over the known active domain that this node is
-    responsible for and that are absent from its local input — hence absent
-    from the global input (bare relation names, no prefix)."""
-    view = state.view
-    values = sorted(view.known_adom(), key=repr)
-    for relation in state.inputs:
-        arity = state.inputs.arity(relation)
-        for combo in product(values, repeat=arity):
-            candidate = Fact(relation, combo)
-            if candidate in view.local_input:
-                continue
-            if view.is_responsible(candidate):
-                yield candidate
+class _Distinct(_ProtocolState):
+    """Casts, the node's id, and every candidate input fact over MyAdom the
+    node is responsible for and lacks — hence absent from the global input.
+    Complete when every candidate is known present or known absent."""
 
+    def __init__(self, query: Query, view: LocalView) -> None:
+        super().__init__(query, view)
+        self._values: set = set()  # MyAdom values whose candidates are enumerated
+        self._absent: set[Fact] = set()  # got_absent_*, as input facts
+        self._unresolved: set[Fact] = set()  # candidates not known present or absent
 
-#: Bound of the policy's cross-transition memo for :func:`_known_absences`.
-#: The absence sweep is a pure function of (policy, node, known adom, local
-#: input); the known adom stabilizes after a few transitions, so most
-#: evaluations replay the memo instead of probing the |adom|^arity
-#: candidate product again.  The memo is ``DistributionPolicy.absence_memo``:
-#: the policy anchors responsibility, and the entries die with it.
-_ABSENCE_MEMO_SIZE = 4096
+    def _received(self, relation: str, values: tuple) -> None:
+        if relation.startswith(ABSENT_PREFIX):
+            fact = Fact(relation[len(ABSENT_PREFIX):], values)
+            self._absent.add(fact)
+            self._unresolved.discard(fact)
 
+    def _desired(self, view, new_input, new_known):
+        adom = view.known_adom()
+        self._unresolved.difference_update(new_known)
+        messages = []
+        if not self._started:
+            try:
+                messages.append(Fact(ANNOUNCE, (view.my_id,)))
+            except SystemRelationUnavailable:
+                pass  # oblivious variants have no id to announce
+        local = view.local_input
+        for candidate in self._candidates(adom - self._values):
+            if candidate not in local and view.is_responsible(candidate):
+                messages.append(Fact(ABSENT_PREFIX + candidate.relation, candidate.values))
+            elif candidate not in self._known and candidate not in self._absent:
+                self._unresolved.add(candidate)
+        return messages
 
-def _known_absences_cached(state: _ProtocolState) -> Iterable[Fact]:
-    view = state.view
-    memo = getattr(view._policy, "absence_memo", None)
-    if memo is None or not _sharing_enabled():
-        return _known_absences(state)
-    key = (view._node, view._known_values(), view.local_input.facts)
-    absences = memo.get(key)
-    if absences is None:
-        absences = tuple(_known_absences(state))
-        if len(memo) >= _ABSENCE_MEMO_SIZE:
-            del memo[next(iter(memo))]
-        memo[key] = absences
-    return absences
+    def _candidates(self, added: frozenset) -> list[Fact]:
+        """The candidate facts over MyAdom holding a value of *added* (and,
+        the first time, the nullary ones); *added* joins the enumerated
+        values."""
+        old = list(self._values)
+        self._values.update(added)
+        every = list(self._values)
+        new = list(added)
+        inputs = self._query.input_schema
+        candidates = []
+        for relation in inputs:
+            arity = inputs.arity(relation)
+            if arity == 0 and not self._started:
+                candidates.append(Fact(relation, ()))
+            # Partitioned by the first position holding a new value.
+            for first in range(arity if new else 0):
+                columns = [old] * first + [new] + [every] * (arity - first - 1)
+                candidates.extend(Fact(relation, combo) for combo in product(*columns))
+        return candidates
 
-
-def _distinct_complete(state: _ProtocolState) -> bool:
-    """Every candidate fact over MyAdom is known present or known absent."""
-    view = state.view
-    values = sorted(view.known_adom(), key=repr)
-    known = state.known_facts
-    for relation in state.inputs:
-        arity = state.inputs.arity(relation)
-        absent = {
-            f.values
-            for f in state.got(ABSENT_PREFIX + relation)
-        }
-        for combo in product(values, repeat=arity):
-            if Fact(relation, combo) in known:
-                continue
-            if combo in absent:
-                continue
-            candidate = Fact(relation, combo)
-            if view.is_responsible(candidate) and candidate not in view.local_input:
-                continue  # self-derived absence
-            return False
-    return True
+    def _complete(self) -> bool:
+        return not self._unresolved
 
 
 def distinct_protocol_transducer(
     query: Query, *, variant: ModelVariant = POLICY_AWARE
-) -> PythonTransducer:
+) -> Transducer:
     """The Theorem 4.3 construction for domain-distinct-monotone queries.
 
     Requires a policy-aware model (``MyAdom`` + ``policy_R``); raises
@@ -315,38 +316,11 @@ def distinct_protocol_transducer(
     variant, mirroring the fact that the construction does not exist in the
     original model.
     """
-    schema = _protocol_schema("distinct", query, variant)
-
-    def build_desired(state: _ProtocolState) -> list[Fact]:
-        messages = list(_casts(state.view.local_input))
-        try:
-            messages.append(Fact(ANNOUNCE, (state.view.my_id,)))
-        except SystemRelationUnavailable:
-            pass  # oblivious variants have no id to announce
-        for absent in _known_absences_cached(state):
-            messages.append(Fact(ABSENT_PREFIX + absent.relation, absent.values))
-        return messages
-
-    def fresh_messages(state: _ProtocolState) -> list[Fact]:
-        return _fresh_once(state, "distinct_desired", build_desired)
-
-    def out(view: LocalView) -> Iterable[Fact]:
-        state = _shared_state(view, query.input_schema)
-        if _distinct_complete(state):
-            return query(state.known_facts)
-        return ()
-
-    def insert(view: LocalView) -> Iterable[Fact]:
-        state = _shared_state(view, query.input_schema)
-        yield from state.store_deliveries()
-        yield from state.sent_markers(fresh_messages(state))
-
-    def send(view: LocalView) -> Iterable[Fact]:
-        state = _shared_state(view, query.input_schema)
-        return fresh_messages(state)
-
-    return PythonTransducer(
-        schema, out=out, insert=insert, send=send, name=f"distinct[{query.name}]"
+    return ProtocolTransducer(
+        _protocol_schema("distinct", query, variant),
+        query,
+        _Distinct,
+        f"distinct[{query.name}]",
     )
 
 
@@ -355,59 +329,68 @@ def distinct_protocol_transducer(
 # ----------------------------------------------------------------------
 
 
-def _disjoint_messages(state: _ProtocolState) -> list[Fact]:
-    view = state.view
-    me = view.my_id
-    messages: list[Fact] = list(_casts(view.local_input))
-    messages.append(Fact(ANNOUNCE, (me,)))
-    for value in sorted(view.local_input.adom(), key=repr):
-        messages.append(Fact(ANNOUNCE, (value,)))
+class _Disjoint(_ProtocolState):
+    """Casts, value announcements, requests for every known value the node
+    does not own, acks of every input fact it stores, and an OK to each
+    requester of an owned value once the requester has acked every local
+    fact holding it.  Complete when every known value is owned or OK'd."""
 
-    owned = view.responsible_values()
+    def __init__(self, query: Query, view: LocalView) -> None:
+        super().__init__(query, view)
+        self._me = view.my_id
+        self._owned: dict = {}  # MyAdom value -> owned by this node
+        self._oks: set = set()  # values OK'd to this node
+        self._unresolved: set = set()  # known values neither owned nor OK'd
+        self._owed: dict = {}  # value -> the local input facts holding it
+        self._acked: dict = {}  # node -> the input facts it acknowledged
+        self._requests: list[tuple] = []  # stored requests not looked at yet
+        self._pending: set[tuple] = set()  # owned requests whose OK is unsent
 
-    # Requests for known values we do not own.
-    for value in sorted(view.known_adom(), key=repr):
-        if value not in owned:
-            messages.append(Fact(REQUEST, (me, value)))
+    def _received(self, relation: str, values: tuple) -> None:
+        if relation == REQUEST:
+            self._requests.append(values)
+        elif relation == OK:
+            if values[0] == self._me:
+                self._oks.add(values[1])
+                self._unresolved.discard(values[1])
+        elif relation.startswith(ACK_PREFIX):
+            acked = Fact(relation[len(ACK_PREFIX):], values[1:])
+            self._acked.setdefault(values[0], set()).add(acked)
 
-    # Acknowledge every input fact we have stored (local or received).
-    for fact in state.known_facts:
-        messages.append(Fact(ACK_PREFIX + fact.relation, (me,) + fact.values))
+    def _desired(self, view, new_input, new_known):
+        me = self._me
+        adom = view.known_adom()
+        messages = [] if self._started else [Fact(ANNOUNCE, (me,))]
+        for fact in new_input:
+            for value in fact.values:
+                messages.append(Fact(ANNOUNCE, (value,)))
+                self._owed.setdefault(value, set()).add(fact)
+        messages += (Fact(ACK_PREFIX + f.relation, (me,) + f.values) for f in new_known)
+        for value in adom.difference(self._owned):
+            owned = self._owned[value] = view.owns(value)
+            if not owned:
+                messages.append(Fact(REQUEST, (me, value)))
+                if value not in self._oks:
+                    self._unresolved.add(value)
+        # A stored request names a value of MyAdom, so its ownership is known.
+        self._pending.update(pair for pair in self._requests if self._owned[pair[1]])
+        self._requests.clear()
+        for requester, value in list(self._pending):
+            ok = Fact(OK, (requester, value))
+            if ok in self._sent:
+                self._pending.discard((requester, value))
+            elif self._owed.get(value, _NONE) <= self._acked.get(requester, _NONE):
+                messages.append(ok)
+                self._pending.discard((requester, value))
+        return messages
 
-    # Serve requests we own: cast the matching local facts, and emit OK once
-    # the requester has acknowledged every one of them.
-    requests = state.got(REQUEST)
-    acked: dict[Hashable, set[Fact]] = {}
-    for ack in (f for f in state.memory if f.relation.startswith(GOT_PREFIX + ACK_PREFIX)):
-        requester = ack.values[0]
-        relation = ack.relation[len(GOT_PREFIX) + len(ACK_PREFIX):]
-        acked.setdefault(requester, set()).add(Fact(relation, ack.values[1:]))
-    for request in requests:
-        requester, value = request.values
-        if value not in owned:
-            continue
-        owed = [f for f in view.local_input if value in f.values]
-        for fact in owed:
-            messages.append(Fact(CAST_PREFIX + fact.relation, fact.values))
-        if all(f in acked.get(requester, ()) for f in owed):
-            messages.append(Fact(OK, (requester, value)))
-    return messages
-
-
-def _disjoint_complete(state: _ProtocolState) -> bool:
-    """Every known value is owned or has been OK'd to this node."""
-    view = state.view
-    me = view.my_id
-    owned = view.responsible_values()
-    oks = {f.values[1] for f in state.got(OK) if f.values[0] == me}
-    return all(
-        value in owned or value in oks for value in view.known_adom()
-    )
+    def _complete(self) -> bool:
+        return not self._unresolved
 
 
 def disjoint_protocol_transducer(
     query: Query, *, variant: ModelVariant = POLICY_AWARE
-) -> PythonTransducer:
+) -> Transducer:
     """The Theorem 4.4 construction for domain-disjoint-monotone queries.
 
     Correct under *domain-guided* policies only: ownership of a value must
@@ -419,28 +402,11 @@ def disjoint_protocol_transducer(
     arity >= 1.  Nullary input facts themselves need no handshake — a
     domain-guided policy replicates them to every node.
     """
-    schema = _protocol_schema("disjoint", query, variant)
-
-    def fresh_messages(state: _ProtocolState) -> list[Fact]:
-        return _fresh_once(state, "disjoint_desired", _disjoint_messages)
-
-    def out(view: LocalView) -> Iterable[Fact]:
-        state = _shared_state(view, query.input_schema)
-        if _disjoint_complete(state):
-            return query(state.known_facts)
-        return ()
-
-    def insert(view: LocalView) -> Iterable[Fact]:
-        state = _shared_state(view, query.input_schema)
-        yield from state.store_deliveries()
-        yield from state.sent_markers(fresh_messages(state))
-
-    def send(view: LocalView) -> Iterable[Fact]:
-        state = _shared_state(view, query.input_schema)
-        return fresh_messages(state)
-
-    return PythonTransducer(
-        schema, out=out, insert=insert, send=send, name=f"disjoint[{query.name}]"
+    return ProtocolTransducer(
+        _protocol_schema("disjoint", query, variant),
+        query,
+        _Disjoint,
+        f"disjoint[{query.name}]",
     )
 
 
@@ -476,7 +442,7 @@ def local_shard_transducer(
 
 def protocol_for_class(
     query: Query, klass: str, *, variant: ModelVariant = POLICY_AWARE
-) -> PythonTransducer:
+) -> Transducer:
     """Pick the protocol matching a monotonicity class name
     (``"M"`` / ``"Mdistinct"`` / ``"Mdisjoint"``)."""
     if klass == "M":

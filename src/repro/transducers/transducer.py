@@ -15,6 +15,9 @@ The :class:`LocalView` enforces the model variant: reading ``my_id`` without
 the ``Id`` relation, ``all_nodes`` without ``All``, or the policy accessors
 in a policy-blind variant raises :class:`SystemRelationUnavailable` — the
 programmatic analogue of the relation simply not being in the schema.
+
+A view reads through its node's :class:`Cursor`: the state carried from the
+node's previous evaluated transition, advanced by what was added since.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .schema import (
 
 __all__ = [
     "SystemRelationUnavailable",
+    "Cursor",
     "LocalView",
     "Transducer",
     "PythonTransducer",
@@ -50,12 +54,85 @@ class SystemRelationUnavailable(RuntimeError):
     """Raised when a transducer reads a system relation its model lacks."""
 
 
+_NOTHING: frozenset = frozenset()
+
+
+class Cursor:
+    """What one node carries from one evaluated transition to the next.
+
+    A node's input, output and memory only grow between its transitions
+    (the transducers of this package are inflationary), so a cursor
+    remembers the parts it last absorbed and, handed the next database,
+    absorbs only the facts added since: into the known active domain
+    (:attr:`adom`, the persistent part of ``MyAdom``) and into the one
+    per-node state a transducer may keep here (:meth:`carry`).
+
+    The carried state stays exact only while the node's state really
+    continues what the cursor saw — the parts it absorbed, plus the
+    insertions its last evaluation announced with :meth:`expect`.  When
+    the parts it is handed do not contain both (a recovery, a model checker
+    loading another branch into the same node), it starts again from
+    empty, which is the from-scratch computation.  Never persisted.
+    """
+
+    __slots__ = ("_parts", "_expected", "adom", "_owner", "_state")
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget everything: the next database is absorbed whole."""
+        self._parts = (_NOTHING, _NOTHING, _NOTHING)
+        self._expected = _NOTHING
+        self.adom: set = set()
+        self._owner = self._state = None
+
+    def advance(self, local_input: Instance, output: Instance, memory: Instance) -> None:
+        """Absorb the facts of the three parts not absorbed yet."""
+        parts = (local_input.facts, output.facts, memory.facts)
+        added = []
+        for now, before in zip(parts, self._parts):
+            new = _NOTHING if now is before else now - before
+            if len(now) - len(new) != len(before):
+                break  # `before` is not a subset of `now`
+            added.append(new)
+        if len(added) < len(parts) or not self._expected <= parts[2]:
+            self.reset()
+            added = list(parts)
+        self._parts = parts
+        self._expected = _NOTHING
+        adom = self.adom
+        for facts in added:
+            for fact in facts:
+                adom.update(fact.values)
+        if self._state is not None:
+            self._state.absorb(*added)
+
+    def expect(self, insertions: Iterable[Fact]) -> None:
+        """The next database must hold *insertions* in memory: the carried
+        state has counted them as made."""
+        self._expected = frozenset(insertions)
+
+    def carried(self, owner: object):
+        """The state *owner* carries here, or ``None``."""
+        return self._state if self._owner is owner else None
+
+    def carry(self, owner: object, state):
+        """Install *state* for *owner* and let it absorb everything absorbed
+        so far; *state* needs an ``absorb(new_input, new_output,
+        new_memory)`` method taking fact sets."""
+        self._owner, self._state = owner, state
+        state.absorb(*self._parts)
+        return state
+
+
 class LocalView:
     """Everything a node may consult during one transition (the database D).
 
     Built by the runtime; exposes the paper's system relations as lazy
     accessors so Python transducers need not materialize the (potentially
-    large) ``policy_R`` relations.
+    large) ``policy_R`` relations.  ``cursor`` is the node's carried
+    :class:`Cursor`; a view built without one gets an empty one.
     """
 
     def __init__(
@@ -70,6 +147,7 @@ class LocalView:
         memory: Instance,
         delivered: Instance,
         db_token: Hashable | None = None,
+        cursor: Cursor | None = None,
     ) -> None:
         self._node = node
         self._network = network
@@ -80,14 +158,17 @@ class LocalView:
         self._memory = memory
         self._delivered = delivered
         self._known: frozenset | None = None
-        self._responsible: frozenset | None = None
         self._db_token = db_token
-        #: Per-view memo for values derived purely from this view.  The four
-        #: queries of one transition see the same immutable database D, so
-        #: protocol implementations stash shared intermediates here (decoded
-        #: memory, candidate message lists) instead of recomputing them in
-        #: each of Qout/Qins/Qdel/Qsnd.
-        self.scratch: dict[str, object] = {}
+        self._cursor = cursor if cursor is not None else Cursor()
+        self._advanced = False
+
+    @property
+    def cursor(self) -> Cursor:
+        """The node's cursor, advanced to this view's database."""
+        if not self._advanced:
+            self._cursor.advance(self._local_input, self._output, self._memory)
+            self._advanced = True
+        return self._cursor
 
     @property
     def db_token(self) -> Hashable | None:
@@ -162,7 +243,9 @@ class LocalView:
 
     def _known_values(self) -> frozenset:
         if self._known is None:
-            values = set(self.local_facts().adom())
+            values = set(self.cursor.adom)
+            for fact in self._delivered:
+                values.update(fact.values)
             if self._schema.variant.has_all:
                 values |= set(self._network)
             elif self._schema.variant.has_id:
@@ -183,44 +266,26 @@ class LocalView:
             return False
         return self._policy.assigns(fact, self._node)
 
-    def responsible_values(self) -> frozenset:
-        """Values a ∈ MyAdom this node is responsible for under a
-        domain-guided policy.
+    def owns(self, value: Hashable) -> bool:
+        """Is this node responsible for the known value *value* under a
+        domain-guided policy?
 
         Uses the paper's observation (proof of Theorem 4.4): x ∈ alpha(a)
         iff ``policy_R(a, ..., a)`` is shown to x for at least one input
         relation R.
         """
-        if self._responsible is not None:
-            return self._responsible
-        memo = getattr(self._policy, "responsible_memo", None)
-        key = None
-        if memo is not None:
-            # Ownership depends only on (policy, node, known adom); the
-            # policy object anchors the memo so it is shared across
-            # transitions and runs.
-            key = (self._node, self._known_values())
-            cached = memo.get(key)
-            if cached is not None:
-                self._responsible = cached
-                return cached
-        values = set()
-        for value in self._known_values():
-            for relation in self._schema.inputs:
-                arity = self._schema.inputs.arity(relation)
-                if arity == 0:
-                    # A nullary probe fact carries no value, so it says
-                    # nothing about ownership of `value` (Section 7).
-                    continue
-                if self.is_responsible(Fact(relation, (value,) * arity)):
-                    values.add(value)
-                    break
-        self._responsible = frozenset(values)
-        if memo is not None:
-            if len(memo) >= 65_536:
-                del memo[next(iter(memo))]
-            memo[key] = self._responsible
-        return self._responsible
+        inputs = self._schema.inputs
+        for relation in inputs:
+            arity = inputs.arity(relation)
+            # A nullary probe fact carries no value, so it says nothing
+            # about ownership of `value` (Section 7).
+            if arity and self.is_responsible(Fact(relation, (value,) * arity)):
+                return True
+        return False
+
+    def responsible_values(self) -> frozenset:
+        """Values a ∈ MyAdom this node is responsible for (:meth:`owns`)."""
+        return frozenset(value for value in self._known_values() if self.owns(value))
 
     def policy_facts(self, *, limit: int = 200_000) -> Iterator[Fact]:
         """Materialize all ``policy_R`` facts over the known active domain.
@@ -332,20 +397,11 @@ class Transducer(ABC):
         return self._name
 
     @abstractmethod
-    def out_query(self, view: LocalView) -> Iterable[Fact]:
-        """Qout: new output facts (target schema Upsilon_out)."""
-
-    @abstractmethod
-    def insert_query(self, view: LocalView) -> Iterable[Fact]:
-        """Qins: memory insertions (target schema Upsilon_mem)."""
-
-    @abstractmethod
-    def delete_query(self, view: LocalView) -> Iterable[Fact]:
-        """Qdel: memory deletions (target schema Upsilon_mem)."""
-
-    @abstractmethod
-    def send_query(self, view: LocalView) -> Iterable[Fact]:
-        """Qsnd: messages sent to every other node (target Upsilon_msg)."""
+    def queries(self, view: LocalView) -> tuple[Iterable[Fact], ...]:
+        """The four queries on one view, in the order (Qout, Qins, Qdel,
+        Qsnd): new output facts (target Upsilon_out), memory insertions and
+        deletions (Upsilon_mem), and the messages sent to every other node
+        (Upsilon_msg)."""
 
     def step(self, view: LocalView) -> TransducerUpdate:
         """Run all four queries and validate their target schemas.
@@ -371,11 +427,13 @@ class Transducer(ABC):
 
     def _evaluate(self, view: LocalView) -> TransducerUpdate:
         """Actually run the four queries (no caching)."""
+        output, insertions, deletions, messages = self.queries(view)
+        schema = self._schema
         return TransducerUpdate(
-            output=self._checked(self.out_query(view), self._schema.outputs, "Qout"),
-            insertions=self._checked(self.insert_query(view), self._schema.memory, "Qins"),
-            deletions=self._checked(self.delete_query(view), self._schema.memory, "Qdel"),
-            messages=self._checked(self.send_query(view), self._schema.messages, "Qsnd"),
+            output=self._checked(output, schema.outputs, "Qout"),
+            insertions=self._checked(insertions, schema.memory, "Qins"),
+            deletions=self._checked(deletions, schema.memory, "Qdel"),
+            messages=self._checked(messages, schema.messages, "Qsnd"),
         )
 
     def evaluation_stats(self) -> dict[str, int]:
@@ -435,17 +493,13 @@ class PythonTransducer(Transducer):
         self._delete = delete or nothing
         self._send = send or nothing
 
-    def out_query(self, view: LocalView) -> Iterable[Fact]:
-        return self._out(view)
-
-    def insert_query(self, view: LocalView) -> Iterable[Fact]:
-        return self._insert(view)
-
-    def delete_query(self, view: LocalView) -> Iterable[Fact]:
-        return self._delete(view)
-
-    def send_query(self, view: LocalView) -> Iterable[Fact]:
-        return self._send(view)
+    def queries(self, view: LocalView) -> tuple[Iterable[Fact], ...]:
+        return (
+            self._out(view),
+            self._insert(view),
+            self._delete(view),
+            self._send(view),
+        )
 
 
 class DatalogTransducer(Transducer):
@@ -467,38 +521,26 @@ class DatalogTransducer(Transducer):
         name: str = "datalog-transducer",
     ) -> None:
         super().__init__(schema, name)
-        self._programs = {
-            "out": out,
-            "insert": insert,
-            "delete": delete,
-            "send": send,
-        }
-        self._evaluators = {
-            key: StratifiedEvaluator(program) if program is not None else None
-            for key, program in self._programs.items()
-        }
+        self._evaluators = tuple(
+            StratifiedEvaluator(program) if program is not None else None
+            for program in (out, insert, delete, send)
+        )
 
-    def _run(self, key: str, view: LocalView) -> Iterable[Fact]:
-        evaluator = self._evaluators[key]
-        if evaluator is None:
-            return ()
-        return evaluator.output(view.database())
+    def queries(self, view: LocalView) -> tuple[Iterable[Fact], ...]:
+        database = None  # materialized once, and only if some query runs
+        results: list[Iterable[Fact]] = []
+        for evaluator in self._evaluators:
+            if evaluator is None:
+                results.append(())
+                continue
+            if database is None:
+                database = view.database()
+            results.append(evaluator.output(database))
+        return tuple(results)
 
     def plans_compiled(self) -> int:
         return sum(
             evaluator.plans_compiled
-            for evaluator in self._evaluators.values()
+            for evaluator in self._evaluators
             if evaluator is not None
         )
-
-    def out_query(self, view: LocalView) -> Iterable[Fact]:
-        return self._run("out", view)
-
-    def insert_query(self, view: LocalView) -> Iterable[Fact]:
-        return self._run("insert", view)
-
-    def delete_query(self, view: LocalView) -> Iterable[Fact]:
-        return self._run("delete", view)
-
-    def send_query(self, view: LocalView) -> Iterable[Fact]:
-        return self._run("send", view)

@@ -1,17 +1,21 @@
-"""Regression: a finished run leaves nothing behind in process-wide memos.
+"""Regression: a finished run leaves nothing behind, and makes no garbage
+only the cycle collector could free.
 
-The Mdistinct protocol memoizes its known-absence sweep across
-transitions.  The memo used to be a module-level dict keyed by the run's
-policy, so every finished run stayed reachable — its policy and the
-policy's own memos — until 4 096 runs later.  It now lives on the policy.
+The Mdistinct protocol once memoized its known-absence sweep in a
+module-level dict keyed by the run's policy, so every finished run stayed
+reachable until 4 096 runs later.  Its protocol state also held the view
+that held it, so every transition left a reference cycle.  The protocol
+state is now carried per node in the node's cursor, which references no
+view.
 """
 
 import gc
 import tracemalloc
 import weakref
 
+import pytest
+
 from repro.datalog import Instance, parse_facts
-from repro.flags import query_cache_enabled
 from repro.queries import complement_tc_query
 from repro.transducers import (
     FairScheduler,
@@ -19,7 +23,9 @@ from repro.transducers import (
     TransducerNetwork,
     distinct_protocol_transducer,
     hash_policy,
+    section4_protocols,
 )
+from repro.transducers.barrier import barrier_baseline
 
 NETWORK = Network(["n1", "n2", "n3"])
 
@@ -34,10 +40,6 @@ def finished_run(index: int) -> weakref.ref:
         NETWORK, distinct_protocol_transducer(query), policy
     ).new_run(instance)
     assert run.run_to_quiescence(scheduler=FairScheduler(index)) == query(instance)
-    if query_cache_enabled():
-        # The memo was used.  REPRO_DISABLE_QUERY_CACHE builds none; the
-        # run must still leave nothing behind.
-        assert policy.absence_memo
     return weakref.ref(policy)
 
 
@@ -61,5 +63,34 @@ def test_retained_memory_does_not_grow_with_runs():
     finally:
         tracemalloc.stop()
     # Through the module-level memo the 40 extra runs retained 0.8 MB;
-    # with the memo on the policy they retain nothing.
+    # now they retain nothing.
     assert after_50 - after_10 < 64 * 1024, after_50 - after_10
+
+
+BUNDLES = {
+    bundle.key: bundle
+    for bundle in (*section4_protocols(), barrier_baseline())
+    if bundle.key in ("cor46-broadcast", "thm43-distinct", "thm44-disjoint", "barrier-baseline")
+}
+
+
+@pytest.mark.parametrize("key", sorted(BUNDLES))
+def test_a_run_leaves_no_cyclic_garbage(key):
+    """Hundreds of cyclic objects per run of these small inputs, thousands
+    per benchmark op, while the protocol state referenced its view."""
+    bundle = BUNDLES[key]
+
+    def run_to_quiescence():
+        network = TransducerNetwork(NETWORK, bundle.transducer, bundle.policy(NETWORK))
+        run = network.new_run(bundle.instance)
+        assert run.run_to_quiescence(scheduler=FairScheduler(1)) == bundle.expected()
+
+    run_to_quiescence()  # compiles the query plans outside the measurement
+    gc.collect()
+    gc.disable()
+    try:
+        run_to_quiescence()
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found <= 8, found
