@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Hashable
+from typing import Hashable, Sequence
 
 from ..datalog.terms import Fact
 
@@ -49,6 +49,7 @@ __all__ = [
     "Envelope",
     "encode_value",
     "decode_value",
+    "join_encoded",
     "encode_fact",
     "decode_fact",
     "encode_envelope",
@@ -211,6 +212,12 @@ def encode_value(value: Hashable) -> bytes:
     out = bytearray()
     _encode_value(value, out)
     return bytes(out)
+
+
+def join_encoded(items: Sequence[bytes]) -> bytes:
+    """The bytes :func:`encode_value` writes for a tuple whose items
+    encode to *items*: the tuple tag, the count, the items concatenated."""
+    return bytes((_T_TUPLE,)) + _U32.pack(len(items)) + b"".join(items)
 
 
 def decode_value(data: bytes) -> Hashable:

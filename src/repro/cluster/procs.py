@@ -99,7 +99,7 @@ import warnings
 from typing import Iterable, NoReturn, Sequence
 
 from ..datalog.instance import Instance
-from ..datalog.terms import Fact
+from ..datalog.terms import Fact, sort_facts
 from ..transducers.policy import (
     Network,
     block_domain_assignment,
@@ -155,7 +155,7 @@ def encode_facts_hex(facts: Iterable[Fact]) -> str:
     """A sorted fact list as hex of its wire-codec encoding (the same
     tagged-value format the data plane and the WAL speak)."""
     return encode_value(
-        tuple((fact.relation, fact.values) for fact in sorted(facts))
+        tuple((fact.relation, fact.values) for fact in sort_facts(facts))
     ).hex()
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from .schema import Schema
-from .terms import Fact
+from .terms import Fact, sort_facts
 
 __all__ = ["Instance"]
 
@@ -172,7 +172,7 @@ class Instance:
         relation name occurs with two different arities.
         """
         arities: dict[str, int] = {}
-        for fact in sorted(self._facts):
+        for fact in sort_facts(self._facts):
             if arities.setdefault(fact.relation, fact.arity) != fact.arity:
                 from .schema import SchemaError
 
@@ -286,7 +286,7 @@ class Instance:
 
     def sorted_facts(self) -> list[Fact]:
         """The facts in a deterministic display order."""
-        return sorted(self._facts)
+        return sort_facts(self._facts)
 
     def __repr__(self) -> str:
         if not self._facts:

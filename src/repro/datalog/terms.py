@@ -23,6 +23,8 @@ __all__ = [
     "Atom",
     "Fact",
     "Inequality",
+    "fact_order",
+    "sort_facts",
     "is_variable",
     "variables_of",
     "make_variables",
@@ -168,21 +170,27 @@ class Fact:
         return f"{self.relation}({inner})"
 
     def __lt__(self, other: "Fact") -> bool:
-        """A deterministic order for display purposes.
-
-        Falls back to comparing printable representations so heterogeneous
-        domains (ints mixed with strings) still sort deterministically.
-        """
+        """The fact order of :func:`fact_order`."""
         if not isinstance(other, Fact):
             return NotImplemented
-        return (self.relation, _sort_key(self.values)) < (
-            other.relation,
-            _sort_key(other.values),
-        )
+        return fact_order(self) < fact_order(other)
 
 
 def _sort_key(values: Sequence[Hashable]) -> tuple[tuple[str, str], ...]:
     return tuple((type(v).__name__, repr(v)) for v in values)
+
+
+def fact_order(fact: Fact) -> tuple[str, tuple[tuple[str, str], ...]]:
+    """The key of the deterministic fact order: the relation name, then
+    each value's type name and ``repr``, so heterogeneous domains (ints
+    mixed with strings) still sort deterministically."""
+    return (fact.relation, _sort_key(fact.values))
+
+
+def sort_facts(facts: Iterable[Fact]) -> list[Fact]:
+    """*facts* in the fact order: the list ``sorted(facts)`` returns, with
+    each key built once per fact instead of twice per comparison."""
+    return sorted(facts, key=fact_order)
 
 
 @dataclass(frozen=True, slots=True)

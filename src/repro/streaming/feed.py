@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 from ..datalog.instance import Instance
 from ..datalog.parser import parse_facts
 from ..datalog.schema import Schema
-from ..datalog.terms import Fact
+from ..datalog.terms import Fact, sort_facts
 from ..monotonicity.classes import AdditionKind
 
 __all__ = ["DeltaBatch", "DeltaFeed"]
@@ -59,11 +59,11 @@ class DeltaFeed:
     def __init__(self, batches: Iterable[Iterable[Fact]] = ()) -> None:
         packaged: list[DeltaBatch] = []
         for epoch, facts in enumerate(batches):
-            ordered = tuple(sorted(set(facts)))
-            for fact in ordered:
+            facts = tuple(facts)
+            for fact in facts:
                 if not isinstance(fact, Fact):
                     raise TypeError(f"delta feeds contain Facts, got {fact!r}")
-            packaged.append(DeltaBatch(epoch, ordered))
+            packaged.append(DeltaBatch(epoch, tuple(sort_facts(set(facts)))))
         self._batches: tuple[DeltaBatch, ...] = tuple(packaged)
 
     # ------------------------------------------------------------------
@@ -144,7 +144,7 @@ class DeltaFeed:
         accumulated = base
         for _ in range(batches):
             delta = sample_delta(rng, accumulated, schema, kind, max_facts=max_facts)
-            fresh = tuple(sorted(set(delta) - accumulated.facts))
+            fresh = tuple(sort_facts(set(delta) - accumulated.facts))
             if not fresh:
                 continue
             drawn.append(fresh)

@@ -50,7 +50,7 @@ from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Generator, Hashable, Iterable, NamedTuple, Sequence
 
 from ..datalog.instance import Instance
-from ..datalog.terms import Fact
+from ..datalog.terms import Fact, sort_facts
 from .transducer import Cursor, LocalView
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -499,7 +499,8 @@ class NodeCore:
 
     def snapshot(self, wal_position: int):
         """The durable image of this node; *wal_position* is the number of
-        WAL entries logged so far, all of which it covers."""
+        WAL entries logged so far, all of which it covers.  Its fact
+        sections are left unsorted: the encoder orders them."""
         stats = self.stats
         return _wire()[1].NodeSnapshot(
             counter=self.counter,
@@ -514,9 +515,9 @@ class NodeCore:
                 stats.deliveries,
                 stats.sent_facts,
             ),
-            output=tuple(sorted(self.state.output)),
-            memory=tuple(sorted(self.state.memory)),
-            extra_input=tuple(sorted(self._extra_input)),
+            output=tuple(self.state.output),
+            memory=tuple(self.state.memory),
+            extra_input=tuple(self._extra_input),
             epochs=self.epochs_injected,
             epoch_outputs=tuple(sorted(self.epoch_outputs.items())),
             current_epoch=self.epoch,
@@ -565,7 +566,7 @@ class NodeCore:
         while True:
             step = self.transition(Instance(delivered))
             if step.messages:
-                facts = tuple(sorted(step.messages))
+                facts = tuple(sort_facts(step.messages))
                 for target in self._peers:
                     yield from self._dispatch(target, codec.KIND_DATA, self.epoch, facts)
             if not self._recovering:
@@ -635,7 +636,7 @@ class NodeCore:
         """
         for epoch in range(boundary + 1):
             if epoch not in self.epoch_outputs:
-                self.epoch_outputs[epoch] = tuple(sorted(self.state.output))
+                self.epoch_outputs[epoch] = tuple(sort_facts(self.state.output))
         self.epoch = max(self.epoch, boundary + 1)
 
     def _inject_epoch(self) -> Generator[object, object, bool]:
@@ -664,7 +665,7 @@ class NodeCore:
         kind = _wire()[0].KIND_DELTA
         for target in self._peers:
             yield from self._dispatch(
-                target, kind, epoch, tuple(sorted(assignment[target]))
+                target, kind, epoch, tuple(sort_facts(assignment[target]))
             )
         self.epochs_injected = epoch + 1
         self.grow_input(assignment[self.node])

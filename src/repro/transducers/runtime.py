@@ -40,7 +40,7 @@ from dataclasses import asdict, dataclass
 from typing import Hashable, Iterable
 
 from ..datalog.instance import Instance
-from ..datalog.terms import Fact
+from ..datalog.terms import Fact, sort_facts
 from .node import NodeCore, NodeState, NodeStats, QuiescenceError
 from .policy import DistributionPolicy, Network
 from .transducer import LocalView, Transducer
@@ -382,7 +382,7 @@ class Run:
             # iteration order, which is salted per process for str values —
             # this is what makes `repro run --chaos --seed S` byte-reproducible
             # across interpreter invocations.
-            outgoing = sorted(step.messages.facts)
+            outgoing = sort_facts(step.messages.facts)
             others = [
                 n for n in self._network.network.sorted_nodes() if n != node
             ]

@@ -19,10 +19,11 @@ from repro.cli import main
 from repro.cluster.checkpoint import CheckpointError, NodeSnapshot
 from repro.cluster.codec import decode_value, encode_value
 from repro.core.analyzer import network_for_plan, plan_ilog_distribution
-from repro.datalog import Instance, parse_facts
+from repro.datalog import Fact, Instance, parse_facts
 from repro.ilog import DivergenceError, diverging_counter
 from repro.runtimes import execute, program_target
 from repro.service import RunStore, execute_request
+from repro.streaming import DeltaFeed
 from repro.transducers.telemetry import validate_report_dict
 
 TC = "T(x, y) :- E(x, y).\nT(x, z) :- T(x, y), E(y, z).\n"
@@ -124,3 +125,10 @@ def test_snapshot_version_mismatch_is_a_checkpoint_error():
     fields[1] += 1
     with pytest.raises(CheckpointError, match="unsupported snapshot version"):
         NodeSnapshot.decode(encode_value(tuple(fields)))
+
+
+def test_a_feed_batch_mixing_facts_and_non_facts_is_a_typed_error():
+    """Checked before the batch is sorted, so the sort's own error (the
+    comparator's ``'<' not supported``) never surfaces instead."""
+    with pytest.raises(TypeError, match="delta feeds contain Facts, got 1"):
+        DeltaFeed([[Fact("E", (1, 2)), 1]])

@@ -94,3 +94,44 @@ def test_a_run_leaves_no_cyclic_garbage(key):
     finally:
         gc.enable()
     assert found <= 8, found
+
+
+def test_a_finished_cluster_run_drops_its_snapshot_memos(tmp_path):
+    """Each node's journal memoizes its last snapshot's facts, keyed and
+    encoded.  The memos live and die with the run's journals: dropping the
+    run frees them by reference count alone, so no cycle holds them."""
+    from repro.cluster import ClusterRun, DiskCheckpointStore
+    from repro.cluster.checkpoint import NodeJournal
+    from repro.datalog import Fact
+
+    bundle = BUNDLES["thm43-distinct"]
+    network = TransducerNetwork(NETWORK, bundle.transducer, bundle.policy(NETWORK))
+
+    def cluster_run(directory):
+        return ClusterRun(
+            network, bundle.instance, checkpoints=DiskCheckpointStore(tmp_path / directory)
+        )
+
+    cluster_run("warm").run_to_quiescence()  # compiles the query plans
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run = cluster_run("run")
+        assert run.run_to_quiescence() == bundle.expected()
+        journals = list(run._journals.values())
+        assert journals and all(journal._memo for journal in journals)
+        refs = [weakref.ref(journal) for journal in journals]
+        del run, journals
+        assert all(ref() is None for ref in refs)
+        gc.collect()
+        memo_entries = [
+            item for item in gc.garbage
+            if type(item) is tuple and len(item) == 3 and isinstance(item[2], Fact)
+        ]
+        assert not any(isinstance(item, NodeJournal) for item in gc.garbage)
+        assert memo_entries == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
