@@ -31,12 +31,11 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from . import core, datalog, flags, ilog, kernel, monotonicity, queries, transducers
+from . import core, datalog, ilog, kernel, monotonicity, queries, transducers
 
 __all__ = [
     "core",
     "datalog",
-    "flags",
     "ilog",
     "kernel",
     "monotonicity",

@@ -76,8 +76,8 @@ coordinator has already paid for it.  A worker *inherits* the imported
 modules, the coordinator's hash seed and the module-level memo caches
 (deterministic content).  It does *not* inherit descriptors (all closed but
 its stdio and liveness pipe), the event loop, signal handlers, or
-transducer/step-cache state: it rebuilds its network from the spec recipe
-(:func:`build_proc_network`) and starts with cold evaluation counters.
+transducer state: it rebuilds its network from the spec recipe
+(:func:`build_proc_network`).
 Workers are direct children, reaped before :meth:`ProcessCluster.arun`
 returns or raises; no helper process outlives a run.
 """
@@ -636,10 +636,6 @@ async def _worker_async(spec: dict) -> None:
             "pid": os.getpid(),
             "recovered": bool(recovered),
             "snapshot_bytes": journal.snapshot_bytes,
-            # This process's evaluation counters: tests assert per-process
-            # isolation on them (a worker builds its own network from
-            # the recipe, so it starts cold).
-            "caches": net.transducer.evaluation_stats(),
             **_encode_summary(core),
         },
     )

@@ -10,8 +10,7 @@ Every stack computes the same query ``Q(I) = P(I)|_{sigma_out}`` (Section
 * ``kernel`` — the interned columnar kernel with per-rule codegen
   (``repro.kernel``, the production engine);
 * ``sync-run`` — the synchronous transducer simulator with the analyzer's
-  protocol, under any named scheduler and optional channel chaos (the
-  incremental step-cache path);
+  protocol, under any named scheduler and optional channel chaos;
 * ``cluster`` — the asynchronous ``repro.cluster`` runtime, on either
   transport, with optional message chaos and crash-recovery schedules.
 
@@ -151,8 +150,8 @@ class RuntimeStack(EvaluationStack):
 _STACKS: dict[str, EvaluationStack] = {
     "naive": NaiveStack(),
     "kernel": KernelStack(),
-    # The synchronous simulator under a named scheduler (the incremental
-    # step-cache path), optionally with channel faults.
+    # The synchronous simulator under a named scheduler, optionally with
+    # channel faults.
     "sync-run": RuntimeStack("sync-run", "sync"),
     # The asynchronous cluster on the chosen transport, with optional
     # message chaos and crash-recovery schedules.

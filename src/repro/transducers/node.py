@@ -116,18 +116,12 @@ class NodeSummary:
 
 
 class Step(NamedTuple):
-    """One transition's observable result: what was sent and what it
-    changed (the deltas let a caller maintain a state fingerprint in
-    O(|changes|))."""
+    """One transition's observable result: what was sent, the output it
+    added, and whether it changed the node's output or memory."""
 
     messages: Instance
     added_output: Instance
-    added_memory: Instance
-    removed_memory: Instance
-
-    @property
-    def changed(self) -> bool:
-        return bool(self.added_output or self.added_memory or self.removed_memory)
+    changed: bool
 
 
 @dataclass(frozen=True)
@@ -257,7 +251,7 @@ class NodeCore:
 
     # -- the transition relation (Section 4.1.3) ----------------------------
 
-    def view(self, delivered: Instance, *, db_token: Hashable | None = None) -> LocalView:
+    def view(self, delivered: Instance) -> LocalView:
         network = self._network
         return LocalView(
             node=self.node,
@@ -268,19 +262,14 @@ class NodeCore:
             output=self.state.output,
             memory=self.state.memory,
             delivered=delivered,
-            db_token=db_token,
             cursor=self.cursor,
         )
 
-    def transition(
-        self, delivered: Instance, *, db_token: Hashable | None = None
-    ) -> Step:
+    def transition(self, delivered: Instance) -> Step:
         """One transition with the set *delivered*: output grows by
         Qout(D), memory becomes ``(mem ∪ (ins \\ del)) \\ (del \\ ins)``,
-        Qsnd(D) is returned for the driver to address to every other node.
-        ``db_token`` keys the transducer's step cache (``None``: always
-        evaluate)."""
-        update = self._network.transducer.step(self.view(delivered, db_token=db_token))
+        Qsnd(D) is returned for the driver to address to every other node."""
+        update = self._network.transducer.step(self.view(delivered))
         state = self.state
         output, memory = state.snapshot()
         ins_only = update.insertions - update.deletions
@@ -292,22 +281,21 @@ class NodeCore:
         if not delivered:
             stats.heartbeats += 1
         stats.sent_facts += len(update.messages)
+        added_output = update.output - output
         return Step(
             update.messages,
-            update.output - output,
-            ins_only - memory,
-            Instance(fact for fact in del_only if fact in memory),
+            added_output,
+            bool(added_output or ins_only - memory or del_only & memory),
         )
 
-    def grow_input(self, facts: Iterable[Fact]) -> list[Fact]:
-        """Extend the local input fragment with late-arriving *facts*;
-        returns the genuinely new ones.  The transducers are inflationary,
-        so the node simply reacts at its next transition."""
+    def grow_input(self, facts: Iterable[Fact]) -> None:
+        """Extend the local input fragment with late-arriving *facts*.  The
+        transducers are inflationary, so the node simply reacts at its next
+        transition."""
         added = [fact for fact in facts if fact not in self.fragment]
         if added:
             self.fragment = self.fragment | added
             self._extra_input.update(added)
-        return added
 
     # -- events ----------------------------------------------------------------
 

@@ -105,17 +105,6 @@ class DistributionPolicy:
         self._assign = assign
         self._domain_assignment = domain_assignment
         self._name = name
-        # Policies are static functions of the fact (Section 4.1.2), so the
-        # assignment can be memoized; the bound keeps adversarial workloads
-        # (policy materialization probes every tuple over the adom) from
-        # holding the whole cross product.  Disabled together with the
-        # transducer step cache so benchmark baselines reflect uncached
-        # evaluation.
-        from ..flags import query_cache_enabled
-
-        self._memo: dict[Fact, frozenset] | None = (
-            {} if query_cache_enabled() else None
-        )
 
     @property
     def schema(self) -> Schema:
@@ -137,15 +126,8 @@ class DistributionPolicy:
     def domain_assignment(self) -> DomainAssignment | None:
         return self._domain_assignment
 
-    _MEMO_SIZE = 65_536
-
     def nodes_for(self, fact: Fact) -> frozenset:
         """P(f): the nonempty set of nodes the fact is assigned to."""
-        memo = self._memo
-        if memo is not None:
-            nodes = memo.get(fact)
-            if nodes is not None:
-                return nodes
         if not self._schema.contains_fact(fact):
             raise ValueError(f"fact {fact!r} is not over the policy schema")
         nodes = frozenset(self._assign(fact))
@@ -153,10 +135,6 @@ class DistributionPolicy:
             raise ValueError(f"policy assigned no node to {fact!r}")
         if not nodes <= self._network:
             raise ValueError(f"policy assigned {fact!r} outside the network")
-        if memo is not None:
-            if len(memo) >= self._MEMO_SIZE:
-                del memo[next(iter(memo))]
-            memo[fact] = nodes
         return nodes
 
     def assigns(self, fact: Fact, node: Hashable) -> bool:

@@ -60,24 +60,6 @@ __all__ = [
 ]
 
 
-#: Modulus for the incremental database fingerprints (64-bit wraparound).
-_HASH_MOD = 1 << 64
-
-
-def _section_hash(section: str, facts: Iterable[Fact]) -> int:
-    """An order-independent content hash of one section of the database D.
-
-    A plain sum of per-fact hashes (mod 2^64) so the runtime can maintain it
-    *incrementally*: adding a fact adds its term, removing subtracts it.
-    The section tag keeps equal facts in different roles (input vs memory vs
-    delivered message) from cancelling across sections.
-    """
-    total = 0
-    for fact in facts:
-        total += hash((section, fact))
-    return total % _HASH_MOD
-
-
 @dataclass(frozen=True)
 class TransitionRecord:
     """One transition: who ran, what was delivered, what changed."""
@@ -120,6 +102,7 @@ class RunMetrics:
     message_deliveries: int = 0
     rounds: int = 0
     pre_round_transitions: int = 0
+    # Always 0, no step cache is left; bench/ reads them until ROADMAP item 5.
     cache_hits: int = 0
     cache_misses: int = 0
     plans_compiled: int = 0
@@ -237,24 +220,6 @@ class Run:
             node: set() for node in ordered_nodes
         }
         self._channel = channel if channel is not None else Channel()
-        # Database fingerprints (the step-cache tokens): the local input
-        # fragment is hashed once, the output/memory hash is maintained
-        # incrementally by `transition`, and the delivered set is hashed per
-        # transition.  The context ties tokens to this run's network, policy
-        # and model variant, since one transducer object may serve many runs
-        # (the policy participates by identity; the run holds a strong
-        # reference, so its id cannot be recycled while tokens live).
-        self._cache_context = (
-            network.transducer.schema.variant.name,
-            frozenset(network.network),
-            network.policy,
-        )
-        self._input_hash: dict[Hashable, int] = {
-            node: _section_hash("in", fragments[node]) for node in ordered_nodes
-        }
-        self._state_hash: dict[Hashable, int] = {
-            node: 0 for node in ordered_nodes
-        }
         self.metrics = RunMetrics()
         self.node_stats: dict[Hashable, NodeStats] = {
             node: core.stats for node, core in self._cores.items()
@@ -305,14 +270,8 @@ class Run:
 
     # -- the transition relation -----------------------------------------
 
-    def view(
-        self,
-        node: Hashable,
-        delivered: Instance,
-        *,
-        db_token: Hashable | None = None,
-    ) -> LocalView:
-        return self._cores[node].view(delivered, db_token=db_token)
+    def view(self, node: Hashable, delivered: Instance) -> LocalView:
+        return self._cores[node].view(delivered)
 
     def transition(
         self, node: Hashable, deliver: Iterable[Fact] | str | None = "all"
@@ -341,34 +300,10 @@ class Run:
                 )
         delivered_set = Instance(chosen.keys())
         transducer = self._network.transducer
-        token = (
-            node,
-            self._cache_context,
-            self._input_hash[node],
-            self._state_hash[node],
-            _section_hash("msg", delivered_set),
-        )
         core = self._cores[node]
-        stats_before = transducer.evaluation_stats()
-        step = core.transition(delivered_set, db_token=token)
-        stats_after = transducer.evaluation_stats()
-        self.metrics.cache_hits += (
-            stats_after["cache_hits"] - stats_before["cache_hits"]
-        )
-        self.metrics.cache_misses += (
-            stats_after["cache_misses"] - stats_before["cache_misses"]
-        )
-        self.metrics.plans_compiled += (
-            stats_after["plans_compiled"] - stats_before["plans_compiled"]
-        )
-
-        # Maintain the node's output/memory fingerprint incrementally so
-        # the next transition's token costs O(|changes|), not O(|state|).
-        if step.changed:
-            delta = _section_hash("out", step.added_output)
-            delta += _section_hash("mem", step.added_memory)
-            delta -= _section_hash("mem", step.removed_memory)
-            self._state_hash[node] = (self._state_hash[node] + delta) % _HASH_MOD
+        compiled = transducer.plans_compiled()
+        step = core.transition(delivered_set)
+        self.metrics.plans_compiled += transducer.plans_compiled() - compiled
 
         buffer.subtract(chosen)
         for key in [k for k, count in buffer.items() if count <= 0]:
@@ -505,11 +440,8 @@ class Run:
         The paper's transducers are well-behaved and inflationary, so a
         fact added to a node's local input is simply reacted to at that
         node's next transition — no new machinery, only bookkeeping: the
-        global instance grows, the owning nodes' fragments grow, and each
-        touched node's input fingerprint is updated incrementally (the
-        step-cache token changes, so memoized transitions cannot leak
-        across the ingestion boundary).  Returns the number of facts that
-        were genuinely new to the run.
+        global instance grows and the owning nodes' fragments grow.
+        Returns the number of facts that were genuinely new to the run.
         """
         delta = Instance(facts).restrict(
             self._network.transducer.schema.inputs
@@ -518,10 +450,7 @@ class Run:
             return 0
         self._instance = self._instance | delta
         for node, fragment in self._network.policy.distribute(delta).items():
-            added = self._cores[node].grow_input(fragment)
-            self._input_hash[node] = (
-                self._input_hash[node] + _section_hash("in", added)
-            ) % _HASH_MOD
+            self._cores[node].grow_input(fragment)
         self.deltas_ingested += len(delta)
         return len(delta)
 

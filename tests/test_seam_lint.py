@@ -176,6 +176,54 @@ def test_the_cluster_driver_decides_nothing():
 
 
 # ----------------------------------------------------------------------
+# no switch: the program reads no environment variable
+# ----------------------------------------------------------------------
+
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree: ast.AST):
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in ENVIRONMENT_READS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ):
+            yield node.lineno, f"os.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            yield from (
+                (node.lineno, f"from os import {alias.name}")
+                for alias in node.names
+                if alias.name in ENVIRONMENT_READS
+            )
+
+
+def test_no_module_reads_the_environment():
+    offenders = [
+        f"{path.relative_to(SRC).as_posix()}:{line} {read}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, read in _environment_reads(ast.parse(path.read_text()))
+    ]
+    assert offenders == [], "behaviour must not hang on an env var:\n" + "\n".join(
+        offenders
+    )
+
+
+def test_the_environment_lint_sees_planted_reads():
+    planted = ast.parse(
+        "import os\n"
+        "from os import getenv, path\n"
+        "def f():\n"
+        "    return os.environ.get('X'), os.getenv('Y'), getenv('Z')\n"
+    )
+    assert sorted(_environment_reads(planted)) == [
+        (2, "from os import getenv"), (4, "os.environ"), (4, "os.getenv"),
+    ]
+    assert not list(_environment_reads(ast.parse("env = {}; env.get('X')")))
+
+
+# ----------------------------------------------------------------------
 # the gate registry: floors, schema and entry point in one module
 # ----------------------------------------------------------------------
 

@@ -9,7 +9,6 @@ constructions and the barrier, generated inputs, adversarial schedules,
 channel faults, streamed feeds and the model checker's branch loads.
 """
 
-import os
 from contextlib import contextmanager
 
 from hypothesis import given, settings, strategies as st
@@ -36,7 +35,6 @@ KEYS = sorted(bundle.key for bundle in (*section4_protocols(), barrier_baseline(
 
 
 def bundle_for(key):
-    """Built at call time, so its transducer reads the current cache switch."""
     return next(b for b in (*section4_protocols(), barrier_baseline()) if b.key == key)
 
 
@@ -61,12 +59,12 @@ def parts(update):
 @contextmanager
 def evaluating(choose):
     """Route every evaluation through ``choose(original, transducer, view)``."""
-    original = Transducer._evaluate
-    Transducer._evaluate = lambda self, view: choose(original, self, view)
+    original = Transducer.step
+    Transducer.step = lambda self, view: choose(original, self, view)
     try:
         yield
     finally:
-        Transducer._evaluate = original
+        Transducer.step = original
 
 
 @contextmanager
@@ -83,19 +81,6 @@ def no_fork_oracle():
 
     with evaluating(both):
         yield checked
-
-
-@contextmanager
-def query_cache(enabled: bool):
-    previous = os.environ.get("REPRO_DISABLE_QUERY_CACHE")
-    os.environ["REPRO_DISABLE_QUERY_CACHE"] = "" if enabled else "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ["REPRO_DISABLE_QUERY_CACHE"]
-        else:
-            os.environ["REPRO_DISABLE_QUERY_CACHE"] = previous
 
 
 values = st.integers(min_value=0, max_value=4)
@@ -115,20 +100,17 @@ class TestNoFork:
         cuts=st.lists(st.integers(min_value=0, max_value=9), max_size=2),
         schedule=st.sampled_from(["fair", "storm", "trickle", "chaos"]),
         seed=st.integers(min_value=0, max_value=50),
-        cached=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
     def test_every_transition_matches_an_empty_cursor(
-        self, key, data, cuts, schedule, seed, cached
+        self, key, data, cuts, schedule, seed
     ):
         """``cuts`` splits the input into a base and streamed delta batches
-        (no cuts: a plain run); with the step cache on, cache hits leave
-        gaps the cursor must bridge."""
+        (no cuts: a plain run)."""
         bounds = [0, *sorted(cuts), len(data)]
         base, *batches = [data[a:b] for a, b in zip(bounds, bounds[1:])]
-        with query_cache(cached):
-            bundle = bundle_for(key)
-            network = TransducerNetwork(NETWORK, bundle.transducer, bundle.policy(NETWORK))
+        bundle = bundle_for(key)
+        network = TransducerNetwork(NETWORK, bundle.transducer, bundle.policy(NETWORK))
         channel = FaultyChannel(CHAOS_PLAN, seed) if schedule == "chaos" else None
         run = network.new_run(Instance(base), channel=channel)
         scheduler = make_scheduler(schedule, seed)

@@ -66,6 +66,16 @@ class TestPolicies:
             Fact("E", (1, 99))
         )
 
+    def test_equal_facts_that_differ_are_assigned_on_their_own(self):
+        """``E(1) == E(True)``, but the hash policy sees ``int:1`` and
+        ``bool:True``: asking for one first must not answer the other."""
+        schema = Schema({"E": 1})
+        network = Network(["a", "b", "c", "d"])
+        fresh = hash_policy(schema, network).nodes_for(Fact("E", (1,)))
+        asked = hash_policy(schema, network)
+        assert asked.nodes_for(Fact("E", (True,))) != fresh
+        assert asked.nodes_for(Fact("E", (1,))) == fresh
+
     def test_policy_rejects_foreign_fact(self):
         policy = hash_policy(SCHEMA, Network(["a"]))
         with pytest.raises(ValueError):

@@ -124,6 +124,29 @@ class TestTransitions:
         assert before <= run.state("n2").output
 
 
+class TestRunsShareNothingButTheNetwork:
+    def test_a_second_run_answers_its_own_input(self, two_node_network):
+        """A transition is a function of D itself: ``hash(-1) == hash(-2)``
+        in CPython, and a run on {E(-2)} after one on {E(-1)} with the same
+        transducer and policy must still output O(-2)."""
+        schema = TransducerSchema(
+            inputs=Schema({"E": 1}),
+            outputs=Schema({"O": 1}),
+            messages=Schema({"m": 1}),
+            memory=Schema({}, allow_nullary=True),
+        )
+        copy = PythonTransducer(
+            schema,
+            out=lambda view: [Fact("O", f.values) for f in view.local_input],
+            name="copy",
+        )
+        policy = single_node_policy(schema.inputs, two_node_network, "n1")
+        net = TransducerNetwork(two_node_network, copy, policy)
+        for value in (-1, -2):
+            output = net.new_run(Instance([Fact("E", (value,))])).run_to_quiescence()
+            assert output == Instance([Fact("O", (value,))])
+
+
 class TestValidation:
     def test_policy_network_mismatch(self, two_node_network):
         other = Network(["x", "y"])
