@@ -104,7 +104,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from .core.analyzer import analyze, plan_distribution, query_for
+from .core.analyzer import analyze, plan_distribution, planned_network, query_for
 from .datalog.games import solve_game
 from .datalog.instance import Instance
 from .datalog.parser import parse_facts, parse_program
@@ -381,7 +381,7 @@ def _recovery_lines(observation):
 def _cmd_distributed(args, out) -> int:
     """``repro run`` / ``repro cluster`` [``--processes N``]: one body."""
     from .monotonicity.classes import MonotonicityClass
-    from .runtimes import execute, program_target, refines, spec_for
+    from .runtimes import execute, refines, spec_for
     from .transducers.telemetry import write_report
 
     if args.command == "run":
@@ -390,16 +390,16 @@ def _cmd_distributed(args, out) -> int:
         runtime, options, extra_lines = _process_runtime(args)
     else:
         runtime, options, extra_lines = _cluster_runtime(args)
-    program_text = _read(args.program)
-    program = parse_program(program_text)
+    program = parse_program(_read(args.program))
     instance = _load_facts(args.facts)
     feed = _load_stream(args)
     monotonicity = analyze(program).monotonicity
     kind = MonotonicityClass(monotonicity).addition_kind if monotonicity else None
-    # Parsed once, here; process workers re-parse the text.
-    target = {**program_target(program_text), "program": program}
+    # Built once, here: every runtime runs this network, forked workers too.
+    nodes = options.pop("nodes")
+    network = planned_network(program, nodes)
     observation = execute(
-        runtime, target, instance, seed=args.seed, feed=feed, **options
+        runtime, network, instance, seed=args.seed, feed=feed, **options
     )
     spec = spec_for(query_for(program), instance, feed, kind)
     # A bare --stream feed claims no addition kind, so Q(prefix_k) is not
@@ -412,7 +412,7 @@ def _cmd_distributed(args, out) -> int:
     if not observation.quiesced:
         print(f"warning:      {observation.error}", file=out)
     print(f"strategy:     {observation.report.protocol}", file=out)
-    print(f"network:      {', '.join(options['nodes'])}", file=out)
+    print(f"network:      {', '.join(nodes)}", file=out)
     for label, value in extra_lines(observation):
         print(f"{label + ':':<14}{value}", file=out)
     if feed is not None and observation.quiesced:

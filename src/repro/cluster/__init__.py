@@ -36,7 +36,6 @@ from .procs import (
     ProcessCluster,
     scaling_workload,
     scaling_workload_by_key,
-    workload_spec_for,
 )
 from .runtime import ClusterNode, ClusterRun
 from .telemetry import build_cluster_report
@@ -80,7 +79,6 @@ __all__ = [
     "SCALING_BLOCK",
     "scaling_workload",
     "scaling_workload_by_key",
-    "workload_spec_for",
     "check_process_workload",
     "check_workload",
     "gate_workloads",

@@ -29,12 +29,9 @@ from ..datalog.instance import Instance
 from ..datalog.parser import parse_facts
 from ..runtimes import Observation, execute, node_names, refines, spec_for
 from ..transducers.faults import CHAOS_PLAN, SCHEDULER_NAMES
-from ..transducers.policy import Network
 from ..transducers.protocols import Section4Protocol, section4_protocols
-from ..transducers.runtime import TransducerNetwork
 from ..transducers.telemetry import output_fingerprint
 from .faults import CRASH_PLAN
-from .procs import workload_spec_for
 from .transport import TRANSPORT_NAMES
 
 __all__ = [
@@ -108,27 +105,6 @@ def workload_by_key(key: str) -> Section4Protocol:
     raise KeyError(f"unknown gate workload {key!r} (known: {known})")
 
 
-def _build_network(
-    workload: Section4Protocol, nodes: Sequence[Hashable]
-) -> TransducerNetwork:
-    network = Network(nodes)
-    return TransducerNetwork(
-        network, workload.transducer, workload.policy(network)
-    )
-
-
-def _target(
-    workload: Section4Protocol, nodes: Sequence[Hashable], runtime: str
-) -> dict:
-    """The :mod:`repro.runtimes` target for *workload* on *runtime*: the
-    by-key recipe for process workers, the network built from the bundle
-    itself for the in-process runtimes (so a bundle outside the corpus
-    still runs there)."""
-    if runtime == "processes":
-        return workload_spec_for(workload)
-    return {"network": _build_network(workload, nodes)}
-
-
 def sync_fingerprint(
     workload: Section4Protocol,
     *,
@@ -141,8 +117,8 @@ def sync_fingerprint(
     fingerprints = {}
     for name in schedulers:
         observation = execute(
-            "sync", _target(workload, nodes, "sync"), workload.instance,
-            nodes=nodes, seed=seed, scheduler=name,
+            "sync", workload.network(nodes), workload.instance,
+            seed=seed, scheduler=name,
         )
         observation.result()  # a sync run that does not quiesce is an error
         fingerprints[name] = observation.fingerprint
@@ -173,8 +149,8 @@ def cluster_fingerprint(
     """
     plan = CRASH_PLAN if crashes else CHAOS_PLAN if faults else None
     observation = execute(
-        "cluster", _target(workload, nodes, "cluster"), workload.instance,
-        nodes=nodes, seed=seed, transport=transport, faults=plan,
+        "cluster", workload.network(nodes), workload.instance,
+        seed=seed, transport=transport, faults=plan,
     )
     return observation.fingerprint, observation
 
@@ -228,16 +204,14 @@ def check_process_workload(
     asyncio cluster (memory transport), a clean process run, and — when
     ``kill`` is set — a process run in which ``kill_node`` (default: the
     second ring position) is ``SIGKILL``ed after ``kill_after`` transitions
-    and recovered from its on-disk snapshot + WAL.  The workload is rebuilt
-    *by key* inside each worker, so it must come from
-    :func:`gate_workloads` or be a scaling workload.
+    and recovered from its on-disk snapshot + WAL.
     """
     nodes = node_names(processes)
 
     def run(runtime: str, **options) -> Observation:
         observation = execute(
-            runtime, _target(workload, nodes, runtime), workload.instance,
-            nodes=nodes, seed=seed, timeout=timeout, **options,
+            runtime, workload.network(nodes), workload.instance,
+            seed=seed, timeout=timeout, **options,
         )
         observation.result()  # a gate run that does not quiesce is an error
         return observation

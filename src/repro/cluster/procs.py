@@ -9,9 +9,9 @@ own compiled rules — hosting the same
 parent :class:`ProcessCluster` coordinates:
 
 * **sharding** — the parent distributes the input database horizontally
-  with the workload's own distribution policy (the paper's domain-guided
-  policies *are* a sharding scheme, Thm 4.4) and ships each worker only
-  its fragment, wire-codec-encoded;
+  with the network's own distribution policy (the paper's domain-guided
+  policies *are* a sharding scheme, Thm 4.4) and each worker starts from
+  its fragment alone;
 * **handshake** — workers bind a data-plane server on an ephemeral port,
   dial the parent's control socket, say HELLO with their port, and block
   until the parent broadcasts the full PEERS address map; the Safra token
@@ -74,10 +74,14 @@ Workers are ``os.fork()`` children of the coordinator (POSIX-only, like the
 in a fresh interpreter takes longer than a whole 2-worker run, and the
 coordinator has already paid for it.  A worker *inherits* the imported
 modules, the coordinator's hash seed and the module-level memo caches
-(deterministic content).  It does *not* inherit descriptors (all closed but
-its stdio and liveness pipe), the event loop, signal handlers, or
-transducer state: it rebuilds its network from the spec recipe
-(:func:`build_proc_network`).
+(deterministic content) — and the run itself: it runs the coordinator's
+:class:`~repro.transducers.runtime.TransducerNetwork` object, its own
+fragment and the feed batches, read from memory.  A network carries no run
+state, so the copy is as good as the original; a respawn after a
+``SIGKILL`` forks from the same coordinator and sees the same objects.  A
+worker does *not* inherit descriptors (all closed but its stdio and
+liveness pipe), the event loop or signal handlers.  Only results travel
+as bytes, back over the control plane.
 Workers are direct children, reaped before :meth:`ProcessCluster.arun`
 returns or raises; no helper process outlives a run.
 """
@@ -96,15 +100,11 @@ import tempfile
 import time
 import traceback
 import warnings
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, NoReturn
 
 from ..datalog.instance import Instance
 from ..datalog.terms import Fact, sort_facts
-from ..transducers.policy import (
-    Network,
-    block_domain_assignment,
-    domain_guided_policy,
-)
+from ..transducers.policy import block_domain_assignment, domain_guided_policy
 from ..transducers.node import NodeCore, NodeState, NodeStats, NodeSummary
 from ..transducers.protocols import Section4Protocol, local_shard_transducer
 from ..transducers.runtime import QuiescenceError, TransducerNetwork
@@ -129,8 +129,6 @@ __all__ = [
     "SCALING_BLOCK",
     "scaling_workload",
     "scaling_workload_by_key",
-    "workload_spec_for",
-    "build_proc_network",
     "encode_facts_hex",
     "decode_facts_hex",
 ]
@@ -244,8 +242,8 @@ def scaling_workload(*, components: int = 24, size: int = 120) -> Section4Protoc
     floor of the exec'd workers of the time (~0.27 s; forked workers boot
     in ~0.04 s), so that curve was removed (see docs/PERFORMANCE.md).
     Everything is generated by closed-form arithmetic (no RNG, no builtin
-    ``hash``), so every process rebuilds the identical workload from the
-    key alone.
+    ``hash``), so the key alone names the identical workload in every
+    process and under every hash seed.
     """
     from ..queries import win_move_query
 
@@ -285,66 +283,15 @@ def scaling_workload_by_key(key: str) -> Section4Protocol:
     return scaling_workload(components=components, size=size)
 
 
-def workload_spec_for(workload: Section4Protocol) -> dict:
-    """The JSON-able recipe a worker process uses to rebuild *workload*'s
-    transducer + policy (never the instance: workers only see fragments)."""
-    if isinstance(workload, _ScalingWorkload):
-        return {"kind": "scaling", "key": workload.key}
-    return {"kind": "gate", "key": workload.key}
-
-
-def build_proc_network(
-    workload_spec: dict, nodes: Sequence[str]
-) -> TransducerNetwork:
-    """Rebuild the transducer network from a worker-spec recipe.
-
-    Deterministic in any process: gate workloads reconstruct by key,
-    scaling workloads by their parameter-carrying key, and raw programs
-    re-plan through the (deterministic) distribution analyzer under the
-    recipe's ``routing`` decision — ``default``, ``optimized`` (the
-    per-stratum optimizer's bundle) or ``barrier`` (the forced All-barrier).
-    This is also how the in-process runtimes build theirs
-    (:mod:`repro.runtimes`); for those a recipe may carry a pre-built
-    ``network`` or an already parsed ``program``, which workers never get.
-    """
-    if workload_spec.get("network") is not None:
-        return workload_spec["network"]
-    kind = workload_spec["kind"]
-    if kind == "program":
-        from ..core.analyzer import network_for_plan, plan_distribution
-        from ..datalog.parser import parse_program
-
-        program = workload_spec.get("program")
-        if program is None:
-            program = parse_program(workload_spec["text"])
-            outputs = workload_spec.get("outputs")
-            if outputs is not None:
-                # Rule text alone cannot carry a designated-output
-                # restriction; rebuild with it so workers agree with the
-                # coordinator's program object on the output schema.
-                program = type(program)(program.rules, output_relations=outputs)
-        routing = workload_spec.get("routing", "default")
-        if routing == "optimized":
-            from ..optimizer import plan_optimized
-
-            plan = plan_optimized(program).plan
-        elif routing in ("default", "barrier"):
-            plan = plan_distribution(program, force_barrier=routing == "barrier")
-        else:
-            raise ValueError(f"unknown routing {routing!r}")
-        return network_for_plan(plan, tuple(nodes))
-    if kind == "scaling":
-        workload = scaling_workload_by_key(workload_spec["key"])
-    elif kind == "gate":
-        from .gate import workload_by_key
-
-        workload = workload_by_key(workload_spec["key"])
-    else:
-        raise ValueError(f"unknown workload spec kind {kind!r}")
-    network = Network(nodes)
-    return TransducerNetwork(
-        network, workload.transducer, workload.policy(network)
-    )
+def _scaling_network(recipe: dict, processes: int | None) -> TransducerNetwork:
+    """The network of ``{"kind": "scaling", "key": ...}`` on ``n1 ..
+    n<processes>`` — the one recipe :class:`ProcessCluster` still takes."""
+    if recipe.get("kind") != "scaling":
+        raise ValueError(f"not a scaling workload recipe: {recipe!r}")
+    if processes is None:
+        raise ValueError("a scaling workload recipe needs processes=N")
+    nodes = tuple(f"n{i + 1}" for i in range(processes))
+    return scaling_workload_by_key(recipe["key"]).network(nodes)
 
 
 def _encode_summary(summary: NodeCore | NodeSummary) -> dict:
@@ -567,21 +514,20 @@ async def _control_loop(
             )
 
 
-async def _worker_async(spec: dict) -> None:
-    node: str = spec["node"]
-    nodes: list[str] = list(spec["nodes"])
-    net = build_proc_network(spec["workload"], nodes)
-    fragment = Instance(set(decode_facts_hex(spec["fragment"])))
-
+async def _worker_async(
+    cluster: ProcessCluster,
+    node: str,
+    control_port: int,
+    checkpoint_dir: str,
+    kill_after: int | None,
+) -> None:
+    """Run *node* of *cluster* — the coordinator's object, inherited by the
+    fork — and send its result to the coordinator."""
     endpoint = ProcessEndpoint(
-        node,
-        spec["host"],
-        mailbox_capacity=int(spec.get("mailbox_capacity", DEFAULT_MAILBOX_CAPACITY)),
+        node, cluster._host, mailbox_capacity=cluster._mailbox_capacity
     )
     await endpoint.start()
-    creader, cwriter = await dial_with_retry(
-        spec["host"], int(spec["control_port"])
-    )
+    creader, cwriter = await dial_with_retry(cluster._host, control_port)
     _send_msg(
         cwriter,
         {"type": "hello", "node": node, "port": endpoint.port, "pid": os.getpid()},
@@ -594,27 +540,25 @@ async def _worker_async(spec: dict) -> None:
         {name: (host, int(port)) for name, (host, port) in peers_msg["peers"].items()}
     )
 
-    journal = NodeJournal(DiskCheckpointStore(spec["checkpoint_dir"]), node)
+    journal = NodeJournal(DiskCheckpointStore(checkpoint_dir), node)
     recovered = journal.has_history()
     core = NodeCore(
-        net,
+        cluster.network,
         node,
-        fragment,
-        max_probes=int(spec.get("max_probes", 10_000)),
-        snapshot_every=int(spec.get("snapshot_every", 1)),
+        cluster.local_input(node),
+        max_probes=cluster._max_probes,
+        snapshot_every=cluster._snapshot_every,
         dedup=True,
-        # The whole deterministic feed ships in every worker spec; only the
-        # initiator's core consumes it.  It is a fixed list, so WAL replay
-        # of an injection after a real SIGKILL regenerates it identically.
-        feed=[decode_facts_hex(text) for text in spec["feed"]],
+        # Only the initiator's core consumes the feed.  It is a fixed list,
+        # so WAL replay of an injection after a real SIGKILL regenerates it
+        # identically.
+        feed=cluster._feed_batches(),
     )
     cluster_node = ClusterNode(
         core,
         endpoint,
         journal=journal,
-        crash_probe=(
-            _make_kill_probe(spec["kill_after"]) if spec.get("kill_after") else None
-        ),
+        crash_probe=_make_kill_probe(kill_after) if kill_after else None,
     )
     control_task = asyncio.ensure_future(
         _control_loop(creader, endpoint, node)
@@ -654,9 +598,9 @@ async def _worker_async(spec: dict) -> None:
     await endpoint.close()
 
 
-def _run_forked_worker(spec: dict, log_fd: int, alive_fd: int) -> NoReturn:
+def _run_forked_worker(worker: tuple, log_fd: int, alive_fd: int) -> NoReturn:
     """The whole life of a forked child: shed the coordinator, run one
-    cluster node, ``os._exit``.
+    cluster node (``_worker_async(*worker)``), ``os._exit``.
 
     The child starts as a copy of the coordinator deep inside the parent's
     event-loop stack, and none of that may run here: not the parent's
@@ -691,7 +635,7 @@ def _run_forked_worker(spec: dict, log_fd: int, alive_fd: int) -> NoReturn:
         signal.set_wakeup_fd(-1)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.signal(signal.SIGINT, signal.SIG_DFL)
-        asyncio.run(_worker_async(spec))
+        asyncio.run(_worker_async(*worker))
         status = 0
     except BaseException:  # never unwind into the coordinator's stack
         traceback.print_exc()
@@ -787,6 +731,11 @@ class ProcessCluster(RingRun):
     :func:`~repro.cluster.telemetry.build_cluster_report` and the
     divergence gate treat both runtimes identically.
 
+    One worker per node of *network*, each forked from this object and
+    running *network* itself; node names must be strings, because the
+    control plane names them in JSON.  ``{"kind": "scaling", "key": ...}``
+    with ``processes=N`` is accepted in place of a network.
+
     ``kill_node``/``kill_after`` schedule one *real* ``SIGKILL``: the
     named worker shoots itself after that many transitions, the parent
     observes the death, respawns it over the same checkpoint directory,
@@ -795,11 +744,10 @@ class ProcessCluster(RingRun):
 
     def __init__(
         self,
-        workload_spec: dict,
+        network: TransducerNetwork | dict,
         instance: Instance,
         *,
         processes: int | None = None,
-        nodes: Sequence[str] | None = None,
         seed: int = 0,
         host: str = "127.0.0.1",
         run_dir: str | os.PathLike | None = None,
@@ -811,22 +759,15 @@ class ProcessCluster(RingRun):
         mailbox_capacity: int = DEFAULT_MAILBOX_CAPACITY,
         delta_feed=None,
     ) -> None:
-        if nodes is None:
-            if processes is None:
-                raise ValueError("pass either processes=N or nodes=[...]")
-            nodes = tuple(f"n{i + 1}" for i in range(processes))
-        nodes = tuple(nodes)
-        if not nodes:
-            raise ValueError("a process cluster needs at least one node")
+        if isinstance(network, dict):
+            # ROADMAP item 5 deletes this recipe with processes= and the unread seed=.
+            network = _scaling_network(network, processes)
+        super().__init__(network, instance, delta_feed)
+        nodes = tuple(self.nodes())
         if not all(isinstance(node, str) for node in nodes):
             raise ValueError("process-cluster node names must be strings")
         if kill_node is not None and kill_node not in nodes:
             raise ValueError(f"kill_node {kill_node!r} is not in {nodes}")
-        self._workload_spec = dict(workload_spec)
-        self._node_names = nodes
-        super().__init__(
-            build_proc_network(self._workload_spec, nodes), instance, delta_feed
-        )
         self._host = host
         self._run_dir = run_dir
         self._kill_node = kill_node
@@ -921,21 +862,13 @@ class ProcessCluster(RingRun):
         def spawn(node: str, *, kill: bool) -> None:
             attempt = spawn_counts[node]
             spawn_counts[node] = attempt + 1
-            spec = {
-                "node": node,
-                "nodes": list(self._node_names),
-                "workload": self._workload_spec,
-                "fragment": encode_facts_hex(self._fragments[node]),
-                "host": self._host,
-                "control_port": control_port,
-                "checkpoint_dir": os.path.join(run_dir, f"ckpt-{node}"),
-                "snapshot_every": self._snapshot_every,
-                "max_probes": self._max_probes,
-                "mailbox_capacity": self._mailbox_capacity,
-                "feed": [encode_facts_hex(facts) for facts in self._feed_batches()],
-            }
-            if kill and self._kill_after is not None:
-                spec["kill_after"] = self._kill_after
+            worker = (
+                self,
+                node,
+                control_port,
+                os.path.join(run_dir, f"ckpt-{node}"),
+                self._kill_after if kill else None,
+            )
             log_fd = os.open(
                 os.path.join(run_dir, f"{node}-{attempt}.stderr"),
                 os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
@@ -945,7 +878,7 @@ class ProcessCluster(RingRun):
             try:
                 pid = _fork()
                 if pid == 0:
-                    _run_forked_worker(spec, log_fd, alive_w)  # never returns
+                    _run_forked_worker(worker, log_fd, alive_w)  # never returns
             except OSError:
                 os.close(alive_r)
                 raise

@@ -128,7 +128,8 @@ class RuntimeStack(EvaluationStack):
 
     def evaluate(self, program, instance, context):
         from ..cluster.faults import CRASH_PLAN
-        from ..runtimes import execute, program_target
+        from ..core.analyzer import planned_network
+        from ..runtimes import execute
         from ..transducers.faults import CHAOS_PLAN
 
         if context.crash and self.runtime == "cluster":
@@ -137,9 +138,8 @@ class RuntimeStack(EvaluationStack):
             faults = CHAOS_PLAN if context.chaos else None
         return execute(
             self.runtime,
-            program_target(program),
+            planned_network(program, context.nodes),
             instance,
-            nodes=context.nodes,
             seed=context.seed,
             scheduler=context.scheduler,
             transport=context.transport,

@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from ..core.analyzer import analyze, query_for
+from ..core.analyzer import analyze, planned_network, query_for
 from ..datalog.instance import Instance
 from ..datalog.program import Program
 from ..monotonicity.classes import AdditionKind
-from ..runtimes import Observation, execute, program_target, refines, spec_for
+from ..runtimes import Observation, execute, refines, spec_for
 from ..streaming.feed import DeltaFeed
 from .metamorphic import KIND_FOR_CLASS, _facts_text
 from .stacks import StackContext
@@ -194,9 +194,8 @@ def _check_case(
     feed = case.feed()
     observation = execute(
         "processes" if runtime == "procs" else runtime,
-        program_target(case.program),
+        planned_network(case.program, context.nodes),
         case.base,
-        nodes=context.nodes,
         seed=context.seed,
         feed=feed,
         scheduler=context.scheduler,

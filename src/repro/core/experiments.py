@@ -646,7 +646,7 @@ def protocol_costs(
     for kind, transducer, policy in configs:
         observation = execute(
             "sync",
-            {"network": TransducerNetwork(network, transducer, policy)},
+            TransducerNetwork(network, transducer, policy),
             instance,
             seed=seed,
         )

@@ -84,14 +84,10 @@ def execute_arm(
     """Run one plan arm to quiescence and package its cost evidence."""
     plan = optimized.plan
     base = instance.restrict(optimized.program.edb())
-    names = node_names(nodes)
-    # A pre-built network, not a routing recipe: a planted-bug plan
-    # (``mutate=``) is no routing a recipe could name.
     observation = execute(
         "sync",
-        {"network": network_for_plan(plan, names)},
+        network_for_plan(plan, node_names(nodes)),
         base,
-        nodes=names,
         seed=seed,
         scheduler=scheduler,
     )

@@ -5,7 +5,7 @@ Mdisjoint outputs ``Q(I)`` at quiescence under *any* admissible schedule.
 In the transducer model a runtime is a schedule, not a different program,
 so the claim is stated here once, at specification level:
 
-* :func:`execute` runs a *target* on a named runtime — ``sync`` (the
+* :func:`execute` runs a *network* on a named runtime — ``sync`` (the
   synchronous simulator), ``cluster`` (one asyncio task per node),
   ``processes`` (one OS process per node) — and returns an
   :class:`Observation`: final output, per-epoch outputs, whether the run
@@ -15,27 +15,27 @@ so the claim is stated here once, at specification level:
   retracted — and :func:`refines` is the only assertion: the
   :class:`Violation`\\ s of a spec by an observation, none when it refines.
 
-A *target* is the one description every runtime builds its network from:
-the recipe :func:`repro.cluster.procs.build_proc_network` consumes —
-``{"kind": "program", "text": ..., "routing": "default" | "optimized" |
-"barrier"}`` or ``{"kind": "gate" | "scaling", "key": ...}`` — which may
-also carry a pre-built ``"network"`` or parsed ``"program"`` for the
-in-process runtimes.  Process workers never see those two keys; they
-rebuild from the recipe.  ``tests/test_seam_lint.py`` keeps every front end
-and gate on this side of the seam.
+The *network* every runtime runs is a
+:class:`~repro.transducers.runtime.TransducerNetwork`: a transducer plus
+its distribution policy on named nodes, which is what a transducer network
+is in the paper's model (Section 4.1).  Front ends build it once
+(:func:`~repro.core.analyzer.planned_network`,
+:func:`~repro.core.analyzer.network_for_plan`,
+:meth:`~repro.transducers.protocols.Section4Protocol.network`) and every
+runtime runs that object: process workers are forked from the caller and
+use it as is.  ``tests/test_seam_lint.py`` keeps every front end and gate
+on this side of the seam.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
 
 from .datalog.instance import Instance
-from .datalog.program import Program
 from .monotonicity.classes import AdditionKind
 from .queries.base import Query
 from .transducers.faults import FaultPlan, FaultyChannel, make_scheduler
-from .transducers.runtime import QuiescenceError, Scheduler
+from .transducers.runtime import QuiescenceError, Scheduler, TransducerNetwork
 from .transducers.telemetry import RunReport, build_run_report
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "Violation",
     "execute",
     "node_names",
-    "program_target",
     "refines",
     "spec_for",
 ]
@@ -54,24 +53,6 @@ __all__ = [
 def node_names(count: int) -> tuple[str, ...]:
     """The canonical node names ``n1 .. n<count>``."""
     return tuple(f"n{i + 1}" for i in range(count))
-
-
-def program_target(program: Program | str, *, routing: str = "default") -> dict:
-    """The target for a Datalog¬ program (text or parsed) under a routing
-    decision: ``default`` (cheapest sound protocol for its class),
-    ``optimized`` (the per-stratum optimizer's bundle) or ``barrier`` (the
-    forced All-barrier baseline)."""
-    if isinstance(program, str):
-        return {"kind": "program", "text": program, "routing": routing}
-    return {
-        "kind": "program",
-        "text": "\n".join(repr(rule) for rule in program.rules),
-        # Rule text drops the designated-output restriction; carry it so a
-        # worker computes the same output schema.
-        "outputs": sorted(program.output_relations),
-        "routing": routing,
-        "program": program,
-    }
 
 
 @dataclass(frozen=True)
@@ -134,19 +115,13 @@ def _observe(run, drive, report) -> Observation:
     )
 
 
-def _network(target: dict, nodes):
-    from .cluster.procs import build_proc_network
-
-    return build_proc_network(target, nodes)
-
-
 def _sync(
-    target, instance, *, nodes, seed, feed, faults, scheduler, max_rounds, trace, **_
+    network, instance, *, seed, feed, faults, scheduler, max_rounds, trace, **_
 ):
     if not isinstance(scheduler, Scheduler):
         scheduler = make_scheduler(scheduler or "fair", seed)
     channel = FaultyChannel(faults, seed) if faults is not None else None
-    run = _network(target, nodes).new_run(instance, channel=channel)
+    run = network.new_run(instance, channel=channel)
     limits = {"max_rounds": max_rounds, "scheduler": scheduler}
     if feed is not None:
         drive = lambda: run.stream_to_quiescence(feed, **limits)
@@ -160,12 +135,12 @@ def _sync(
     )
 
 
-def _cluster(target, instance, *, nodes, seed, feed, faults, transport, timeout, **_):
+def _cluster(network, instance, *, seed, feed, faults, transport, timeout, **_):
     from .cluster.runtime import ClusterRun
     from .cluster.telemetry import build_cluster_report
 
     run = ClusterRun(
-        _network(target, nodes), instance, transport=transport, fault_plan=faults,
+        network, instance, transport=transport, fault_plan=faults,
         seed=seed, timeout=timeout, delta_feed=feed,
     )
     return _observe(
@@ -174,21 +149,14 @@ def _cluster(target, instance, *, nodes, seed, feed, faults, transport, timeout,
     )
 
 
-def _processes(target, instance, *, nodes, seed, feed, kill, timeout, run_dir, **_):
+def _processes(network, instance, *, feed, kill, timeout, run_dir, **_):
     from .cluster.procs import ProcessCluster
     from .cluster.telemetry import build_cluster_report
 
-    recipe = {k: v for k, v in target.items() if k not in ("network", "program")}
-    if "kind" not in recipe:
-        raise ValueError(
-            "the processes runtime rebuilds the network inside each worker: "
-            "its target needs a recipe (program text or workload key), not "
-            "only a pre-built network"
-        )
     kill_node, kill_after = kill or (None, None)
     cluster = ProcessCluster(
-        recipe, instance, nodes=tuple(nodes), seed=seed, run_dir=run_dir,
-        kill_node=kill_node, kill_after=kill_after, timeout=timeout, delta_feed=feed,
+        network, instance, run_dir=run_dir, kill_node=kill_node,
+        kill_after=kill_after, timeout=timeout, delta_feed=feed,
     )
     return _observe(
         cluster, cluster.run_to_quiescence,
@@ -204,10 +172,9 @@ RUNTIMES = tuple(_REGISTRY)
 
 def execute(
     runtime: str,
-    target: dict,
+    network: TransducerNetwork,
     instance: Instance,
     *,
-    nodes: Sequence[Hashable] = ("n1", "n2", "n3"),
     seed: int = 0,
     feed=None,
     faults: FaultPlan | None = None,
@@ -219,18 +186,20 @@ def execute(
     run_dir=None,
     trace: bool = False,
 ) -> Observation:
-    """Run *target* on *instance* under the named *runtime*.
+    """Run *network* on *instance* under the named *runtime*.
 
-    ``feed`` streams a :class:`~repro.streaming.DeltaFeed`, each batch
-    injected at detected quiescence.  ``faults`` is an injected
+    The network names the nodes.  ``feed`` streams a
+    :class:`~repro.streaming.DeltaFeed`, each batch injected at detected
+    quiescence.  ``faults`` is an injected
     :class:`~repro.transducers.faults.FaultPlan` (``sync`` and ``cluster``;
     its crash schedule fires on ``cluster`` only) and ``kill`` is ``(node,
     after_transitions)``, one real ``SIGKILL`` (``processes`` only); a
     runtime that cannot inject one raises :class:`ValueError`.  The rest
-    tune one runtime and are ignored by the others: ``scheduler`` (a name
-    or a :class:`Scheduler`), ``max_rounds`` and ``trace`` on ``sync``,
-    ``transport`` on ``cluster``, ``run_dir`` on ``processes``, ``timeout``
-    (wall clock) on both asynchronous ones.
+    tune some runtimes and are ignored by the others: ``seed`` (the
+    scheduler's and the fault plan's draws) on ``sync`` and ``cluster``,
+    ``scheduler`` (a name or a :class:`Scheduler`), ``max_rounds`` and
+    ``trace`` on ``sync``, ``transport`` on ``cluster``, ``run_dir`` on
+    ``processes``, ``timeout`` (wall clock) on both asynchronous ones.
 
     A run that fails to quiesce is an observation with ``quiesced=False``,
     never an exception.
@@ -242,7 +211,7 @@ def execute(
     if runtime != "processes" and kill is not None:
         raise ValueError(f"runtime {runtime!r} does not support kill")
     return _REGISTRY[runtime](
-        target, instance, nodes=nodes, seed=seed, feed=feed, faults=faults, kill=kill,
+        network, instance, seed=seed, feed=feed, faults=faults, kill=kill,
         scheduler=scheduler, transport=transport, max_rounds=max_rounds,
         timeout=timeout, run_dir=run_dir, trace=trace,
     )

@@ -58,7 +58,7 @@ from ..core.certificate import (
 )
 from ..datalog.instance import Instance
 from ..datalog.parser import parse_facts, parse_program
-from ..runtimes import execute, node_names, program_target, refines, spec_for
+from ..runtimes import execute, node_names, refines, spec_for
 from ..transducers.telemetry import output_fingerprint
 from .store import RunStore
 
@@ -249,21 +249,11 @@ def _execute_plan(plan, request: dict[str, Any], instance: Instance):
     """Run the planned protocol on the requested runtime; the
     :class:`~repro.runtimes.Observation`.
 
-    The in-process runtimes take the network of the plan the certificate
-    describes; process workers rebuild the same network from the program
-    text and the routing decision (never ILOG: that is mode ``eval`` only).
+    Every mode runs the network of the plan the certificate describes.
     """
-    nodes = node_names(request["nodes"])
+    network = network_for_plan(plan, node_names(request["nodes"]))
     runtime = _RUNTIME_BY_MODE[request["mode"]]
-    if runtime == "processes":
-        if request["optimize"]:
-            routing = "optimized"
-        else:
-            routing = "barrier" if request["force_barrier"] else "default"
-        target = program_target(request["program"], routing=routing)
-    else:
-        target = {"network": network_for_plan(plan, nodes)}
-    return execute(runtime, target, instance, nodes=nodes, seed=request["seed"])
+    return execute(runtime, network, instance, seed=request["seed"])
 
 
 def execute_request(

@@ -13,8 +13,8 @@ Feeds are plain data — a tuple of fact batches — so the same feed can be
 replayed against the synchronous simulator (:meth:`Run.stream_to_quiescence
 <repro.transducers.runtime.Run.stream_to_quiescence>`), the asyncio cluster
 (``ClusterRun(delta_feed=...)``) and the process cluster
-(``ProcessCluster(delta_feed=...)``), and shipped over wire formats (hex
-fact lists in worker specs, fact strings in YAML scenarios).
+(``ProcessCluster(delta_feed=...)``), and written down as fact strings in
+YAML scenarios.
 
 :meth:`DeltaFeed.generate` draws a feed from a seeded RNG such that every
 batch is *kind-admissible* with respect to the accumulated base: for

@@ -187,13 +187,13 @@ def check_stream_scenario(
     ``processes=False`` restricts to sync + asyncio (the CI smoke shape);
     ``kill=False`` skips the kill-and-recover arm.
     """
-    from ..core.analyzer import query_for
-    from ..runtimes import execute, program_target, refines, spec_for
+    from ..core.analyzer import planned_network, query_for
+    from ..runtimes import execute, refines, spec_for
     from ..transducers.telemetry import output_fingerprint
 
     feed, base, program = scenario.feed(), scenario.base(), scenario.program()
-    # Parsed once for the in-process arms; process workers re-parse the text.
-    target = {**program_target(scenario.program_text), "program": program}
+    # One network for every arm; process workers are forked with it.
+    network = planned_network(program, scenario.nodes)
     verdict = StreamGateVerdict(
         scenario=scenario.name, oracle=scenario.oracle, epochs=len(feed) + 1
     )
@@ -208,8 +208,7 @@ def check_stream_scenario(
     spec = spec_for(query_for(program), base, feed, kind)
     for arm, (runtime, options) in arms.items():
         observation = execute(
-            runtime, target, base,
-            nodes=scenario.nodes, seed=scenario.seed, feed=feed, **options,
+            runtime, network, base, seed=scenario.seed, feed=feed, **options
         )
         observation.result()  # a scenario run that does not quiesce is an error
         verdict.runtimes[arm] = [

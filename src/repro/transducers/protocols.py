@@ -486,6 +486,15 @@ class Section4Protocol:
             )
         return hash_policy(self.query.input_schema, network)
 
+    def network(self, nodes):
+        """The transducer network of this bundle on *nodes*: its transducer
+        under :meth:`policy` (Section 4.1)."""
+        from .policy import Network
+        from .runtime import TransducerNetwork
+
+        network = Network(nodes)
+        return TransducerNetwork(network, self.transducer, self.policy(network))
+
     def expected(self) -> Instance:
         """Q(I): the centralized answer every fair run must converge to."""
         return self.query(self.instance)

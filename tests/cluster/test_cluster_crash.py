@@ -9,7 +9,6 @@ from repro.cluster.checkpoint import DiskCheckpointStore, MemoryCheckpointStore
 from repro.cluster.faults import CRASH_PLAN
 from repro.cluster.gate import (
     GATE_NETWORK_NODES,
-    _build_network,
     cluster_fingerprint,
     sync_fingerprint,
     workload_by_key,
@@ -22,7 +21,7 @@ SAMPLE_KEYS = ("thm43-distinct", "barrier-baseline", "zoo-win-move")
 
 def _crash_run(workload, **kwargs) -> ClusterRun:
     run = ClusterRun(
-        _build_network(workload, GATE_NETWORK_NODES),
+        workload.network(GATE_NETWORK_NODES),
         workload.instance,
         fault_plan=CRASH_PLAN,
         **kwargs,
@@ -98,7 +97,7 @@ def test_checkpoints_without_crashes_journal_quietly():
     expected = sync_fingerprint(workload)
     store = MemoryCheckpointStore()
     run = ClusterRun(
-        _build_network(workload, GATE_NETWORK_NODES),
+        workload.network(GATE_NETWORK_NODES),
         workload.instance,
         checkpoints=store,
     )
@@ -133,7 +132,7 @@ def test_zero_crash_rate_plan_never_crashes():
     expected = sync_fingerprint(workload)
     plan = FaultPlan(crash_rate=0.0)
     run = ClusterRun(
-        _build_network(workload, GATE_NETWORK_NODES),
+        workload.network(GATE_NETWORK_NODES),
         workload.instance,
         fault_plan=plan,
         seed=0,

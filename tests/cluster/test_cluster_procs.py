@@ -20,14 +20,14 @@ import repro.cluster.procs as procs
 from repro.cluster.gate import check_process_workload, sync_fingerprint
 from repro.cluster.procs import (
     ProcessCluster,
-    build_proc_network,
     decode_facts_hex,
     encode_facts_hex,
     scaling_workload,
     scaling_workload_by_key,
-    workload_spec_for,
 )
+from repro.datalog import Instance, parse_facts, parse_program
 from repro.datalog.terms import Fact
+from repro.runtimes import node_names
 from repro.transducers.runtime import QuiescenceError
 from repro.transducers.telemetry import output_fingerprint
 
@@ -40,9 +40,9 @@ def _small_workload():
     return scaling_workload(**SMALL)
 
 
-def _run(workload, **kwargs) -> ProcessCluster:
+def _run(workload, processes, **kwargs) -> ProcessCluster:
     cluster = ProcessCluster(
-        workload_spec_for(workload), workload.instance, **kwargs
+        workload.network(node_names(processes)), workload.instance, **kwargs
     )
     cluster.run_to_quiescence()
     return cluster
@@ -94,60 +94,37 @@ class TestWorkloadReconstruction:
         with pytest.raises(KeyError):
             scaling_workload_by_key("scaling-tc-oops")
 
-    def test_spec_kind_scaling(self):
-        assert workload_spec_for(_small_workload()) == {
-            "kind": "scaling",
-            "key": f"scaling-wm-c{SMALL['components']}-s{SMALL['size']}",
-        }
-
-    def test_spec_kind_gate(self):
-        from repro.cluster.gate import workload_by_key
-
-        spec = workload_spec_for(workload_by_key("thm43-distinct"))
-        assert spec == {"kind": "gate", "key": "thm43-distinct"}
-
-    def test_build_network_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown workload spec"):
-            build_proc_network({"kind": "nope"}, ("n1",))
-
-    def test_build_network_is_deterministic(self):
-        spec = workload_spec_for(_small_workload())
-        one = build_proc_network(spec, ("n1", "n2"))
-        two = build_proc_network(spec, ("n1", "n2"))
-        instance = _small_workload().instance
-        assert one.policy.distribute(instance) == two.policy.distribute(
-            instance
-        )
-
 
 class TestValidation:
+    RECIPE = {"kind": "scaling", "key": _small_workload().key}
+
     def test_needs_processes_or_nodes(self):
-        workload = _small_workload()
-        with pytest.raises(ValueError, match="processes=N or nodes"):
-            ProcessCluster(workload_spec_for(workload), workload.instance)
+        """A network names its nodes; the scaling recipe needs a count."""
+        with pytest.raises(ValueError, match="processes=N"):
+            ProcessCluster(self.RECIPE, _small_workload().instance)
 
     def test_rejects_empty_nodes(self):
-        workload = _small_workload()
         with pytest.raises(ValueError, match="at least one node"):
+            ProcessCluster(self.RECIPE, _small_workload().instance, processes=0)
+
+    def test_no_other_recipe_is_accepted(self):
+        with pytest.raises(ValueError, match="not a scaling workload recipe"):
             ProcessCluster(
-                workload_spec_for(workload), workload.instance, nodes=()
+                {"kind": "program", "text": "T(x) :- E(x)."},
+                _small_workload().instance,
+                processes=2,
             )
 
     def test_rejects_non_string_node_names(self):
         workload = _small_workload()
         with pytest.raises(ValueError, match="must be strings"):
-            ProcessCluster(
-                workload_spec_for(workload), workload.instance, nodes=(1, 2)
-            )
+            ProcessCluster(workload.network((1, 2)), workload.instance)
 
     def test_rejects_unknown_kill_node(self):
         workload = _small_workload()
         with pytest.raises(ValueError, match="kill_node"):
             ProcessCluster(
-                workload_spec_for(workload),
-                workload.instance,
-                processes=2,
-                kill_node="n9",
+                workload.network(node_names(2)), workload.instance, kill_node="n9"
             )
 
     def test_one_shot(self):
@@ -233,13 +210,11 @@ def test_real_sigkill_recovery(tmp_path):
 
 
 HASH_SEED_DRIVER = """
-from repro.cluster.procs import ProcessCluster, scaling_workload, workload_spec_for
+from repro.cluster.procs import ProcessCluster, scaling_workload
 from repro.transducers.telemetry import output_fingerprint
 
 workload = scaling_workload(components={components}, size={size})
-cluster = ProcessCluster(
-    workload_spec_for(workload), workload.instance, processes=2
-)
+cluster = ProcessCluster(workload.network(("n1", "n2")), workload.instance)
 print(output_fingerprint(cluster.run_to_quiescence()))
 """
 
@@ -281,23 +256,40 @@ def test_process_gate_verdict():
     assert verdict.wal_replayed >= 1
 
 
+def test_process_gate_passes_on_a_workload_outside_the_corpus():
+    """A forked worker runs the bundle it is handed, so the gate needs no
+    corpus key: it once rebuilt the workload by key inside each worker,
+    and a bundle outside ``gate_workloads()`` failed every worker at boot."""
+    from dataclasses import replace
+
+    from repro.cluster.gate import gate_workloads, workload_by_key
+
+    workload = replace(
+        workload_by_key("thm43-distinct"),
+        key="outside-the-corpus",
+        instance=Instance(parse_facts("E(1,2). E(2,3). E(3,4). Mark(3).")),
+    )
+    assert workload.key not in {w.key for w in gate_workloads()}
+    verdict = check_process_workload(workload, processes=2, kill_after=1)
+    assert verdict.passed, verdict.to_dict()
+    assert verdict.expected_fingerprint == output_fingerprint(workload.expected())
+
+
 def test_large_results_are_not_mistaken_for_crashes():
     """A worker whose result outgrows the socket buffers must still deliver
     it.  It used to close the control socket with the coordinator's
     ``finish`` unread, the kernel answered RST and dropped the unsent tail,
     and the coordinator counted a crash and respawned: right output, wrong
     ``crashes`` / ``recoveries`` (3 runs of 5 before the half-close)."""
-    from repro.datalog import Instance, parse_facts
+    from repro.core.analyzer import planned_network
 
-    tc = "T(x, y) :- E(x, y).\nT(x, z) :- T(x, y), E(y, z).\n"
+    tc = parse_program("T(x, y) :- E(x, y).\nT(x, z) :- T(x, y), E(y, z).\n")
     chain = Instance(parse_facts(" ".join(f"E({i}, {i + 1})." for i in range(120))))
-    for seed in range(5):
-        cluster = ProcessCluster(
-            {"kind": "program", "text": tc}, chain, processes=3, seed=seed
-        )
+    for repetition in range(5):
+        cluster = ProcessCluster(planned_network(tc, node_names(3)), chain)
         assert len(cluster.run_to_quiescence()) == 120 * 121 // 2
         assert len(cluster.worker_result("n1")["output"]) > 300_000  # hex chars
-        assert (cluster.crashes, cluster.recoveries) == (0, 0), seed
+        assert (cluster.crashes, cluster.recoveries) == (0, 0), repetition
 
 
 # ----------------------------------------------------------------------
@@ -320,7 +312,7 @@ needs_proc_fd = pytest.mark.skipif(
 )
 
 
-async def _fails_at_boot(spec):
+async def _fails_at_boot(cluster, node, *_):
     """A ``_worker_async`` stand-in.  Workers are forked from the test
     process, so they inherit a monkeypatched module — and say whose child
     they are."""
@@ -344,7 +336,7 @@ def test_runs_leak_no_descriptor_and_no_zombie():
 
 @needs_proc_fd
 def test_timeout_reaps_workers_and_closes_descriptors(monkeypatch):
-    async def never_boots(spec):
+    async def never_boots(cluster, node, *_):
         await asyncio.sleep(60)
 
     # A forked worker inherits the patched module: it idles instead of
@@ -353,7 +345,7 @@ def test_timeout_reaps_workers_and_closes_descriptors(monkeypatch):
     workload = _small_workload()
     before = _open_fds()
     cluster = ProcessCluster(
-        workload_spec_for(workload), workload.instance, processes=2, timeout=0.3
+        workload.network(node_names(2)), workload.instance, timeout=0.3
     )
     with pytest.raises(QuiescenceError, match="did not quiesce within 0.3s"):
         cluster.run_to_quiescence()
@@ -369,7 +361,7 @@ def test_worker_that_fails_at_boot_exhausts_restarts(monkeypatch, tmp_path):
     workload = _small_workload()
     run_dir = tmp_path / "run"
     cluster = ProcessCluster(
-        workload_spec_for(workload), workload.instance, processes=1, run_dir=run_dir
+        workload.network(node_names(1)), workload.instance, run_dir=run_dir
     )
     with pytest.raises(RuntimeError, match="giving up") as failure:
         cluster.run_to_quiescence()

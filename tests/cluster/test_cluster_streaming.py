@@ -88,9 +88,8 @@ class TestAsyncioStreaming:
 class TestProcessStreaming:
     def test_process_cluster_matches_sync(self):
         cluster = ProcessCluster(
-            {"kind": "program", "text": TC_TEXT},
+            planned_network(parse_program(TC_TEXT), NODES),
             Instance(parse_facts(BASE)),
-            nodes=NODES,
             delta_feed=DeltaFeed.from_texts(BATCHES),
         )
         cluster.run_to_quiescence()
@@ -99,9 +98,8 @@ class TestProcessStreaming:
 
     def test_kill_and_recover_replays_the_stream(self, tmp_path):
         cluster = ProcessCluster(
-            {"kind": "program", "text": TC_TEXT},
+            planned_network(parse_program(TC_TEXT), NODES),
             Instance(parse_facts(BASE)),
-            nodes=NODES,
             run_dir=str(tmp_path / "run"),
             delta_feed=DeltaFeed.from_texts(BATCHES),
             kill_node="n2",
@@ -114,21 +112,14 @@ class TestProcessStreaming:
         assert prints == _sync_trajectory()
 
     def test_designated_outputs_respected_by_workers(self):
-        # Rule text alone cannot carry a designated-output restriction;
-        # the spec's "outputs" key must make workers agree with the
-        # coordinator on the output schema.
+        # Workers run the coordinator's network, so they output exactly
+        # the program's designated relations.
         program = parse_program(
             "T(x, y) :- E(x, y).\nAux(x) :- E(x, y).",
             output_relations=("T",),
         )
         cluster = ProcessCluster(
-            {
-                "kind": "program",
-                "text": "\n".join(repr(rule) for rule in program.rules),
-                "outputs": sorted(program.output_relations),
-            },
-            Instance(parse_facts(BASE)),
-            nodes=NODES,
+            planned_network(program, NODES), Instance(parse_facts(BASE))
         )
         result = cluster.run_to_quiescence()
         assert {fact.relation for fact in result} == {"T"}

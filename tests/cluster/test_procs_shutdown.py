@@ -19,13 +19,12 @@ import pytest
 DRIVER = """
 import sys
 from repro.cluster import ClusterShutdown, ProcessCluster
-from repro.cluster.procs import scaling_workload, workload_spec_for
+from repro.cluster.procs import scaling_workload
 
 workload = scaling_workload(components=8, size=600)
 cluster = ProcessCluster(
-    workload_spec_for(workload),
+    workload.network(("n1", "n2", "n3")),
     workload.instance,
-    processes=3,
     run_dir=sys.argv[1],
     timeout=120.0,
 )

@@ -18,16 +18,21 @@ import repro.runtimes as runtimes
 from repro.cli import main
 from repro.cluster.checkpoint import CheckpointError, NodeSnapshot
 from repro.cluster.codec import decode_value, encode_value
-from repro.core.analyzer import network_for_plan, plan_ilog_distribution
-from repro.datalog import Fact, Instance, parse_facts
+from repro.core.analyzer import (
+    network_for_plan,
+    plan_ilog_distribution,
+    planned_network,
+)
+from repro.datalog import Fact, Instance, parse_facts, parse_program
 from repro.ilog import DivergenceError, diverging_counter
-from repro.runtimes import execute, program_target
+from repro.runtimes import execute
 from repro.service import RunStore, execute_request
 from repro.streaming import DeltaFeed
 from repro.transducers.telemetry import validate_report_dict
 
 TC = "T(x, y) :- E(x, y).\nT(x, z) :- T(x, y), E(y, z).\n"
 FACTS = "E(1, 2). E(2, 3). E(3, 4)."
+TC_NETWORK = planned_network(parse_program(TC), ("n1",))
 
 
 @pytest.fixture
@@ -73,7 +78,7 @@ def test_ilog_divergence_passes_through_execute_and_is_a_500():
     program = diverging_counter()
     network = network_for_plan(plan_ilog_distribution(program), ("n1", "n2"))
     with pytest.raises(DivergenceError, match="depth"):
-        execute("sync", {"network": network}, Instance(parse_facts("Start(1).")))
+        execute("sync", network, Instance(parse_facts("Start(1).")))
     store = RunStore(":memory:")
     status, body = execute_request(
         store,
@@ -84,21 +89,18 @@ def test_ilog_divergence_passes_through_execute_and_is_a_500():
     assert status == 500 and "Skolem nesting exceeded depth" in body["error"]
 
 
-async def _fails_at_boot(spec):
+async def _fails_at_boot(cluster, node, *_):
     raise RuntimeError("boom at boot")
 
 
 def test_restart_budget_exhaustion_passes_through_execute(monkeypatch):
     monkeypatch.setattr(procs, "_worker_async", _fails_at_boot)
     with pytest.raises(RuntimeError, match=r"(?s)giving up.*boom at boot"):
-        execute(
-            "processes", program_target(TC), Instance(parse_facts(FACTS)),
-            nodes=("n1",),
-        )
+        execute("processes", TC_NETWORK, Instance(parse_facts(FACTS)))
 
 
 def test_report_version_mismatch_is_a_value_error():
-    report = execute("sync", program_target(TC), Instance(parse_facts(FACTS))).report
+    report = execute("sync", TC_NETWORK, Instance(parse_facts(FACTS))).report
     payload = report.to_dict()
     validate_report_dict(payload)
     payload["version"] += 1

@@ -10,9 +10,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cluster.gate import _target, gate_workloads
-from repro.core.analyzer import query_for
-from repro.datalog import Instance, parse_facts, parse_program
+from repro.cluster.gate import gate_workloads
+from repro.core.analyzer import network_for_plan, planned_network, query_for
+from repro.datalog import Fact, Instance, Program, Rule, parse_facts, parse_program
+from repro.datalog.terms import Atom, Variable
 from repro.monotonicity.classes import AdditionKind
 from repro.runtimes import (
     RUNTIMES,
@@ -20,7 +21,6 @@ from repro.runtimes import (
     Spec,
     execute,
     node_names,
-    program_target,
     refines,
     spec_for,
 )
@@ -36,6 +36,7 @@ COUNTEREXAMPLE = "winmove-contested-arena"
 TC = "T(x, y) :- E(x, y).\nT(x, z) :- T(x, y), E(y, z).\n"
 CHAIN = Instance(parse_facts("E(1, 2). E(2, 3). E(3, 4)."))
 TC_QUERY = query_for(parse_program(TC))
+TC_NETWORK = planned_network(parse_program(TC), NODES)
 
 
 # ----------------------------------------------------------------------
@@ -47,18 +48,15 @@ TC_QUERY = query_for(parse_program(TC))
 @pytest.mark.parametrize("runtime", RUNTIMES)
 def test_gate_workload_refines_its_spec(runtime, key):
     workload = WORKLOADS[key]
-    observation = execute(
-        runtime, _target(workload, NODES, runtime), workload.instance, nodes=NODES
-    )
+    observation = execute(runtime, workload.network(NODES), workload.instance)
     assert refines(observation, spec_for(workload.query, workload.instance)) == []
 
 
 def _stream(runtime, scenario):
     return execute(
         runtime,
-        program_target(scenario.program_text),
+        planned_network(scenario.program(), scenario.nodes),
         scenario.base(),
-        nodes=scenario.nodes,
         seed=scenario.seed,
         feed=scenario.feed(),
     )
@@ -105,7 +103,7 @@ def test_counterexample_fails_to_refine_a_disjoint_spec(runtime):
 @pytest.mark.parametrize("runtime", RUNTIMES)
 def test_non_quiescence_is_an_observation(runtime):
     observation = execute(
-        runtime, program_target(TC), CHAIN, nodes=node_names(2),
+        runtime, planned_network(parse_program(TC), node_names(2)), CHAIN,
         max_rounds=1, timeout=0.001,
     )
     assert observation.quiesced is False
@@ -127,7 +125,7 @@ def test_a_timed_out_cluster_reports_the_work_it_did():
     transitions that derived them was the report of a run that never
     harvested (465 facts next to ``transitions == 0``)."""
     chain = Instance(parse_facts(" ".join(f"E({i}, {i + 1})." for i in range(30))))
-    observation = execute("cluster", program_target(TC), chain, timeout=1e-4)
+    observation = execute("cluster", TC_NETWORK, chain, timeout=1e-4)
     assert observation.quiesced is False
     assert observation.output and observation.report.metrics["transitions"] > 0
     per_node = {node.node: node for node in observation.report.per_node}
@@ -139,42 +137,60 @@ def test_a_timed_out_cluster_reports_the_work_it_did():
 
 def test_unknown_runtime_names_the_registry():
     with pytest.raises(KeyError, match="known: sync, cluster, processes"):
-        execute("threads", program_target(TC), CHAIN)
+        execute("threads", TC_NETWORK, CHAIN)
     assert RUNTIMES == ("sync", "cluster", "processes")
 
 
 def test_a_fault_a_runtime_cannot_inject_is_a_value_error():
     with pytest.raises(ValueError, match="'sync' does not support kill"):
-        execute("sync", program_target(TC), CHAIN, kill=("n2", 1))
+        execute("sync", TC_NETWORK, CHAIN, kill=("n2", 1))
     with pytest.raises(ValueError, match="'cluster' does not support kill"):
-        execute("cluster", program_target(TC), CHAIN, kill=("n2", 1))
+        execute("cluster", TC_NETWORK, CHAIN, kill=("n2", 1))
     with pytest.raises(ValueError, match="'processes' does not support faults"):
-        execute("processes", program_target(TC), CHAIN, faults=CHAOS_PLAN)
+        execute("processes", TC_NETWORK, CHAIN, faults=CHAOS_PLAN)
 
 
-def test_processes_need_a_recipe_not_only_a_network():
-    from repro.core.analyzer import planned_network
+def test_processes_run_a_prebuilt_network_and_match_cluster():
+    processes = execute("processes", TC_NETWORK, CHAIN)
+    assert refines(processes, spec_for(TC_QUERY, CHAIN)) == []
+    assert processes.fingerprint == execute("cluster", TC_NETWORK, CHAIN).fingerprint
 
-    network = planned_network(parse_program(TC), NODES)
-    assert execute("cluster", {"network": network}, CHAIN).quiesced
-    with pytest.raises(ValueError, match="needs a recipe"):
-        execute("processes", {"network": network}, CHAIN)
+
+def _routed(routing, nodes):
+    from repro.optimizer import plan_optimized
+
+    program = parse_program(TC)
+    if routing == "optimized":
+        return network_for_plan(plan_optimized(program).plan, nodes)
+    return planned_network(program, nodes, force_barrier=routing == "barrier")
 
 
 @pytest.mark.parametrize("runtime", RUNTIMES)
 @pytest.mark.parametrize("routing", ["default", "barrier", "optimized"])
 def test_every_runtime_builds_the_routed_network(runtime, routing):
-    observation = execute(
-        runtime, program_target(TC, routing=routing), CHAIN, nodes=node_names(2)
-    )
+    observation = execute(runtime, _routed(routing, node_names(2)), CHAIN)
     expected = "barrier[datalog[T]]" if routing == "barrier" else "broadcast[datalog[T]]"
     assert observation.report.protocol == expected
     assert refines(observation, spec_for(TC_QUERY, CHAIN)) == []
 
 
-def test_unknown_routing_is_rejected():
-    with pytest.raises(ValueError, match="unknown routing 'fastest'"):
-        execute("sync", program_target(TC, routing="fastest"), CHAIN)
+@pytest.mark.parametrize("constant", [True, 1.5], ids=["true", "float"])
+@pytest.mark.parametrize("runtime", RUNTIMES)
+def test_a_program_built_in_code_runs_as_built(runtime, constant):
+    """``T(x) :- E(x, constant).``, built in code, on every runtime.  The
+    constant has no Datalog text that parses back to it: process workers
+    once re-parsed ``repr(rule)``, so ``True`` came back a variable and
+    ``processes`` output ``{T(a), T(b), T(c)}`` where the others output
+    ``{T(a)}``, and ``1.5`` raised a ParseError in every worker."""
+    x = Variable("x")
+    program = Program([Rule(Atom("T", (x,)), [Atom("E", (x, constant))])])
+    instance = Instance(
+        [Fact("E", ("a", constant)), Fact("E", ("b", False)), Fact("E", ("c", "z"))]
+    )
+    observation = execute(runtime, planned_network(program, NODES), instance)
+    spec = spec_for(query_for(program), instance)
+    assert spec.final == Instance([Fact("T", ("a",))])
+    assert refines(observation, spec) == []
 
 
 # ----------------------------------------------------------------------
@@ -187,7 +203,7 @@ def _facts(text):
 
 
 def _observed(*epochs):
-    base = execute("sync", program_target(TC), CHAIN)
+    base = execute("sync", TC_NETWORK, CHAIN)
     return replace(base, output=epochs[-1], epoch_outputs=tuple(epochs))
 
 
@@ -219,10 +235,10 @@ def test_refines_without_a_kind_checks_only_the_final_output():
 
 
 def test_observation_counters_read_the_report():
-    observation = execute("sync", program_target(TC), CHAIN)
+    observation = execute("sync", TC_NETWORK, CHAIN)
     assert isinstance(observation, Observation)
     assert (observation.token_probes, observation.crashes) == (0, 0)
     assert (observation.recoveries, observation.wal_replayed) == (0, 0)
-    clustered = execute("cluster", program_target(TC), CHAIN)
+    clustered = execute("cluster", TC_NETWORK, CHAIN)
     assert clustered.token_probes == clustered.report.token_rounds >= 1
     assert clustered.fingerprint == observation.fingerprint

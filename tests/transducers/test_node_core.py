@@ -14,7 +14,7 @@ import pytest
 
 from repro.cluster.checkpoint import CheckpointError
 from repro.cluster.codec import KIND_DATA, KIND_DELTA, KIND_TOKEN, decode_envelope
-from repro.cluster.gate import _build_network, workload_by_key
+from repro.cluster.gate import workload_by_key
 from repro.core.analyzer import planned_network, query_for
 from repro.datalog import Instance, parse_facts, parse_program
 from repro.monotonicity.classes import AdditionKind
@@ -138,7 +138,7 @@ def _tc(nodes, feed=None):
 def _distinct(nodes):
     workload = workload_by_key("thm43-distinct")
     spec = spec_for(workload.query, workload.instance)
-    return _build_network(workload, nodes), workload.instance, None, spec
+    return workload.network(nodes), workload.instance, None, spec
 
 
 CASES = {
