@@ -48,8 +48,9 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+_WS = r"[ \t\r\n]"
 _TOKEN_SPEC = [
-    ("WS", r"[ \t\r\n]+"),
+    ("WS", rf"{_WS}+"),
     ("COMMENT", r"[%#][^\n]*"),
     ("ARROW", r":-|<-|←"),
     ("NEQ", r"!=|≠|<>"),
@@ -64,6 +65,25 @@ _TOKEN_SPEC = [
     ("IDENT", r"[A-Za-z_][A-Za-z0-9_]*"),
 ]
 _TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_SPEC))
+
+# The fact scan: the tokens of one fact, ``IDENT ( [term (, term)*] ) .``,
+# as one regex built from the same token patterns.  A gap between two
+# tokens is what the tokenizer skips there: whitespace runs and comments,
+# each maximal, so the scan splits a text into tokens exactly as the
+# tokenizer does (and a failed match backtracks in linear time).  A
+# relation name is an IDENT the tokenizer does not read as NOT.
+_SPEC = dict(_TOKEN_SPEC)
+_GAP = rf"(?:{_SPEC['WS']}(?!{_WS})|{_SPEC['COMMENT']}(?=\n|\Z))*"
+_VALUE = rf"(?:{_SPEC['INT']}|{_SPEC['STRING']})"
+_FACT_RE = re.compile(
+    rf"{_GAP}((?!{_SPEC['NOT']}){_SPEC['IDENT']}){_GAP}{_SPEC['LPAREN']}{_GAP}"
+    rf"((?:{_VALUE}(?:{_GAP}{_SPEC['COMMA']}{_GAP}{_VALUE})*)?)"
+    rf"{_GAP}{_SPEC['RPAREN']}{_GAP}{_SPEC['DOT']}"
+)
+_ARGUMENT_RE = re.compile(
+    rf"{_GAP}(?:({_SPEC['INT']})|({_SPEC['STRING']})){_GAP}{_SPEC['COMMA']}?"
+)
+_GAP_RE = re.compile(_GAP)
 
 
 class _Token:
@@ -146,7 +166,12 @@ class _Parser:
             return Variable(token.value)
         if token.kind == "INT":
             self._next()
-            return int(token.value)
+            try:
+                return int(token.value)
+            except ValueError as error:  # more digits than int() converts
+                raise ParseError(
+                    f"integer literal too long: {error}", token.position, self._text
+                ) from None
         if token.kind == "STRING":
             self._next()
             return token.value[1:-1]
@@ -203,10 +228,12 @@ class _Parser:
         return after < len(self._tokens) and self._tokens[after].kind == "NEQ"
 
     def parse_fact(self) -> Fact:
+        start = self._index
         atom = self.parse_atom()
         self._next("DOT")
         if not atom.is_ground():
-            raise ParseError(f"fact {atom!r} contains variables")
+            position = self._tokens[start].position
+            raise ParseError(f"fact {atom!r} contains variables", position, self._text)
         return Fact(atom.relation, atom.terms)
 
 
@@ -261,8 +288,45 @@ def parse_program(
     return program
 
 
+def _scan_facts(text: str) -> list[Fact] | None:
+    """The facts of *text* in order, one regex match per fact, or ``None``
+    when the token parser would reject the text."""
+    facts = []
+    position = 0
+    match = _FACT_RE.match
+    while (found := match(text, position)) is not None:
+        relation, arguments = found.group(1, 2)
+        try:
+            # Every string holds a quote and every comment a % or #, which
+            # int() rejects, so this only succeeds on a plain list of
+            # integers (with whitespace around them).
+            values = [int(piece) for piece in arguments.split(",")]
+        except ValueError:
+            try:
+                values = [
+                    int(digits) if digits else quoted[1:-1]
+                    for digits, quoted in _ARGUMENT_RE.findall(arguments)
+                ]
+            except ValueError:  # more digits than int() converts
+                return None
+        facts.append(Fact(relation, values))
+        position = found.end()
+    if _GAP_RE.match(text, position).end() != len(text):
+        return None
+    return facts
+
+
 def parse_facts(text: str) -> Iterator[Fact]:
-    """Parse a sequence of ground facts: ``E(1, 2). E(2, 3).``"""
+    """Parse a sequence of ground facts: ``E(1, 2). E(2, 3).``
+
+    The whole text is scanned before the first fact is yielded.  Text the
+    scan rejects goes through the token parser, which yields the same
+    prefix of facts and then raises the :class:`ParseError`.
+    """
+    facts = _scan_facts(text)
+    if facts is not None:
+        yield from facts
+        return
     parser = _Parser(text)
     while not parser.at_end():
         yield parser.parse_fact()

@@ -194,8 +194,12 @@ def _validated(payload: dict[str, Any], config: ServiceConfig) -> dict[str, Any]
     }
 
 
-def _plan_and_certificate(request: dict[str, Any]):
-    """Parse + classify; returns (plan, certificate, decision)."""
+def _plan_and_certificate(request: dict[str, Any], facts: int):
+    """Parse + classify; returns (plan, certificate, decision).
+
+    *facts* is the size of the parsed input, for the optimizer's cost
+    prediction.
+    """
     forced = request["force_barrier"]
     reason, extra = None, {}
     if request["ilog"]:
@@ -213,7 +217,7 @@ def _plan_and_certificate(request: dict[str, Any]):
         cert = plan_certificate(
             program,
             nodes=request["nodes"],
-            facts=len(Instance(parse_facts(request["facts"]))),
+            facts=facts,
             check_pairs=request["check_pairs"],
             seed=request["seed"],
         )
@@ -288,7 +292,8 @@ def execute_request(
         },
     )
     try:
-        plan, cert, decision = _plan_and_certificate(request)
+        instance = Instance(parse_facts(request["facts"]))
+        plan, cert, decision = _plan_and_certificate(request, len(instance))
     except Exception as error:  # parse/classification errors are client errors
         store.record_run(
             request["tenant"],
@@ -301,7 +306,6 @@ def execute_request(
         )
         return 400, {"error": str(error)}
     try:
-        instance = Instance(parse_facts(request["facts"]))
         observation = _execute_plan(plan, request, instance)
         result, quiesced = observation.output, observation.quiesced
         report = observation.report.to_dict()

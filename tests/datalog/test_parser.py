@@ -1,5 +1,7 @@
 """Unit tests for the Datalog¬ parser."""
 
+import sys
+
 import pytest
 
 from repro.datalog import (
@@ -116,3 +118,33 @@ class TestFactParsing:
     def test_fact_with_variable_rejected(self):
         with pytest.raises(ParseError):
             list(parse_facts("E(x, 2)."))
+
+    def test_fact_with_variable_error_carries_its_position(self):
+        with pytest.raises(ParseError, match=r"contains variables \(line 2, column 3\)"):
+            list(parse_facts("E(1, 2).\n  E(x, 2)."))
+
+
+def _too_many_digits() -> str:
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int() converts literals of any length here")
+    return "1" * (limit + 1)
+
+
+class TestHugeIntegerLiteral:
+    """``int()`` refuses literals over ``sys.get_int_max_str_digits()``
+    digits; the parser reports that as a ParseError at the literal."""
+
+    def test_in_a_fact(self):
+        digits = _too_many_digits()
+        with pytest.raises(ParseError, match=r"integer literal too long: .*\(line 2, column 3\)"):
+            list(parse_facts(f"E(1).\nE({digits})."))
+
+    def test_in_a_rule(self):
+        digits = _too_many_digits()
+        with pytest.raises(ParseError, match=r"integer literal too long: .*\(line 1, column 14\)"):
+            parse_rule(f"T(x) :- R(x, {digits}).")
+
+    def test_the_largest_convertible_literal_is_a_value(self):
+        digits = _too_many_digits()[1:]
+        assert list(parse_facts(f"E({digits}).")) == [Fact("E", (int(digits),))]

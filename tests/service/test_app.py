@@ -20,6 +20,7 @@ from repro.service import (
     ServiceConfig,
     execute_request,
 )
+from repro.service.app import MODES
 from repro.transducers.telemetry import output_fingerprint, validate_report_dict
 
 TC = "T(x,y) :- E(x,y). T(x,z) :- T(x,y), E(y,z)."
@@ -98,6 +99,25 @@ class TestExecuteRequest:
         )
         assert status == 400
         assert "error" in body
+        runs = store.list_runs("t")
+        assert len(runs) == 1 and runs[0]["status"] == "rejected"
+
+    @pytest.mark.parametrize("optimize", [False, True])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_malformed_facts_are_a_client_error(self, mode, optimize):
+        store = RunStore(":memory:")
+        status, body = execute_request(
+            store,
+            {
+                "tenant": "t",
+                "program": TC,
+                "facts": "E(1,",
+                "mode": mode,
+                "optimize": optimize,
+            },
+        )
+        assert status == 400
+        assert "line 1" in body["error"]
         runs = store.list_runs("t")
         assert len(runs) == 1 and runs[0]["status"] == "rejected"
 
