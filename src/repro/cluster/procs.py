@@ -226,21 +226,19 @@ def scaling_workload(*, components: int = 24, size: int = 120) -> Section4Protoc
     (out-degree 3, mostly drawn).  The query is win-move under the
     well-founded semantics, evaluated shard-locally.
 
-    Why this shape isolates work: every Γ of the alternating fixpoint
-    starts again from its whole local instance, and the number of Γs is
-    set by the deepest local game.  Run centrally, the single deep chain
-    drags all ``components`` games through ~``size`` Γs — cost ≈ Γs × total
-    size.  Block-sharded, only the shard holding component 0 pays the deep
-    alternation over its (small) fragment while every other shard
-    converges in a handful of Γs, so the *total* work shrinks with the
-    worker count — the BSP-superstep argument for sharding datalog with
-    stratified convergence depths.  How much wall clock that buys depends
-    on what one Γ costs: under the naive Γ (every rule re-matched against
-    the whole index, at least twice per Γ) the central run took ~6.5 s and
-    a 1→4-worker sweep read 3.95×; with Γ one semi-naive pass over interned
-    rows the same run takes ~0.2 s, which was below the spawn + handshake
-    floor of the exec'd workers of the time (~0.27 s; forked workers boot
-    in ~0.04 s), so that curve was removed (see docs/PERFORMANCE.md).
+    Why this shape: the number of Γs of the alternating fixpoint is set by
+    the deepest local game, so the single deep chain drags a central run
+    through ~``size`` Γs.  While every Γ started again from its whole local
+    instance that cost ≈ Γs × total size, and block-sharding isolated it:
+    only the shard holding component 0 paid the deep alternation, over its
+    small fragment — the BSP-superstep argument for sharding datalog with
+    stratified convergence depths.  Each Γ now continues the previous Γ of
+    its half and pays for what changed (docs/PERFORMANCE.md, "Each Γ
+    continues its half"): a central run joins the input twice, once for
+    the first Γ of each half, and after that only the rows each Γ changes,
+    so the depth no longer multiplies the size.  docs/CLUSTER.md records
+    what sharding still buys.
+
     Everything is generated by closed-form arithmetic (no RNG, no builtin
     ``hash``), so the key alone names the identical workload in every
     process and under every hash seed.

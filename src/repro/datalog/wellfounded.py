@@ -91,15 +91,19 @@ def _gamma(program: Program, base: Instance, assumed: FactIndex) -> FactIndex:
 class _NaiveSession:
     """Γ through :func:`match_rule`, approximations as :class:`FactIndex` —
     the independent oracle behind :func:`naive_well_founded`.  Same surface
-    as :class:`repro.kernel.wellfounded.GammaSession`."""
+    as :class:`repro.kernel.wellfounded.GammaSession`; every Γ starts from
+    the input."""
 
     def __init__(self, program: Program, instance: Instance) -> None:
         self._program = program
         self._instance = instance
-        self.start = FactIndex(instance)
+        # Only facts over sch(P) at the schema's arity take part; the rest
+        # of the input rejoins the model in true().
+        self._base = instance.restrict(program.sch())
+        self.start = FactIndex(self._base)
 
     def gamma(self, assumed: FactIndex) -> FactIndex:
-        return _gamma(self._program, self._instance, assumed)
+        return _gamma(self._program, self._base, assumed)
 
     size = staticmethod(len)
 
@@ -107,7 +111,9 @@ class _NaiveSession:
         self, under: FactIndex, relations: frozenset[str] | None = None
     ) -> Instance:
         true_facts = under.to_instance()
-        return true_facts if relations is None else true_facts.restrict(relations)
+        if relations is None:
+            return self._instance | true_facts
+        return true_facts.restrict(relations)
 
     def undefined(self, under: FactIndex, over: FactIndex) -> Instance:
         return over.to_instance() - under.to_instance()
@@ -117,14 +123,19 @@ def _alternating_fixpoint(session, max_rounds: int):
     """``K_0 = input``, ``K_{i+1} = Γ(Γ(K_i))`` increases to the true facts
     W.  Returns ``(W, Γ(W))``: the sequence only grows, so the round whose
     size did not change has ``K_{i+1} = K_i`` and its ``Γ(K_i)`` is Γ(W).
+
+    A session may return live rows, which its next Γ of the same half
+    changes, so sizes are recorded when each Γ returns.
     """
     under = session.start
+    under_size = session.size(under)
     for _ in range(max_rounds):
         over = session.gamma(under)
-        new_under = session.gamma(over)
-        if session.size(new_under) == session.size(under):
-            return new_under, over
-        under = new_under
+        under = session.gamma(over)
+        new_size = session.size(under)
+        if new_size == under_size:
+            return under, over
+        under_size = new_size
     raise RuntimeError(
         f"alternating fixpoint did not converge within {max_rounds} rounds"
     )
@@ -134,17 +145,19 @@ def _doubled_iteration(session, max_rounds: int):
     """The two halves of the doubled program iterated against each other:
     the under half reads the previous over estimate for its negations and
     vice versa.  Returns the same ``(under, over)`` pair as
-    :func:`_alternating_fixpoint`."""
+    :func:`_alternating_fixpoint`, and records sizes the same way."""
+    size = session.size
     under = session.start
     over = session.gamma(under)
+    sizes = size(under), size(over)
     for _ in range(max_rounds):
-        new_under = session.gamma(over)
-        new_over = session.gamma(new_under)
-        if session.size(new_under) == session.size(under) and session.size(
-            new_over
-        ) == session.size(over):
-            return new_under, new_over
-        under, over = new_under, new_over
+        under = session.gamma(over)
+        under_size = size(under)
+        over = session.gamma(under)
+        new_sizes = under_size, size(over)
+        if new_sizes == sizes:
+            return under, over
+        sizes = new_sizes
     raise RuntimeError(
         f"doubled-program iteration did not converge within {max_rounds} rounds"
     )

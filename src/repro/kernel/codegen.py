@@ -38,6 +38,12 @@ atoms are ordered by ``repr``):
 
 Negated atoms read the *live* row set of their relation: the check is
 against the full current database.
+
+Two more kinds serve the well-founded evaluator's continued Γ
+(:mod:`repro.kernel.wellfounded`): one seeded by the rows of a *negated*
+atom, and a head-bound probe that looks for one derivation of a given
+head row.  Both reuse the layout above; only what binds at depth 0
+differs (see :func:`compile_rule`).
 """
 
 from __future__ import annotations
@@ -56,7 +62,11 @@ _EMPTY: tuple = ()
 
 
 class CompiledRule:
-    """One generated firing function plus its dispatch metadata."""
+    """One generated firing function plus its dispatch metadata.
+
+    ``seed_atom`` is the atom the seed rows bind (the head, for a probe);
+    ``seed_relation`` is the relation those rows are drawn from.
+    """
 
     __slots__ = ("rule", "seed_atom", "seed_relation", "head_relation", "fire", "source")
 
@@ -89,13 +99,12 @@ class _Emitter:
         return "\n".join(self.lines) + "\n"
 
 
-def _order_atoms(rule: Rule, seed_atom: Atom | None) -> list[Atom]:
+def _order_atoms(atoms: list[Atom], bound: set[Variable]) -> list[Atom]:
     """The static join order: greedy bound-variable propagation from the
-    seed atom, ties broken by the deterministic ``repr`` order."""
-    remaining = sorted(rule.pos, key=repr)
-    if seed_atom is not None:
-        remaining.remove(seed_atom)
-    bound: set[Variable] = set() if seed_atom is None else seed_atom.variables()
+    variables the seed row binds, ties broken by the deterministic ``repr``
+    order."""
+    remaining = sorted(atoms, key=repr)
+    bound = set(bound)
     ordered: list[Atom] = []
     while remaining:
         best_position = 0
@@ -115,18 +124,36 @@ def _order_atoms(rule: Rule, seed_atom: Atom | None) -> list[Atom]:
 
 
 def compile_rule(
-    rule: Rule, seed_atom: Atom | None, table: SymbolTable
+    rule: Rule, seed_atom: Atom | None, table: SymbolTable, *, probe: bool = False
 ) -> CompiledRule:
     """Generate and ``exec`` the specialized firing function for one rule.
 
-    With a *seed_atom*, the function enumerates the semi-naive seeds from
-    the ``seed`` row iterable (the delta of that relation) and joins the
-    remaining positive atoms against the database.  Without one the rule
-    must be ground (empty positive body): the body runs once per call.
-    Appended rows may repeat; the engine dedupes against the database.
+    The function's ``seed`` rows bind the variables of one atom; the
+    remaining positive atoms are joined against the database.  Four kinds:
+
+    * *seed_atom* a positive atom — the semi-naive specialization: the
+      seeds are the delta of that relation;
+    * *seed_atom* a negated atom — the seeds are rows of the negated
+      relation.  The atom's own guard is dropped, every other guard reads
+      the relation as it is when the function runs.  The well-founded
+      evaluator feeds it the rows that left or entered a twin;
+    * ``probe=True`` (no *seed_atom*) — the head-bound probe: each seed is
+      a candidate head row, appended once if the body has a derivation
+      for it;
+    * neither — the rule must be ground (empty positive body): the body
+      runs once per call.
+
+    Appended rows may repeat; the caller dedupes against the database.
     """
-    if seed_atom is None and rule.pos:
-        raise ValueError("non-ground rules compile against a seed atom")
+    if probe:
+        bound_atom: Atom | None = rule.head
+    else:
+        bound_atom = seed_atom
+        if seed_atom is None and rule.pos:
+            raise ValueError("non-ground rules compile against a seed atom")
+    positive_seed = seed_atom is not None and seed_atom in rule.pos
+    joined = [atom for atom in rule.pos if not (positive_seed and atom == seed_atom)]
+    guarded = [atom for atom in rule.neg if positive_seed or atom != seed_atom]
 
     emitter = _Emitter()
     prelude: list[str] = []
@@ -146,7 +173,6 @@ def compile_rule(
     # Pre-pass: the atom order fixes where every variable first binds
     # (depth 0 = the seed row, depth i = inside the i-th generated loop),
     # so guard code can be laid out before any loop is emitted.
-    ordered = _order_atoms(rule, seed_atom)
     var_names: dict[Variable, str] = {}
     bind_depth: dict[Variable, int] = {}
 
@@ -156,8 +182,9 @@ def compile_rule(
                 bind_depth[term] = depth
                 var_names[term] = f"v{len(var_names)}"
 
-    if seed_atom is not None:
-        visit(seed_atom, 0)
+    if bound_atom is not None:
+        visit(bound_atom, 0)
+    ordered = _order_atoms(joined, set(bind_depth))
     for atom_number, atom in enumerate(ordered):
         visit(atom, atom_number + 1)
 
@@ -167,31 +194,29 @@ def compile_rule(
             return var_names[term]
         return repr(table.intern(term))
 
-    # Guard lines keyed by the shallowest depth where they are decidable.
-    # Ground rules run outside any loop, so their guards reject with
-    # ``return`` instead of ``continue``.
-    bail = "continue" if (seed_atom is not None or ordered) else "return"
+    # A failed check moves on to the next row of its loop.  At depth 0 of a
+    # seeded rule that is the next seed; a ground rule and a probe are not
+    # in a loop there, so they ``return`` instead.
+    bail_at_seed = "continue" if seed_atom is not None else "return"
+
+    def bail(depth: int) -> str:
+        return "continue" if depth else bail_at_seed
+
+    # Guard conditions keyed by the shallowest depth where they are decidable.
     pending: list[tuple[int, str]] = []
     for ineq in sorted(rule.ineq, key=repr):
         depth = max(bind_depth[v] for v in ineq.variables())
-        pending.append(
-            (depth, f"if {var_names[ineq.left]} == {var_names[ineq.right]}: {bail}")
-        )
-    for neg_number, atom in enumerate(sorted(rule.neg, key=repr)):
+        pending.append((depth, f"{var_names[ineq.left]} == {var_names[ineq.right]}"))
+    for neg_number, atom in enumerate(sorted(guarded, key=repr)):
         slot = f"_n{neg_number}"
         prelude.append(f"{slot} = db.relation({atom.relation!r}).tuples")
         depth = max((bind_depth[v] for v in atom.variables()), default=0)
-        if atom.terms:
-            inner = ", ".join(term_expr(term) for term in atom.terms)
-            key = f"({inner},)" if len(atom.terms) == 1 else f"({inner})"
-        else:
-            key = "()"
-        pending.append((depth, f"if {key} in {slot}: {bail}"))
+        pending.append((depth, f"{_row_expr(atom, term_expr)} in {slot}"))
 
     def flush_guards(depth: int) -> None:
-        for ready_depth, line in pending:
+        for ready_depth, condition in pending:
             if ready_depth == depth:
-                emitter.emit(line)
+                emitter.emit(f"if {condition}: {bail(depth)}")
 
     def emit_atom_bindings(atom: Atom, row: str, depth: int, skip: int | None) -> None:
         """Arity guard, position checks, and new-variable binds for one atom.
@@ -199,20 +224,21 @@ def compile_rule(
         *skip* is the position already guaranteed by the index lookup the
         row was drawn from (checking it again would be dead code).
         """
-        emitter.emit(f"if len({row}) != {atom.arity}: continue")
+        reject = bail(depth)
+        emitter.emit(f"if len({row}) != {atom.arity}: {reject}")
         first_seen: dict[Variable, int] = {}
         for position, term in enumerate(atom.terms):
             if not isinstance(term, Variable):
                 if position != skip:
                     emitter.emit(
-                        f"if {row}[{position}] != {table.intern(term)}: continue"
+                        f"if {row}[{position}] != {table.intern(term)}: {reject}"
                     )
             elif bind_depth[term] < depth:
                 if position != skip:
-                    emitter.emit(f"if {row}[{position}] != {var_names[term]}: continue")
+                    emitter.emit(f"if {row}[{position}] != {var_names[term]}: {reject}")
             elif term in first_seen:
                 emitter.emit(
-                    f"if {row}[{position}] != {row}[{first_seen[term]}]: continue"
+                    f"if {row}[{position}] != {row}[{first_seen[term]}]: {reject}"
                 )
             else:
                 first_seen[term] = position
@@ -222,12 +248,17 @@ def compile_rule(
     emitter.depth = 1
     body_start = len(emitter.lines)
 
-    if seed_atom is not None:
-        row = "_t0"
-        emitter.emit(f"for {row} in seed:")
+    if probe:
+        # One candidate per call of the nested function, so the first
+        # derivation found can leave every loop at once.
+        emitter.emit("def _derives(_t0):")
         emitter.depth += 1
-        emit_atom_bindings(seed_atom, row, 0, None)
-        flush_guards(0)
+    elif seed_atom is not None:
+        emitter.emit("for _t0 in seed:")
+        emitter.depth += 1
+    if bound_atom is not None:
+        emit_atom_bindings(bound_atom, "_t0", 0, None)
+    flush_guards(0)
 
     for atom_number, atom in enumerate(ordered):
         loop_depth = atom_number + 1
@@ -235,21 +266,21 @@ def compile_rule(
         slot = relation_slot(atom.relation)
         # Access path: prefer an index probe on a bound-variable position,
         # then on a constant position, else a full scan.
-        probe: tuple[int, str] | None = None
+        access: tuple[int, str] | None = None
         for position, term in enumerate(atom.terms):
             if isinstance(term, Variable) and bind_depth[term] < loop_depth:
-                probe = (position, var_names[term])
+                access = (position, var_names[term])
                 break
-        if probe is None:
+        if access is None:
             for position, term in enumerate(atom.terms):
                 if not isinstance(term, Variable):
-                    probe = (position, repr(table.intern(term)))
+                    access = (position, repr(table.intern(term)))
                     break
-        if probe is None:
+        if access is None:
             emitter.emit(f"for {row} in {slot}.tuples:")
             skip = None
         else:
-            position, key = probe
+            position, key = access
             getter = f"_g{atom_number}"
             prelude.append(f"{getter} = {slot}.index({position}).get")
             emitter.emit(f"for {row} in {getter}({key}, _EMPTY):")
@@ -258,17 +289,14 @@ def compile_rule(
         emit_atom_bindings(atom, row, loop_depth, skip)
         flush_guards(loop_depth)
 
-    if seed_atom is None and not ordered:
-        # Ground rule: guards (depth 0) run once, straight-line.
-        flush_guards(0)
-
     head = rule.head
-    if head.terms:
-        inner = ", ".join(term_expr(term) for term in head.terms)
-        head_row = f"({inner},)" if len(head.terms) == 1 else f"({inner})"
+    if probe:
+        emitter.emit("return True")
+        emitter.depth = 1
+        emitter.emit("for _t0 in seed:")
+        emitter.emit("    if _derives(_t0): append(_t0)")
     else:
-        head_row = "()"
-    emitter.emit(f"append({head_row})")
+        emitter.emit(f"append({_row_expr(head, term_expr)})")
 
     # Splice the prelude (relation slots, index getters, negation sets)
     # ahead of the loops, inside the function body.
@@ -280,4 +308,12 @@ def compile_rule(
     exec(  # noqa: S102 — the source is generated here, from validated rules
         compile(source, f"<kernel:{head.relation}>", "exec"), namespace
     )
-    return CompiledRule(rule, seed_atom, namespace["_kernel_fire"], source)
+    return CompiledRule(rule, bound_atom, namespace["_kernel_fire"], source)
+
+
+def _row_expr(atom: Atom, term_expr: Callable[[object], str]) -> str:
+    """The tuple expression of *atom*'s row under the current bindings."""
+    if not atom.terms:
+        return "()"
+    inner = ", ".join(term_expr(term) for term in atom.terms)
+    return f"({inner},)" if len(atom.terms) == 1 else f"({inner})"

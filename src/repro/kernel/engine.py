@@ -90,13 +90,15 @@ class KernelEvaluator:
         delta: dict[str, Collection[tuple[int, ...]]],
         *,
         max_iterations: int | None = None,
-    ) -> None:
-        """Close *db* under the program, in place.
+    ) -> dict[str, list[tuple[int, ...]]]:
+        """Close *db* under the program, in place; returns the rows it
+        added, by relation.
 
         *delta* maps relation names to the rows of *db* not yet joined
         against (for a fresh database: all of them).  The mapping is
         consumed; its row collections are only read.
         """
+        added: dict[str, list[tuple[int, ...]]] = {}
         # Ground rules have no delta atom to seed a join, so they fire once
         # up front (their bodies read only fixed relations); each derivation
         # is visible to subsequent ground rules.
@@ -107,6 +109,7 @@ class KernelEvaluator:
             new_rows = db.relation(head).merge(out)
             if new_rows:
                 delta[head] = [*delta.get(head, ()), *new_rows]
+                added.setdefault(head, []).extend(new_rows)
         iterations = 0
         while delta:
             iterations += 1
@@ -116,21 +119,35 @@ class KernelEvaluator:
                 )
             # Collect every fresh head against the iteration-start database
             # before applying any of them (the semi-naive barrier).
-            fresh: dict[str, set[tuple[int, ...]]] = {}
-            for compiled in self._seeded:
-                rows = delta.get(compiled.seed_relation)
-                if not rows:
-                    continue
-                head = compiled.head_relation
-                candidates = fresh.get(head)
-                if candidates is None:
-                    candidates = fresh[head] = set()
-                compiled.fire(db, rows, candidates.add)
+            fresh = _fire(self._seeded, db, delta)
             delta = {}
             for head, candidates in fresh.items():
                 new_rows = db.relation(head).merge(candidates)
                 if new_rows:
                     delta[head] = new_rows
+                    added.setdefault(head, []).extend(new_rows)
+        return added
+
+
+def _fire(
+    specializations: Iterable[CompiledRule],
+    db: ColumnarDatabase,
+    delta: dict[str, Collection[tuple[int, ...]]],
+) -> dict[str, set[tuple[int, ...]]]:
+    """Fire each specialization on the *delta* rows of its seed relation,
+    against *db* as it stands; the heads found, by relation.  Nothing is
+    merged, so a head may already be in *db*."""
+    fresh: dict[str, set[tuple[int, ...]]] = {}
+    for compiled in specializations:
+        rows = delta.get(compiled.seed_relation)
+        if not rows:
+            continue
+        head = compiled.head_relation
+        candidates = fresh.get(head)
+        if candidates is None:
+            candidates = fresh[head] = set()
+        compiled.fire(db, rows, candidates.add)
+    return fresh
 
 
 class StratifiedKernel:

@@ -12,7 +12,8 @@ plain per-relation row lists (seeds are scanned, never probed), and the
 full database is updated between iterations by one :meth:`merge` per head
 relation, so every already-built column index stays delta-aware —
 recursion touches only new rows on the seed side and index maintenance is
-O(built columns) per new row.
+O(built columns) per new row.  :meth:`delete` is the inverse, for the
+well-founded evaluator's delete-and-rederive step.
 """
 
 from __future__ import annotations
@@ -51,6 +52,22 @@ class ColumnarRelation:
                 if position < len(row):
                     column.setdefault(row[position], []).append(row)
         return fresh
+
+    def delete(self, rows: set[tuple[int, ...]]) -> None:
+        """Remove *rows* (a subset of the relation) in place.
+
+        Every built column index stays exact: each bucket a deleted row
+        sat in is rebuilt once per call, not once per row.  Never called
+        while a generated loop iterates a bucket.
+        """
+        self.tuples.difference_update(rows)
+        for position, column in self._columns.items():
+            for value in {row[position] for row in rows if position < len(row)}:
+                kept = [row for row in column[value] if row not in rows]
+                if kept:
+                    column[value] = kept
+                else:
+                    del column[value]
 
     def index(self, position: int) -> dict[int, list[tuple[int, ...]]]:
         """The inverted index for *position*: value id -> rows.

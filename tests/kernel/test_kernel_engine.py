@@ -318,6 +318,29 @@ class TestMerge:
                 key: sorted(rows) for key, rows in rebuilt.index(position).items()
             }
 
+    def test_built_indexes_stay_exact_across_deletes(self):
+        """``delete``, the inverse the well-founded evaluator's DRed step
+        uses: interleaved with merges, every built column equals one built
+        from scratch, and the adopted row set shrinks in place."""
+        rng = random.Random(5)
+        rows = {(0, 0, 0)}
+        relation = ColumnarRelation("R", rows)
+        built = {position: relation.index(position) for position in (0, 2)}
+        for _ in range(8):
+            relation.merge(
+                {
+                    tuple(rng.randrange(4) for _ in range(rng.choice((1, 2, 3))))
+                    for _ in range(8)
+                }
+            )
+            relation.delete(set(rng.sample(sorted(relation.tuples), 5)))
+        assert relation.tuples is rows
+        rebuilt = ColumnarRelation("R", set(rows))
+        for position, column in built.items():
+            assert {key: sorted(rows) for key, rows in column.items()} == {
+                key: sorted(rows) for key, rows in rebuilt.index(position).items()
+            }
+
     def test_unbuilt_columns_stay_unbuilt(self):
         relation = ColumnarRelation("E")
         relation.index(1)

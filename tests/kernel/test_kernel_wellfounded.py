@@ -1,5 +1,6 @@
 """The well-founded evaluator on the kernel: the two engines by name, the
-twin relation guard, evaluator reuse, and what gets decoded.
+twin relation guard, evaluator reuse, what gets decoded, which input facts
+take part, and what continuing each Γ from the last one costs.
 
 The naive Γ (``naive_well_founded``) is the oracle throughout;
 ``tests/properties/test_property_wellfounded.py`` holds the
@@ -8,6 +9,7 @@ generated-program equivalence.
 
 import pytest
 
+from repro.cluster import scaling_workload
 from repro.datalog import (
     Fact,
     Instance,
@@ -19,6 +21,8 @@ from repro.datalog import (
     winmove_program,
 )
 from repro.datalog import wellfounded
+from repro.datalog.games import solve_game
+from repro.datalog.stratified import StratifiedEvaluator
 from repro.datalog.wellfounded import WellFoundedEvaluator
 from repro.kernel import engine as kernel_engine
 from repro.kernel import wellfounded as kernel_wellfounded
@@ -47,7 +51,9 @@ class TestDispatch:
         monkeypatch.setattr(wellfounded, "match_rule", forbidden)
         evaluator = WellFoundedEvaluator(winmove_program())
         model = evaluator.model(GAME)
-        assert evaluator.kernel_compiled == 1
+        # One rule: its semi-naive specialization, its negated-twin seed and
+        # its head-bound probe.
+        assert evaluator.kernel_compiled == 3
         assert {f.values[0] for f in model.true if f.relation == "Win"} == {2}
         assert {f.values[0] for f in model.undefined} == {1, 4, 5}
 
@@ -139,7 +145,7 @@ class TestReuse:
             # Append-only: every id handed out so far still means the same.
             assert table.values[: len(seen)] == seen
             seen = list(table.values)
-        assert shared.kernel_compiled == 1
+        assert shared.kernel_compiled == 3  # compiled once, three specializations
 
     def test_win_move_query_compiles_once_and_program_is_built_once(self, monkeypatch):
         import repro.kernel.codegen as codegen
@@ -187,3 +193,160 @@ class TestProjection:
         del calls[:]
         WellFoundedQuery(winmove_program())(GAME)
         assert len(calls) <= 2
+
+
+class TestInputOutsideTheSchema:
+    """Only facts over sch(P) at the schema's arity take part, as in
+    ``StratifiedEvaluator``; ``model().true`` still keeps the whole input."""
+
+    PROGRAM = "T(x) :- E(x)."
+    FACTS = "E(1). T(7). T(3,4)."
+
+    @pytest.mark.parametrize(
+        "surface", ["kernel output", "kernel model", "naive", "doubled"]
+    )
+    def test_a_fact_of_another_arity_is_not_output(self, surface):
+        program = parse_program(self.PROGRAM)
+        instance = Instance(parse_facts(self.FACTS))
+        output = Instance([Fact("T", (1,)), Fact("T", (7,))])
+        if surface == "kernel output":
+            result = WellFoundedEvaluator(program).output(instance)
+            assert result == StratifiedEvaluator(program).output(instance) == output
+            return
+        evaluate = {
+            "kernel model": evaluate_well_founded,
+            "naive": naive_well_founded,
+            "doubled": evaluate_doubled,
+        }[surface]
+        model = evaluate(program, instance)
+        assert model.true == StratifiedEvaluator(program).run(instance)
+        assert model.true == instance | output  # T(3, 4) stays: it is input
+        assert not model.undefined
+
+
+#: Win(3) becomes true (3 -> 4 is a dead end), which over-deletes Win(1)
+#: through the move 1 -> 3; the move 1 -> 2 rederives it.  Without the
+#: rederive step Win(1) leaves the over half for good, and 0, whose only
+#: move is to the winning 1, is taken for a winner.
+REDERIVE_WITNESS = Instance(parse_facts("Move(0,1). Move(1,2). Move(1,3). Move(3,4)."))
+
+
+#: One small input per step of delete-and-rederive that a wrong step would
+#: make give a wrong model.
+DRED_WITNESSES = {
+    # The REDERIVE_WITNESS step: Win(1) loses one derivation, keeps another.
+    "rederive": (
+        "Win(x) :- Move(x, y), not Win(y).",
+        "Move(0,1). Move(1,2). Move(1,3). Move(3,4).",
+    ),
+    # Win(3) true takes away the only derivation of the input fact Win(2),
+    # which must stay: idb facts of the input are never deleted.
+    "base fact": (
+        "Win(x) :- Move(x, y), not Win(y).",
+        "Move(2,3). Move(3,4). Win(2). Move(1,2).",
+    ),
+    # P(0) leaves the over half, so R(3, 0) must follow it: the deletion
+    # spreads through a positive body.
+    "positive body": (
+        "P(x) :- E(x, y), not P(y). R(x, y) :- E(x, y), P(y).",
+        "E(0,1). E(1,2). E(3,0).",
+    ),
+    # Both negations of Q(0)'s derivation turn false in one Γ (y = z = 1):
+    # the over-deletion must read the twin before it takes P(1).
+    "two negations": (
+        "P(x) :- E(x, y), not P(y). Q(x) :- E(x, y), E(x, z), not P(y), not P(z).",
+        "E(0,1). E(1,2).",
+    ),
+}
+
+
+def count_gammas(session, iterate=wellfounded._alternating_fixpoint):
+    calls = 0
+    gamma = session.gamma
+
+    def counting(assumed):
+        nonlocal calls
+        calls += 1
+        return gamma(assumed)
+
+    session.gamma = counting
+    result = iterate(session, 10_000)
+    return calls, result
+
+
+class TestContinuation:
+    """Each Γ continues the previous Γ of its half: same approximations,
+    same number of Γs, but a Γ costs what changed."""
+
+    def test_seed_rows_fed_stay_within_four_times_the_input(self):
+        """A deterministic cost bound instead of a timing.  Every compiled
+        fire function counts the seed rows it is fed over one central
+        evaluation of ``scaling-wm-c24-s480``.  A Γ that started from the
+        input would feed it whole, ≈ Γs × |I| over the evaluation."""
+        instance = scaling_workload(components=24, size=480).instance
+        kernel = FrozenNegationKernel(winmove_program())
+        fed = 0
+
+        def counting(fire):
+            def counted(db, seed, append):
+                nonlocal fed
+                fed += len(seed)
+                return fire(db, seed, append)
+
+            return counted
+
+        evaluator = kernel.evaluator
+        for compiled in (
+            *evaluator._ground,
+            *evaluator._seeded,
+            *kernel.negated,
+            *kernel.probes,
+        ):
+            compiled.fire = counting(compiled.fire)
+        session = kernel.session(instance)
+        gammas, (under, over) = count_gammas(session)
+        assert gammas > 400
+        assert fed <= 4 * len(instance)
+        solution = solve_game(instance)
+        won = session.true(under, frozenset({"Win"}))
+        assert {fact.values[0] for fact in won} == solution.won
+        drawn = session.undefined(under, over)
+        assert {fact.values[0] for fact in drawn} == solution.drawn
+
+    @pytest.mark.parametrize(
+        "iterate",
+        [wellfounded._alternating_fixpoint, wellfounded._doubled_iteration],
+        ids=["alternating", "doubled"],
+    )
+    def test_as_many_gammas_as_the_naive_session(self, iterate):
+        program = winmove_program()
+        instance = scaling_workload(components=3, size=30).instance
+        kernel_gammas, (under, over) = count_gammas(
+            WellFoundedEvaluator(program).session(instance), iterate
+        )
+        naive_gammas, _ = count_gammas(
+            wellfounded._NaiveSession(program, instance), iterate
+        )
+        assert kernel_gammas == naive_gammas > 20
+
+    def test_a_rederive_step_patched_out_gives_a_wrong_model(self, monkeypatch):
+        program = winmove_program()
+        expected = naive_well_founded(program, REDERIVE_WITNESS)
+        assert evaluate_well_founded(program, REDERIVE_WITNESS) == expected
+        monkeypatch.setattr(
+            kernel_wellfounded.GammaSession, "_rederive", lambda self, deleted: {}
+        )
+        wrong = evaluate_well_founded(program, REDERIVE_WITNESS)
+        assert Fact("Win", (0,)) in wrong.true
+        assert wrong != expected
+
+    @pytest.mark.parametrize("name", sorted(DRED_WITNESSES))
+    def test_dred_witnesses_match_the_naive_session(self, name):
+        program, facts = DRED_WITNESSES[name]
+        program, instance = parse_program(program), Instance(parse_facts(facts))
+        assert evaluate_well_founded(program, instance) == naive_well_founded(
+            program, instance
+        )
+        assert evaluate_doubled(program, instance) == naive_well_founded(
+            program, instance
+        )
