@@ -24,11 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..datalog.evaluation import naive_fixpoint
 from ..datalog.instance import Instance
 from ..datalog.program import Program
 from ..datalog.stratification import is_stratifiable
-from ..datalog.wellfounded import naive_well_founded
+from ..reference import naive_fixpoint, naive_well_founded
 
 __all__ = [
     "DEFAULT_STACK_NAMES",

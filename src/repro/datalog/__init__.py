@@ -11,15 +11,6 @@ from .schema import Schema, SchemaError
 from .instance import Instance
 from .program import Program, ADOM_RELATION
 from .parser import ParseError, parse_facts, parse_program, parse_rule, parse_rules
-from .evaluation import (
-    EvaluationError,
-    FactIndex,
-    SemiNaiveEvaluator,
-    evaluate_semipositive,
-    immediate_consequence,
-    match_rule,
-    naive_fixpoint,
-)
 from .stratification import (
     NotStratifiableError,
     PrecedenceGraph,
@@ -28,7 +19,12 @@ from .stratification import (
     precedence_graph,
     stratify,
 )
-from .stratified import StratifiedEvaluator, evaluate, evaluate_stratified
+from .stratified import (
+    EvaluationError,
+    StratifiedEvaluator,
+    evaluate,
+    evaluate_stratified,
+)
 from .connectivity import (
     ConnectivityReport,
     analyze_connectivity,
@@ -45,20 +41,12 @@ from .games import (
     optimal_move,
     solve_game,
 )
-from .containment import (
-    canonical_instance,
-    cq_contained_in,
-    cq_equivalent,
-    is_conjunctive_query,
-    minimize_cq,
-)
 from .wellfounded import (
     WellFoundedEvaluator,
     WellFoundedModel,
     doubled_program,
     evaluate_doubled,
     evaluate_well_founded,
-    naive_well_founded,
     winmove_program,
     winmove_truths,
 )
@@ -82,12 +70,6 @@ __all__ = [
     "parse_rule",
     "parse_rules",
     "EvaluationError",
-    "FactIndex",
-    "SemiNaiveEvaluator",
-    "evaluate_semipositive",
-    "immediate_consequence",
-    "match_rule",
-    "naive_fixpoint",
     "NotStratifiableError",
     "PrecedenceGraph",
     "Stratification",
@@ -109,17 +91,11 @@ __all__ = [
     "distance_to_win",
     "optimal_move",
     "solve_game",
-    "canonical_instance",
-    "cq_contained_in",
-    "cq_equivalent",
-    "is_conjunctive_query",
-    "minimize_cq",
     "WellFoundedEvaluator",
     "WellFoundedModel",
     "doubled_program",
     "evaluate_doubled",
     "evaluate_well_founded",
-    "naive_well_founded",
     "winmove_program",
     "winmove_truths",
 ]

@@ -65,10 +65,15 @@ class PrecedenceGraph:
 
 def precedence_graph(program: Program) -> PrecedenceGraph:
     """Build the idb-restricted precedence graph of *program*."""
-    idb = set(program.idb())
+    return _graph(program, program.idb())
+
+
+def _graph(rules: Iterable[Rule], idb: Iterable[str]) -> PrecedenceGraph:
+    """The precedence graph of *rules* restricted to the *idb* nodes."""
+    idb = set(idb)
     positive: dict[str, set[str]] = {}
     negative: dict[str, set[str]] = {}
-    for rule in program:
+    for rule in rules:
         head = rule.head.relation
         for atom in rule.pos:
             if atom.relation in idb:
@@ -162,13 +167,14 @@ class Stratification:
         )
 
 
-def stratify(program: Program) -> Stratification:
-    """Compute the canonical minimal stratification of *program*.
+def _levels(graph: PrecedenceGraph) -> dict[str, int]:
+    """The minimal stratum of every node of *graph*, numbered from 1.
 
-    Raises :class:`NotStratifiableError` when the precedence graph has a
-    cycle through a negative edge.
+    Raises :class:`NotStratifiableError` when the graph has a cycle through
+    a negative edge.  The levels are contiguous: a component's level is 1,
+    the level of a predecessor, or that level + 1, so every level from 1
+    to the deepest is occupied.
     """
-    graph = precedence_graph(program)
     successors: dict[str, set[str]] = {
         node: set(graph.successors(node)) for node in graph.nodes
     }
@@ -185,15 +191,11 @@ def stratify(program: Program) -> Stratification:
                 f"recursion through negation between {source} and {target}"
             )
 
-    # Longest path over the condensation, counting negative edges.
-    # Tarjan emits SCCs in reverse topological order, so iterate as-is:
-    # by the time we process an SCC all its dependencies are done... the
-    # opposite actually: successors are finished first.  We therefore
-    # compute stratum numbers by propagating *forward* in topological order
-    # (reverse of the emission order).
+    # Longest path over the condensation, counting negative edges.  Tarjan
+    # emits SCCs in reverse topological order (successors finish first), so
+    # levels propagate forward over the reversed emission order.
     level: dict[int, int] = {number: 1 for number in range(len(components))}
-    order = list(range(len(components)))[::-1]  # topological order
-    for component in order:
+    for component in reversed(range(len(components))):
         for member in components[component]:
             for target in graph.positive.get(member, ()):  # rho(R) <= rho(T)
                 tc = component_of[target]
@@ -202,25 +204,20 @@ def stratify(program: Program) -> Stratification:
             for target in graph.negative.get(member, ()):  # rho(R) < rho(T)
                 tc = component_of[target]
                 level[tc] = max(level[tc], level[component] + 1)
+    return {node: level[component_of[node]] for node in graph.nodes}
 
-    stratum_of = {
-        node: level[component_of[node]] for node in graph.nodes
-    }
-    depth = max(stratum_of.values(), default=1)
 
-    buckets: list[list[Rule]] = [[] for _ in range(depth)]
+def stratify(program: Program) -> Stratification:
+    """Compute the canonical minimal stratification of *program*.
+
+    Raises :class:`NotStratifiableError` when the precedence graph has a
+    cycle through a negative edge.
+    """
+    stratum_of = _levels(precedence_graph(program))
+    buckets: list[list[Rule]] = [[] for _ in range(max(stratum_of.values()))]
     for rule in program:
         buckets[stratum_of[rule.head.relation] - 1].append(rule)
-    strata = tuple(
-        Program(bucket, output_relations=None) for bucket in buckets if bucket
-    )
-    # Re-normalize stratum numbers when some level ended up empty (possible
-    # when minimal levels skip an integer after condensation).
-    if len(strata) != depth:
-        occupied = sorted({stratum_of[r.head.relation] for r in program})
-        renumber = {old: new + 1 for new, old in enumerate(occupied)}
-        stratum_of = {name: renumber[lvl] for name, lvl in stratum_of.items()}
-        depth = len(occupied)
+    strata = tuple(Program(bucket, output_relations=None) for bucket in buckets)
     return Stratification(program=program, stratum_of=stratum_of, strata=strata)
 
 

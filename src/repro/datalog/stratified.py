@@ -9,12 +9,15 @@ exercise this by comparing against brute-force alternatives.
 
 from __future__ import annotations
 
-from .evaluation import EvaluationError
 from .instance import Instance
 from .program import Program
 from .stratification import Stratification, stratify
 
-__all__ = ["evaluate_stratified", "StratifiedEvaluator", "evaluate"]
+__all__ = ["EvaluationError", "evaluate_stratified", "StratifiedEvaluator", "evaluate"]
+
+
+class EvaluationError(RuntimeError):
+    """Raised when a program is handed to an evaluator that cannot run it."""
 
 
 class StratifiedEvaluator:

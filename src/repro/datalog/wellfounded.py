@@ -17,9 +17,8 @@ Mdisjoint.  This module supplies both ingredients:
 
 Γ has two backends behind one alternation loop: the interned kernel
 (:mod:`repro.kernel.wellfounded`), which :class:`WellFoundedEvaluator` and
-everything built on it runs, and the naive loop over :func:`match_rule`
-(:func:`_gamma`), the independent reference reached by calling
-:func:`naive_well_founded` — which never imports :mod:`repro.kernel`.
+everything built on it runs, and the naive Γ of
+:mod:`repro.reference.wellfounded`, the oracle it is checked against.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .evaluation import FactIndex, match_rule
 from .instance import Instance
 from .program import Program
 from .rules import Rule
@@ -37,7 +35,6 @@ __all__ = [
     "WellFoundedModel",
     "WellFoundedEvaluator",
     "evaluate_well_founded",
-    "naive_well_founded",
     "doubled_program",
     "OVER_SUFFIX",
 ]
@@ -64,59 +61,6 @@ class WellFoundedModel:
     def possible(self) -> Instance:
         """The over-approximation: true ∪ undefined."""
         return self.true | self.undefined
-
-
-def _gamma(program: Program, base: Instance, assumed: FactIndex) -> FactIndex:
-    """The Gelder operator Γ(S): the least fixpoint of *program* on *base*
-    where a negated atom ¬A is considered satisfied iff A ∉ S (= *assumed*).
-
-    Because the negative information is frozen, this is a plain monotone
-    fixpoint and a naive loop converges.
-    """
-    index = FactIndex(base)
-    changed = True
-    while changed:
-        changed = False
-        derived = [
-            rule.derive(valuation)
-            for rule in program
-            for valuation in match_rule(rule, index, negative_index=assumed)
-        ]
-        for fact in derived:
-            if index.add(fact):
-                changed = True
-    return index
-
-
-class _NaiveSession:
-    """Γ through :func:`match_rule`, approximations as :class:`FactIndex` —
-    the independent oracle behind :func:`naive_well_founded`.  Same surface
-    as :class:`repro.kernel.wellfounded.GammaSession`; every Γ starts from
-    the input."""
-
-    def __init__(self, program: Program, instance: Instance) -> None:
-        self._program = program
-        self._instance = instance
-        # Only facts over sch(P) at the schema's arity take part; the rest
-        # of the input rejoins the model in true().
-        self._base = instance.restrict(program.sch())
-        self.start = FactIndex(self._base)
-
-    def gamma(self, assumed: FactIndex) -> FactIndex:
-        return _gamma(self._program, self._base, assumed)
-
-    size = staticmethod(len)
-
-    def true(
-        self, under: FactIndex, relations: frozenset[str] | None = None
-    ) -> Instance:
-        true_facts = under.to_instance()
-        if relations is None:
-            return self._instance | true_facts
-        return true_facts.restrict(relations)
-
-    def undefined(self, under: FactIndex, over: FactIndex) -> Instance:
-        return over.to_instance() - under.to_instance()
 
 
 def _alternating_fixpoint(session, max_rounds: int):
@@ -220,14 +164,6 @@ def evaluate_well_founded(
     true facts W; ``Γ(W)`` is the over-approximation (true ∪ undefined).
     """
     return WellFoundedEvaluator(program).model(instance, max_rounds=max_rounds)
-
-
-def naive_well_founded(
-    program: Program, instance: Instance, *, max_rounds: int = 10_000
-) -> WellFoundedModel:
-    """The reference for :func:`evaluate_well_founded`: the same alternating
-    fixpoint with every Γ a naive loop over :func:`match_rule`."""
-    return _model(_NaiveSession(program, instance), _alternating_fixpoint, max_rounds)
 
 
 def _over_atom(atom: Atom, idb: frozenset[str]) -> Atom:

@@ -1,7 +1,7 @@
 """Stratified evaluation of ILOG¬ programs over the Herbrand universe.
 
-Valuations are computed exactly as for Datalog¬ (the join machinery of
-:mod:`repro.datalog.evaluation` is reused); an inventing rule's head fact is
+Valuations are computed exactly as for Datalog¬ (the naive join of
+:mod:`repro.reference.datalog` is reused); an inventing rule's head fact is
 completed with the Skolem term ``f_R(V(u1), ..., V(uk))`` in its first
 position.  Since Skolem terms are hashable values, invented facts flow
 through subsequent rules like ordinary facts.
@@ -16,14 +16,10 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..datalog.evaluation import FactIndex, match_rule
 from ..datalog.instance import Instance
-from ..datalog.stratification import (
-    NotStratifiableError,
-    PrecedenceGraph,
-    _strongly_connected_components,
-)
+from ..datalog.stratification import PrecedenceGraph, _graph, _levels
 from ..datalog.terms import Fact
+from ..reference.datalog import FactIndex, match_rule
 from .program import ILOGProgram, ILOGRule, skolem_functor_name
 from .terms import SkolemTerm, term_depth
 
@@ -42,56 +38,18 @@ class DivergenceError(RuntimeError):
 
 def ilog_precedence_graph(program: ILOGProgram) -> PrecedenceGraph:
     """The idb-restricted precedence graph of an ILOG¬ program."""
-    idb = set(program.idb())
-    positive: dict[str, set[str]] = {}
-    negative: dict[str, set[str]] = {}
-    for ilog_rule in program:
-        head = ilog_rule.head_relation
-        for atom in ilog_rule.rule.pos:
-            if atom.relation in idb:
-                positive.setdefault(atom.relation, set()).add(head)
-        for atom in ilog_rule.rule.neg:
-            if atom.relation in idb:
-                negative.setdefault(atom.relation, set()).add(head)
-    return PrecedenceGraph(
-        nodes=frozenset(idb),
-        positive={k: frozenset(v) for k, v in positive.items()},
-        negative={k: frozenset(v) for k, v in negative.items()},
-    )
+    return _graph((ilog_rule.rule for ilog_rule in program), program.idb())
 
 
 def stratify_ilog(program: ILOGProgram) -> list[list[ILOGRule]]:
     """Group the rules of *program* into strata (same algorithm as for
     Datalog¬; raises :class:`NotStratifiableError` on recursion through
     negation)."""
-    graph = ilog_precedence_graph(program)
-    successors = {node: set(graph.successors(node)) for node in graph.nodes}
-    components = _strongly_connected_components(sorted(graph.nodes), successors)
-    component_of: dict[str, int] = {}
-    for number, members in enumerate(components):
-        for member in members:
-            component_of[member] = number
-    for source, target, is_negative in graph.edges():
-        if is_negative and component_of[source] == component_of[target]:
-            raise NotStratifiableError(
-                f"recursion through negation between {source} and {target}"
-            )
-    level = {number: 1 for number in range(len(components))}
-    for component in list(range(len(components)))[::-1]:
-        for member in components[component]:
-            for target in graph.positive.get(member, ()):
-                tc = component_of[target]
-                if tc != component:
-                    level[tc] = max(level[tc], level[component])
-            for target in graph.negative.get(member, ()):
-                tc = component_of[target]
-                level[tc] = max(level[tc], level[component] + 1)
-    stratum_of = {node: level[component_of[node]] for node in graph.nodes}
-    depth = max(stratum_of.values(), default=1)
-    buckets: list[list[ILOGRule]] = [[] for _ in range(depth)]
+    stratum_of = _levels(ilog_precedence_graph(program))
+    buckets: list[list[ILOGRule]] = [[] for _ in range(max(stratum_of.values()))]
     for ilog_rule in program:
         buckets[stratum_of[ilog_rule.head_relation] - 1].append(ilog_rule)
-    return [bucket for bucket in buckets if bucket]
+    return buckets
 
 
 def _derive(ilog_rule: ILOGRule, valuation) -> Fact:

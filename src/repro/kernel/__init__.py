@@ -9,15 +9,13 @@ semantics rides the same pieces: :mod:`.wellfounded` freezes negation into
 twin relations and runs each Γ of the alternating fixpoint as one
 ``saturate``.
 
-``SemiNaiveEvaluator.run``, ``StratifiedEvaluator`` and
-``WellFoundedEvaluator.session`` in :mod:`repro.datalog` run on this
-package unconditionally; the references it
-is checked against (``naive_fixpoint``, ``naive_well_founded``) never
-import it.
+``StratifiedEvaluator`` and ``WellFoundedEvaluator.session`` in
+:mod:`repro.datalog` run on this package unconditionally; the references
+it is checked against (:mod:`repro.reference`) never import it.
 """
 
 from .codegen import CompiledRule, compile_rule
-from .engine import KernelEvaluator, StratifiedKernel, evaluate_semipositive
+from .engine import KernelEvaluator, StratifiedKernel
 from .interning import SymbolTable, decode_database, intern_instance
 from .relation import ColumnarDatabase, ColumnarRelation
 from .wellfounded import FrozenNegationKernel
@@ -28,7 +26,6 @@ __all__ = [
     "KernelEvaluator",
     "StratifiedKernel",
     "FrozenNegationKernel",
-    "evaluate_semipositive",
     "SymbolTable",
     "decode_database",
     "intern_instance",

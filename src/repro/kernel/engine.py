@@ -1,12 +1,13 @@
 """The kernel evaluator: semi-naive fixpoint over interned columnar data.
 
-:class:`KernelEvaluator` is what
-:class:`repro.datalog.evaluation.SemiNaiveEvaluator` runs on: constants
-are interned to dense ints once (:mod:`.interning`), rows live in
-:class:`~repro.kernel.relation.ColumnarDatabase` sets with lazy column
+:class:`KernelEvaluator` is the production engine for (semi-)positive
+programs, checked against :func:`repro.reference.naive_fixpoint`:
+constants are interned to dense ints once (:mod:`.interning`), rows live
+in :class:`~repro.kernel.relation.ColumnarDatabase` sets with lazy column
 indexes, and each rule fires through its generated function
-(:mod:`.codegen`).  The result is decoded back to the exact original
-values, so fingerprints are byte-identical to the naive reference.
+(:mod:`.codegen`).  The result is decoded back to the interned values
+(see :mod:`.interning` for when that makes fingerprints byte-identical to
+the reference's).
 
 The fixpoint is a ground-rule prepass (facts visible to later ground rules
 immediately), then delta iterations that collect all fresh heads before
@@ -28,15 +29,15 @@ from __future__ import annotations
 
 from typing import Collection, Iterable
 
-from ..datalog.evaluation import EvaluationError
 from ..datalog.instance import Instance
 from ..datalog.program import Program
+from ..datalog.stratified import EvaluationError
 from ..datalog.terms import Fact
 from .codegen import CompiledRule, compile_rule
 from .interning import SymbolTable, decode_database, intern_instance
 from .relation import ColumnarDatabase, ColumnarRelation
 
-__all__ = ["KernelEvaluator", "StratifiedKernel", "evaluate_semipositive"]
+__all__ = ["KernelEvaluator", "StratifiedKernel"]
 
 
 class KernelEvaluator:
@@ -207,10 +208,3 @@ def _interned(facts: Iterable[Fact], table: SymbolTable) -> ColumnarDatabase:
         ColumnarRelation(name, rows)
         for name, rows in intern_instance(facts, table).items()
     )
-
-
-def evaluate_semipositive(
-    program: Program, instance: Instance, *, max_iterations: int | None = None
-) -> Instance:
-    """Kernel twin of :func:`repro.datalog.evaluation.evaluate_semipositive`."""
-    return KernelEvaluator(program).run(instance, max_iterations=max_iterations)

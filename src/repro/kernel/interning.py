@@ -4,9 +4,17 @@ The columnar kernel never computes on raw data values.  Every constant —
 instance values and the constants embedded in rule atoms — is interned to a
 dense ``int`` through a :class:`SymbolTable`, joins and guards compare
 ints, and the final database is decoded back through the same table.
-Decoding restores the *exact* objects that were interned (the table keeps
-a bidirectional mapping), so ``output_fingerprint`` over a decoded result
-is byte-identical to the fingerprint of an evaluation over raw values.
+Decoding restores the object first interned under each id (the table
+keeps a bidirectional mapping).  When no two constants of an evaluation
+are equal while differing in type (``1`` and ``True``, ``1`` and ``1.0``),
+that is the exact value the input held, and ``output_fingerprint`` over a
+decoded result is byte-identical to the fingerprint of an evaluation over
+raw values.  Otherwise the results are still ``==``, but a value can come
+back as its equal of another type: with ``O(x) :- F(x).`` on
+``{E(1), F(True)}`` the kernel returns ``O(1)``, the naive reference
+``O(True)``, and their fingerprints differ.  Parsed text yields only
+``int`` and ``str`` constants, which are never equal to each other, so
+programs and facts read from text cannot hit this case.
 
 Equality semantics match the set-based engines by construction: the id
 map is a plain dict keyed by the values themselves, so values that Python

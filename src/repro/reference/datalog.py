@@ -1,46 +1,36 @@
-"""Fixpoint evaluation for (semi-)positive Datalog¬ programs.
+"""The reference semantics of Section 2: ``P(I)`` as the least fixpoint
+of the immediate consequence operator ``T_P``.
 
-Implements the semantics of Section 2 of the paper: the immediate consequence
-operator ``T_P`` and its minimal fixpoint.  Negation is permitted only over
-relations whose content is *fixed* during the fixpoint (the edb for
-semi-positive programs; lower strata for stratified programs — see
-:mod:`repro.datalog.stratified`).
+:func:`naive_fixpoint` iterates :func:`immediate_consequence` over the
+recursive join of :func:`match_rule`, stratum by stratum.  Negation reads
+relations whose content is *fixed* during a stratum's fixpoint (the edb
+for a semi-positive program, lower strata for a stratified one).
+:func:`match_rule` and :class:`FactIndex` also carry the naive
+well-founded Γ (:mod:`repro.reference.wellfounded`) and the ILOG¬
+evaluator.
 
-Two engines, each reached by name:
-
-* the *reference* — :func:`naive_fixpoint`, which iterates
-  :func:`immediate_consequence` over the recursive join of
-  :func:`match_rule`.  Nothing here imports :mod:`repro.kernel`, so the
-  reference stays independent of the engine it checks.  :func:`match_rule`
-  and :class:`FactIndex` also carry the naive well-founded Γ and the ILOG¬
-  evaluator.
-* the *production engine* — :class:`SemiNaiveEvaluator`, the semi-naive
-  fixpoint on the interned kernel (:mod:`repro.kernel`).
+The production engine is :class:`repro.kernel.KernelEvaluator`; this
+module is what it is checked against, so it never imports
+:mod:`repro.kernel`.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable, Iterator, Mapping
 
-from .instance import Instance
-from .program import Program
-from .rules import Rule
-from .stratification import stratify
-from .terms import Atom, Fact, Variable
+from ..datalog.instance import Instance
+from ..datalog.program import Program
+from ..datalog.rules import Rule
+from ..datalog.stratification import stratify
+from ..datalog.stratified import EvaluationError
+from ..datalog.terms import Atom, Fact, Variable
 
 __all__ = [
     "FactIndex",
     "match_rule",
     "immediate_consequence",
     "naive_fixpoint",
-    "evaluate_semipositive",
-    "SemiNaiveEvaluator",
-    "EvaluationError",
 ]
-
-
-class EvaluationError(RuntimeError):
-    """Raised when a program is handed to an evaluator that cannot run it."""
 
 
 class FactIndex:
@@ -230,7 +220,6 @@ def _join(
             yield from _join(rest, index, extended)
 
 
-
 def match_rule(
     rule: Rule,
     positive_index: FactIndex,
@@ -293,52 +282,3 @@ def naive_fixpoint(
                 break
             current = following
     return current
-
-
-class SemiNaiveEvaluator:
-    """Semi-naive fixpoint evaluation of a (semi-)positive program.
-
-    Negated atoms are evaluated against the full current database, which is
-    sound exactly because semi-positive programs negate only edb relations,
-    whose content never changes during the fixpoint.  The stratified
-    evaluator relies on the same fact one stratum at a time, where the
-    negated relations are those of lower strata.
-
-    The fixpoint runs on :class:`repro.kernel.KernelEvaluator`, built on the
-    first :meth:`run` and kept, so an evaluator reused across inputs
-    compiles its rules once.
-    """
-
-    def __init__(self, program: Program, *, check_semipositive: bool = True) -> None:
-        if check_semipositive and not program.is_semi_positive():
-            raise EvaluationError(
-                "program negates idb relations; use the stratified evaluator"
-            )
-        self._program = program
-        self._kernel = None
-
-    @property
-    def plans_compiled(self) -> int:
-        """Rule specializations the kernel generated for this evaluator
-        (0 until the first :meth:`run`)."""
-        return self._kernel.compiled if self._kernel is not None else 0
-
-    def run(self, instance: Instance, *, max_iterations: int | None = None) -> Instance:
-        """Compute the minimal fixpoint of T_P containing *instance*."""
-        if self._kernel is None:
-            # Imported here: repro.kernel imports this module.
-            from ..kernel.engine import KernelEvaluator
-
-            self._kernel = KernelEvaluator(self._program, check_semipositive=False)
-        return self._kernel.run(instance, max_iterations=max_iterations)
-
-
-def evaluate_semipositive(
-    program: Program, instance: Instance, *, max_iterations: int | None = None
-) -> Instance:
-    """Evaluate a semi-positive program on *instance* (Section 2 semantics).
-
-    The result contains the input facts plus all derived idb facts, mirroring
-    the paper's ``P(I)`` which includes I itself.
-    """
-    return SemiNaiveEvaluator(program).run(instance, max_iterations=max_iterations)

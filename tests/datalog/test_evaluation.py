@@ -1,24 +1,26 @@
-"""Unit tests for the semi-positive fixpoint engine and join machinery."""
+"""Unit tests for the semi-positive fixpoint: the kernel engine's surface
+and the reference's join machinery."""
 
 import pytest
 
 from repro.datalog import (
     EvaluationError,
     Fact,
-    FactIndex,
     Instance,
-    SemiNaiveEvaluator,
-    evaluate_semipositive,
-    immediate_consequence,
-    match_rule,
-    naive_fixpoint,
     parse_program,
     parse_rule,
 )
+from repro.kernel import KernelEvaluator
+from repro.reference import FactIndex, immediate_consequence, match_rule, naive_fixpoint
+from repro.reference.datalog import _extend_binding
 
 
 def edges(*pairs):
     return Instance(Fact("E", p) for p in pairs)
+
+
+def run_kernel(program, instance):
+    return KernelEvaluator(program).run(instance)
 
 
 class TestFactIndex:
@@ -103,24 +105,24 @@ class TestSemiNaive:
             output_relations=["T"],
         )
         chain = edges(*[(i, i + 1) for i in range(6)])
-        result = evaluate_semipositive(program, chain)
+        result = run_kernel(program, chain)
         expected = {(i, j) for i in range(7) for j in range(i + 1, 7)}
         assert {f.values for f in result if f.relation == "T"} == expected
 
     def test_matches_naive_iteration(self, tc_program, chain_graph):
-        semi = evaluate_semipositive(tc_program, chain_graph)
+        semi = run_kernel(tc_program, chain_graph)
         assert semi == naive_fixpoint(tc_program, chain_graph)
 
     def test_semipositive_negation(self):
         program = parse_program("O(x, y) :- E(x, y), not Mark(x).")
         instance = edges((1, 2), (2, 3)) | Instance([Fact("Mark", (1,))])
-        result = evaluate_semipositive(program, instance)
+        result = run_kernel(program, instance)
         assert {f.values for f in result if f.relation == "O"} == {(2, 3)}
 
     def test_idb_negation_rejected(self):
         program = parse_program("T(x) :- R(x). O(x) :- R(x), not T(x).")
-        with pytest.raises(EvaluationError):
-            SemiNaiveEvaluator(program)
+        with pytest.raises(EvaluationError, match="negates idb relations"):
+            KernelEvaluator(program)
 
     def test_max_iterations_guard(self):
         program = parse_program(
@@ -129,10 +131,10 @@ class TestSemiNaive:
         )
         chain = edges(*[(i, i + 1) for i in range(30)])
         with pytest.raises(EvaluationError, match="converge"):
-            SemiNaiveEvaluator(program).run(chain, max_iterations=3)
+            KernelEvaluator(program).run(chain, max_iterations=3)
 
     def test_empty_input(self, tc_program):
-        assert evaluate_semipositive(
+        assert run_kernel(
             parse_program("T(x, y) :- E(x, y).", output_relations=["T"]), Instance()
         ) == Instance()
 
@@ -142,7 +144,7 @@ class TestSemiNaive:
             output_relations=["T"],
         )
         cycle = edges((1, 2), (2, 3), (3, 1))
-        result = evaluate_semipositive(program, cycle)
+        result = run_kernel(program, cycle)
         assert {f.values for f in result if f.relation == "T"} == {
             (a, b) for a in (1, 2, 3) for b in (1, 2, 3)
         }
@@ -165,21 +167,21 @@ class TestGroundRules:
     def test_seminaive_matches_naive_with_ground_rule(self):
         program = self._ground_program()
         instance = edges((1, 2), (2, 3))
-        semi = evaluate_semipositive(program, instance)
+        semi = run_kernel(program, instance)
         assert semi == naive_fixpoint(program, instance)
         assert Fact("Seed", (1,)) in semi
         assert Fact("O", (2,)) in semi  # downstream of the ground fact
 
     def test_ground_rule_fires_on_empty_instance(self):
         program = self._ground_program()
-        semi = evaluate_semipositive(program, Instance())
+        semi = run_kernel(program, Instance())
         assert semi == naive_fixpoint(program, Instance())
         assert Fact("Seed", (1,)) in semi
 
     def test_ground_rule_blocked_by_edb_negation(self):
         program = self._ground_program()
         instance = edges((1, 2)) | Instance([Fact("Off", ())])
-        semi = evaluate_semipositive(program, instance)
+        semi = run_kernel(program, instance)
         assert semi == naive_fixpoint(program, instance)
         assert Fact("Seed", (1,)) not in semi
 
@@ -198,7 +200,6 @@ class TestBindingAliasing:
 
     def test_no_new_bindings_returns_same_object(self):
         from repro.datalog import Atom, make_variables
-        from repro.datalog.evaluation import _extend_binding
 
         x, y = make_variables("x y")
         binding = {x: 1, y: 2}
@@ -207,7 +208,6 @@ class TestBindingAliasing:
 
     def test_new_binding_copies(self):
         from repro.datalog import Atom, make_variables
-        from repro.datalog.evaluation import _extend_binding
 
         x, y = make_variables("x y")
         binding = {x: 1}
@@ -218,7 +218,6 @@ class TestBindingAliasing:
 
     def test_mismatch_returns_none(self):
         from repro.datalog import Atom, make_variables
-        from repro.datalog.evaluation import _extend_binding
 
         x = make_variables("x")[0]
         assert _extend_binding(Atom("E", [x, x]), (1, 2), {}) is None
@@ -242,10 +241,9 @@ class BlockKernel(importlib.abc.MetaPathFinder):
 
 sys.meta_path.insert(0, BlockKernel())
 
-from repro.datalog import (
-    Instance, evaluate_semipositive, naive_fixpoint, naive_well_founded,
-    parse_facts, parse_program, winmove_program,
-)
+from repro.datalog import Instance, parse_facts, parse_program, winmove_program
+from repro.datalog.stratified import evaluate
+from repro.reference import naive_fixpoint, naive_well_founded
 
 cotc = parse_program(
     "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z)."
@@ -261,7 +259,7 @@ assert not [name for name in sys.modules if name.startswith("repro.kernel")]
 
 # The block does bite: the production engine cannot start without it.
 try:
-    evaluate_semipositive(parse_program("T(x) :- E(x, y)."), Instance())
+    evaluate(parse_program("T(x) :- E(x, y)."), Instance())
 except ImportError:
     print("REFERENCES_RAN_WITHOUT_THE_KERNEL")
 """

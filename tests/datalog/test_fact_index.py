@@ -14,7 +14,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.datalog.evaluation import FactIndex
+from repro.reference import FactIndex
 from repro.datalog.terms import Fact
 
 values = st.integers(min_value=0, max_value=4)

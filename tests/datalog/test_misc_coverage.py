@@ -5,7 +5,6 @@ import pytest
 from repro.datalog import (
     EvaluationError,
     Fact,
-    FactIndex,
     Instance,
     Schema,
     evaluate_well_founded,
@@ -13,6 +12,7 @@ from repro.datalog import (
     parse_rule,
 )
 from repro.datalog.terms import Atom, Variable
+from repro.reference import FactIndex
 
 
 class TestInstanceUtilities:

@@ -11,9 +11,9 @@ from repro.datalog import (
     parse_facts,
     parse_program,
 )
-from repro.datalog.evaluation import naive_fixpoint
 from repro.kernel import KernelEvaluator, engine
 from repro.queries import DatalogQuery
+from repro.reference import naive_fixpoint
 
 
 def out_tuples(result):
@@ -75,12 +75,10 @@ class TestStratifiedEvaluation:
         assert out_tuples(result) == {(4,)}
 
     def test_stratified_matches_semipositive_on_sp_program(self):
-        from repro.datalog import evaluate_semipositive
-
         program = parse_program("O(x, y) :- E(x, y), not Mark(x).")
         instance = Instance(parse_facts("E(1,2). E(2,3). Mark(1)."))
-        assert evaluate_stratified(program, instance) == evaluate_semipositive(
-            program, instance
+        assert evaluate_stratified(program, instance) == KernelEvaluator(program).run(
+            instance
         )
 
     def test_output_projection(self, cotc_program):

@@ -17,9 +17,9 @@ from repro.datalog import Fact, Instance
 from repro.datalog.terms import Atom, Variable
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
-from repro.datalog.evaluation import naive_fixpoint
 from repro.kernel.engine import KernelEvaluator
 from repro.kernel.interning import SymbolTable, decode_database, intern_instance
+from repro.reference import naive_fixpoint
 
 # Values whose equality classes are singletons up to identical repr —
 # ints never equal strings, tuples compare structurally — so "decode

@@ -4,25 +4,21 @@ Every structural feature of Datalog¬ the codegen specializes — constants
 in body atoms, repeated variables, inequalities, negation (including the
 ground-rule guard), nullary relations, mixed-arity relations — gets an
 explicit equivalence check against ``naive_fixpoint`` (the recursive join),
-plus the surface checks (semipositive validation, max_iterations message)
-of ``SemiNaiveEvaluator``, which runs on the kernel.
+plus the surface checks (semipositive validation, max_iterations message).
 """
 
 import random
 
 import pytest
 
-from repro.datalog.evaluation import (
-    EvaluationError,
-    SemiNaiveEvaluator,
-    naive_fixpoint,
-)
 from repro.datalog.instance import Instance
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
+from repro.datalog.stratified import EvaluationError, StratifiedEvaluator
 from repro.datalog.terms import Atom, Fact, Inequality, Variable
-from repro.kernel.engine import KernelEvaluator, evaluate_semipositive
+from repro.kernel.engine import KernelEvaluator
 from repro.kernel.relation import ColumnarRelation
+from repro.reference import naive_fixpoint
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 
@@ -170,9 +166,9 @@ class TestSurfaceParity:
         )
         with pytest.raises(EvaluationError) as kernel_error:
             KernelEvaluator(bad)
-        with pytest.raises(EvaluationError) as seminaive_error:
-            SemiNaiveEvaluator(bad)
-        assert str(kernel_error.value) == str(seminaive_error.value)
+        assert str(kernel_error.value) == (
+            "program negates idb relations; use the stratified evaluator"
+        )
 
     def test_max_iterations_parity(self):
         program = Program(
@@ -198,13 +194,6 @@ class TestSurfaceParity:
             assert kernel_outcome == naive_outcome
             assert (kernel_outcome == "converged") == (cap >= 9)
 
-    def test_evaluate_semipositive_convenience(self):
-        program = Program([Rule(Atom("T", (X, Y)), [Atom("E", (X, Y))])])
-        instance = Instance({Fact("E", (1, 2))})
-        assert evaluate_semipositive(program, instance) == naive_fixpoint(
-            program, instance
-        )
-
     def test_compiled_counter_and_source(self):
         program = Program(
             [
@@ -219,7 +208,7 @@ class TestSurfaceParity:
 
     def test_dispatch_surfaces_kernel_compiles_as_plans_compiled(self):
         program = Program([Rule(Atom("T", (X, Y)), [Atom("E", (X, Y))])])
-        evaluator = SemiNaiveEvaluator(program)
+        evaluator = StratifiedEvaluator(program)
         assert evaluator.plans_compiled == 0  # nothing compiled before a run
         evaluator.run(Instance({Fact("E", (1, 2))}))
         assert evaluator.plans_compiled == 1  # one rule, one seed atom

@@ -2,7 +2,8 @@
 twin relation guard, evaluator reuse, what gets decoded, which input facts
 take part, and what continuing each Γ from the last one costs.
 
-The naive Γ (``naive_well_founded``) is the oracle throughout;
+The naive Γ (:func:`repro.reference.naive_well_founded`) is the oracle
+throughout;
 ``tests/properties/test_property_wellfounded.py`` holds the
 generated-program equivalence.
 """
@@ -15,7 +16,6 @@ from repro.datalog import (
     Instance,
     evaluate_doubled,
     evaluate_well_founded,
-    naive_well_founded,
     parse_facts,
     parse_program,
     winmove_program,
@@ -29,12 +29,14 @@ from repro.kernel import wellfounded as kernel_wellfounded
 from repro.kernel.wellfounded import ASSUMED_SUFFIX, FrozenNegationKernel
 from repro.queries import DatalogQuery, WellFoundedQuery, win_move_query
 from repro.queries.generators import random_game_graph
+from repro.reference import naive_well_founded
+from repro.reference import wellfounded as reference_wellfounded
 
 
 def naive_doubled(program, instance, *, max_rounds=10_000):
     """The doubled-program iteration over the naive Γ session."""
     return wellfounded._model(
-        wellfounded._NaiveSession(program, instance),
+        reference_wellfounded._NaiveSession(program, instance),
         wellfounded._doubled_iteration,
         max_rounds,
     )
@@ -48,7 +50,7 @@ class TestDispatch:
         def forbidden(*args, **kwargs):
             raise AssertionError("naive Γ ran on the default path")
 
-        monkeypatch.setattr(wellfounded, "match_rule", forbidden)
+        monkeypatch.setattr(reference_wellfounded, "match_rule", forbidden)
         evaluator = WellFoundedEvaluator(winmove_program())
         model = evaluator.model(GAME)
         # One rule: its semi-naive specialization, its negated-twin seed and
@@ -325,7 +327,7 @@ class TestContinuation:
             WellFoundedEvaluator(program).session(instance), iterate
         )
         naive_gammas, _ = count_gammas(
-            wellfounded._NaiveSession(program, instance), iterate
+            reference_wellfounded._NaiveSession(program, instance), iterate
         )
         assert kernel_gammas == naive_gammas > 20
 

@@ -20,9 +20,14 @@ the violation.
 
 from __future__ import annotations
 
-from ..datalog.instance import Instance
-from ..queries.base import Query
-from .classes import AdditionKind, MonotonicityViolation, addition_matches, violation_on
+from repro.datalog.instance import Instance
+from repro.monotonicity.classes import (
+    AdditionKind,
+    MonotonicityViolation,
+    addition_matches,
+    violation_on,
+)
+from repro.queries.base import Query
 
 __all__ = ["minimize_violation", "is_locally_minimal"]
 

@@ -4,8 +4,9 @@ import pytest
 
 from repro.datalog import Instance, parse_facts
 from repro.monotonicity import AdditionKind, violation_on
-from repro.monotonicity.minimize import is_locally_minimal, minimize_violation
 from repro.queries import clique_query, complement_tc_query
+
+from minimize import is_locally_minimal, minimize_violation
 
 
 def graph(text):

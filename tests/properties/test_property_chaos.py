@@ -3,15 +3,22 @@ generated semi-positive and stratified programs (ground rules and the
 ``max_iterations`` error included), and the Section-4 protocols are
 confluent under the adversarial scheduler/channel zoo."""
 
+import functools
+
 from hypothesis import given, settings, strategies as st
 
-from repro.datalog import Atom, Fact, Instance, Program, Rule, evaluate_stratified
-from repro.datalog.evaluation import (
+from repro.datalog import (
+    Atom,
     EvaluationError,
-    evaluate_semipositive,
-    naive_fixpoint,
+    Fact,
+    Instance,
+    Program,
+    Rule,
+    evaluate_stratified,
 )
+from repro.kernel import KernelEvaluator
 from repro.queries.program_generator import GeneratorConfig, random_program
+from repro.reference import naive_fixpoint
 from repro.transducers import (
     CHAOS_PLAN,
     FairScheduler,
@@ -48,7 +55,7 @@ class TestSemiNaiveMatchesNaive:
     @settings(max_examples=25, deadline=None)
     def test_random_semipositive_programs(self, seed, instance):
         program = random_program(seed, SEMIPOSITIVE)
-        assert evaluate_semipositive(program, instance) == naive_fixpoint(
+        assert KernelEvaluator(program).run(instance) == naive_fixpoint(
             program, instance
         )
 
@@ -56,7 +63,7 @@ class TestSemiNaiveMatchesNaive:
     @settings(max_examples=25, deadline=None)
     def test_with_injected_ground_rule(self, seed, instance):
         program = with_ground_rule(random_program(seed, SEMIPOSITIVE))
-        semi = evaluate_semipositive(program, instance)
+        semi = KernelEvaluator(program).run(instance)
         assert semi == naive_fixpoint(program, instance)
         assert Fact("G", (0,)) in semi  # the ground rule actually fired
 
@@ -77,11 +84,13 @@ class TestSemiNaiveMatchesNaive:
 
         def outcome(evaluate):
             try:
-                return evaluate(program, instance, max_iterations=cap)
+                return evaluate(instance, max_iterations=cap)
             except EvaluationError as error:
                 return str(error)
 
-        assert outcome(evaluate_semipositive) == outcome(naive_fixpoint)
+        assert outcome(KernelEvaluator(program).run) == outcome(
+            functools.partial(naive_fixpoint, program)
+        )
 
 
 NETWORK = Network(["n1", "n2", "n3"])

@@ -6,13 +6,13 @@ from repro.datalog import (
     Fact,
     Instance,
     StratifiedEvaluator,
-    evaluate_semipositive,
     evaluate_stratified,
     evaluate_well_founded,
-    immediate_consequence,
     parse_program,
     winmove_program,
 )
+from repro.kernel import KernelEvaluator
+from repro.reference import immediate_consequence
 
 values = st.integers(min_value=0, max_value=7)
 edges = st.frozensets(
@@ -27,35 +27,36 @@ games = st.frozensets(
 TC = parse_program(
     "T(x, y) :- E(x, y). T(x, z) :- T(x, y), E(y, z).", output_relations=["T"]
 )
+TC_KERNEL = KernelEvaluator(TC)
 
 
 class TestFixpointInvariants:
     @given(edges)
     def test_fixpoint_contains_input(self, instance):
-        assert instance <= evaluate_semipositive(TC, instance)
+        assert instance <= TC_KERNEL.run(instance)
 
     @given(edges)
     def test_fixpoint_is_fixed(self, instance):
-        result = evaluate_semipositive(TC, instance)
+        result = TC_KERNEL.run(instance)
         assert immediate_consequence(TC, result) == result
 
     @given(edges, edges)
     def test_positive_program_monotone(self, small, extra):
-        a = evaluate_semipositive(TC, small)
-        b = evaluate_semipositive(TC, small | extra)
+        a = TC_KERNEL.run(small)
+        b = TC_KERNEL.run(small | extra)
         assert a <= b
 
     @given(edges)
     @settings(max_examples=40)
     def test_genericity_of_evaluation(self, instance):
         mapping = {v: f"v{v}" for v in instance.adom()}
-        direct = evaluate_semipositive(TC, instance).rename(mapping)
-        permuted = evaluate_semipositive(TC, instance.rename(mapping))
+        direct = TC_KERNEL.run(instance).rename(mapping)
+        permuted = TC_KERNEL.run(instance.rename(mapping))
         assert direct == permuted
 
     @given(edges)
     def test_tc_is_transitive(self, instance):
-        result = evaluate_semipositive(TC, instance)
+        result = TC_KERNEL.run(instance)
         closure = {f.values for f in result if f.relation == "T"}
         for a, b in closure:
             for c, d in closure:

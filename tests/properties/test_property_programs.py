@@ -139,11 +139,11 @@ class TestEvaluationInvariants:
         """Each stratum only adds facts on top of the previous ones."""
         program = random_program(seed)
         instance = self._input_for(program, seed)
-        from repro.datalog.evaluation import SemiNaiveEvaluator
+        from repro.kernel import KernelEvaluator
 
         stratification = stratify(program)
         current = instance
         for stage in stratification.strata:
-            following = SemiNaiveEvaluator(stage, check_semipositive=False).run(current)
+            following = KernelEvaluator(stage, check_semipositive=False).run(current)
             assert current <= following
             current = following

@@ -11,12 +11,20 @@ per-stratum evaluation it replaced for the ``max_iterations`` outcome.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.datalog import Atom, Fact, Instance, Program, Rule, StratifiedEvaluator
-from repro.datalog.evaluation import EvaluationError, naive_fixpoint
+from repro.datalog import (
+    Atom,
+    EvaluationError,
+    Fact,
+    Instance,
+    Program,
+    Rule,
+    StratifiedEvaluator,
+)
 from repro.datalog.stratification import stratify
 from repro.datalog.terms import Variable
 from repro.kernel import KernelEvaluator
 from repro.queries.program_generator import GeneratorConfig, random_program
+from repro.reference import naive_fixpoint
 
 values = st.integers(min_value=0, max_value=3)
 facts = st.one_of(

@@ -24,7 +24,6 @@ from repro.datalog import (
     Fact,
     Instance,
     evaluate_doubled,
-    naive_well_founded,
     parse_rules,
     winmove_program,
 )
@@ -35,6 +34,8 @@ from repro.datalog.rules import Rule
 from repro.datalog.terms import Atom, Inequality, Variable
 from repro.datalog.wellfounded import WellFoundedEvaluator
 from repro.kernel import wellfounded as kernel_wellfounded
+from repro.reference import naive_well_founded
+from repro.reference.wellfounded import _NaiveSession
 
 EDB = {"E": 2, "V": 1, "Flag": 0}
 IDB = {"P": 1, "Q": 1, "R": 2, "Z": 0}
@@ -138,7 +139,7 @@ def assert_backends_agree(program, instance):
     assert evaluator.kernel_compiled > 0
     off = naive_well_founded(program, instance)
     off_doubled = wellfounded._model(
-        wellfounded._NaiveSession(program, instance),
+        _NaiveSession(program, instance),
         wellfounded._doubled_iteration,
         10_000,
     )
@@ -149,7 +150,7 @@ def assert_backends_agree(program, instance):
     assert output == on.true.restrict(program.output_schema())
     for iterate in (wellfounded._alternating_fixpoint, wellfounded._doubled_iteration):
         assert gammas(evaluator.session(instance), iterate) == gammas(
-            wellfounded._NaiveSession(program, instance), iterate
+            _NaiveSession(program, instance), iterate
         )
     return on
 
@@ -169,7 +170,9 @@ def test_kernel_matches_naive_on_programs_that_delete_and_rederive(program, inst
 
 
 @given(games)
-@settings(max_examples=80)
+# One failure is reported as the AssertionError the planted-bug check below
+# expects, even when a run finds several distinct ones.
+@settings(max_examples=80, report_multiple_bugs=False)
 def test_kernel_matches_naive_on_games(game):
     model = assert_backends_agree(winmove_program(), game)
     solution = solve_game(game)

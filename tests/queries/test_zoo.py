@@ -2,9 +2,26 @@
 
 import pytest
 
-from repro.core import classify_fragment
+from repro.core import analyze, classify_fragment
 from repro.datalog import Instance, parse_facts
-from repro.queries import DatalogQuery, PROGRAM_ZOO, zoo_entries, zoo_program
+from repro.queries import DatalogQuery, PROGRAM_ZOO, ZooEntry, zoo_entries, zoo_program
+
+#: Placements asserted beside the zoo's own: the collector of
+#: ``examples/distributed_gc.py`` (the zoo is the gates' workload, so it
+#: stays as it is).
+PLACED = (
+    ZooEntry(
+        name="gc",
+        source="""
+            Reachable(x) :- Root(x).
+            Reachable(y) :- Reachable(x), Ref(x, y).
+            O(x) :- Obj(x), not Reachable(x).
+        """,
+        fragment="con-datalog",
+        monotonicity="Mdisjoint",
+        description="Collectible heap objects: not reachable from a root.",
+    ),
+)
 
 
 class TestZooIntegrity:
@@ -29,8 +46,12 @@ class TestZooIntegrity:
         assert len(zoo_entries()) == len(PROGRAM_ZOO)
 
     def test_declared_fragments_match_analyzer(self):
-        for entry in PROGRAM_ZOO:
+        for entry in PROGRAM_ZOO + PLACED:
             assert classify_fragment(entry.program()) == entry.fragment, entry.name
+            analysis = analyze(entry.program())
+            assert analysis.fragment == entry.fragment, entry.name
+            expected = None if entry.monotonicity == "none" else entry.monotonicity
+            assert analysis.monotonicity == expected, entry.name
 
 
 class TestZooSemantics:

@@ -9,6 +9,10 @@ swapped without touching a caller.
 Below the seam the same holds one level down: the node core
 (``transducers/node.py``) is the only place that states the transition
 relation, and it stays sans-IO.
+
+Two more fences keep the tree small: the naive oracles live in
+``repro.reference`` and only the conformance stacks import them, and every
+module is reached by an import walk from an entry point.
 """
 
 import ast
@@ -103,6 +107,8 @@ def test_the_lint_sees_a_planted_call():
 def test_the_allowlists_name_real_files():
     for relative in MAY_CONSTRUCT | MODEL_LEVEL:
         assert (SRC / relative).is_file(), relative
+    for relative in MAY_IMPORT_REFERENCE:
+        assert (SRC / relative).exists(), relative
 
 
 # ----------------------------------------------------------------------
@@ -323,3 +329,219 @@ def test_the_gate_lints_see_planted_offenders():
     assert "argparse" in set(_imports(planted))
     assert list(_private_gate_imports(planted)) == ["_ZOO_INSTANCES"]
     assert not _writes_a_file(ast.parse("open('BENCH_cluster.json').read()"))
+
+
+# ----------------------------------------------------------------------
+# the reference fence: one production engine, the oracles kept apart
+# ----------------------------------------------------------------------
+
+#: Where ``repro.reference`` may be imported from, for a stated reason.
+MAY_IMPORT_REFERENCE = {
+    # The differential baseline of the fuzzer is the naive stack.
+    "conformance",
+    # ILOG¬ evaluates through the naive join until item 7a.
+    "ilog/evaluation.py",
+}
+REFERENCE = "reference"
+
+
+def _modules(src: Path) -> dict[str, tuple[Path, ast.Module]]:
+    """Every module under the package directory *src*, by dotted name (a
+    package by its own name, parsed from its ``__init__.py``)."""
+    modules = {}
+    for path in sorted(src.rglob("*.py")):
+        parts = list(path.relative_to(src.parent).with_suffix("").parts)
+        if parts[-1] == "__init__":
+            parts.pop()
+        modules[".".join(parts)] = path, ast.parse(path.read_text())
+    return modules
+
+
+def _from_base(node: ast.ImportFrom, module: str, path: Path) -> str:
+    """The absolute name of the module a ``from ... import`` reads."""
+    if node.level == 0:
+        return node.module
+    package = module if path.name == "__init__.py" else module.rpartition(".")[0]
+    for _ in range(node.level - 1):
+        package = package.rpartition(".")[0]
+    return f"{package}.{node.module}" if node.module else package
+
+
+def _imported(tree: ast.AST, module: str, path: Path):
+    """``(line, base, name)`` for every import in *tree*, function-local
+    ones included: ``import a.b`` gives ``(line, "a.b", None)`` and ``from
+    a import b`` gives ``(line, "a", "b")``, relative bases made absolute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = _from_base(node, module, path)
+            yield from ((node.lineno, base, alias.name) for alias in node.names)
+
+
+def _imports_of(tree: ast.AST, module: str, path: Path, target: str) -> list[int]:
+    """Lines of *tree* that import *target* or anything under it."""
+    return sorted({
+        line
+        for line, base, name in _imported(tree, module, path)
+        for imported in (base if name is None else f"{base}.{name}", base)
+        if imported == target or imported.startswith(target + ".")
+    })
+
+
+def _fence_offenders(modules) -> list[str]:
+    offenders = []
+    for module, (path, tree) in modules.items():
+        relative = path.relative_to(SRC).as_posix()
+        inside = relative.split("/")[0]
+        if inside == REFERENCE:
+            forbidden = "repro.kernel"
+        elif relative in MAY_IMPORT_REFERENCE or inside in MAY_IMPORT_REFERENCE:
+            continue
+        else:
+            forbidden = "repro.reference"
+        offenders += [
+            f"{relative}:{line} imports {forbidden}"
+            for line in _imports_of(tree, module, path, forbidden)
+        ]
+    return offenders
+
+
+def test_only_the_conformance_stacks_import_the_reference():
+    """The kernel is the one production engine: the naive oracles are
+    imported only where runtimes are checked against them, and never
+    import the engine they check."""
+    assert _fence_offenders(_modules(SRC)) == []
+
+
+def test_the_reference_fence_sees_planted_imports():
+    planted = {
+        "repro.transducers.planted": (
+            SRC / "transducers" / "planted.py",
+            ast.parse(
+                "from ..reference import naive_fixpoint\n"
+                "def f():\n"
+                "    from repro import reference\n"
+                "    import repro.reference.datalog\n"
+            ),
+        ),
+        "repro.reference.planted": (
+            SRC / REFERENCE / "planted.py",
+            ast.parse(
+                "from .datalog import match_rule\n"
+                "def f():\n"
+                "    from ..kernel.engine import KernelEvaluator\n"
+                "    from .. import kernel\n"
+            ),
+        ),
+        "repro.conformance.planted": (
+            SRC / "conformance" / "planted.py",
+            ast.parse("from ..reference import naive_fixpoint\n"),
+        ),
+    }
+    assert sorted(_fence_offenders(planted)) == [
+        "reference/planted.py:3 imports repro.kernel",
+        "reference/planted.py:4 imports repro.kernel",
+        "transducers/planted.py:1 imports repro.reference",
+        "transducers/planted.py:3 imports repro.reference",
+        "transducers/planted.py:4 imports repro.reference",
+    ]
+
+
+# ----------------------------------------------------------------------
+# reachability: every module is imported, transitively, by an entry point
+# ----------------------------------------------------------------------
+
+ENTRY_POINTS = (
+    "repro.cli",
+    "repro.__main__",
+    "repro.service.app",
+    "repro.gates",
+    "repro.runtimes",
+)
+
+#: Unreached modules kept for a paper claim, each until its ROADMAP item
+#: wires it to an entry point or removes it.  The list only shrinks: the
+#: walk fails on a pending module that has become reached.
+PENDING = {
+    "repro.transducers.modelcheck": "item 8b",
+    "repro.monotonicity.preservation": "item 12",
+}
+
+
+def _defining_module(modules, base: str, name: str) -> str:
+    """The module ``from base import name`` reads *name* from: a submodule,
+    else the module a package's ``__init__`` imports *name* from, else
+    *base* itself."""
+    if f"{base}.{name}" in modules:
+        return f"{base}.{name}"
+    path, tree = modules.get(base, (None, None))
+    if path is not None and path.name == "__init__.py":
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if (alias.asname or alias.name) == name:
+                        source = _from_base(node, base, path)
+                        return _defining_module(modules, source, alias.name)
+    return base
+
+
+def _reached(modules, entry_points) -> set[str]:
+    """Modules an import walk from *entry_points* reaches.  Importing a
+    module runs its packages' ``__init__``, so those are reached too, but a
+    package ``__init__``'s own imports are not edges: ``from pkg import
+    name`` reaches the module that defines *name*, not all of *pkg*."""
+    reached: set[str] = set()
+    todo = list(entry_points)
+    while todo:
+        module = todo.pop()
+        if module in reached:
+            continue
+        reached.add(module)
+        path, tree = modules[module]
+        if path.name == "__init__.py":
+            continue
+        for _, base, name in _imported(tree, module, path):
+            target = base if name is None else _defining_module(modules, base, name)
+            while target:
+                if target in modules:
+                    todo.append(target)
+                target = target.rpartition(".")[0]
+    return reached
+
+
+def _ratchet(unreached: set[str], pending: dict[str, str]) -> list[str]:
+    return [
+        f"{module} is reached by no entry point"
+        for module in sorted(unreached - set(pending))
+    ] + [
+        f"{module} is reached now: drop it from PENDING ({pending[module]})"
+        for module in sorted(set(pending) - unreached)
+    ]
+
+
+def test_every_module_is_reached_from_an_entry_point():
+    modules = _modules(SRC)
+    unreached = set(modules) - _reached(modules, ENTRY_POINTS)
+    assert _ratchet(unreached, PENDING) == []
+
+
+def test_the_reachability_walk_sees_a_planted_orphan(tmp_path):
+    package = tmp_path / "pkg"
+    (package / "sub").mkdir(parents=True)
+    for relative, text in {
+        "__init__.py": "from .used import helper\nfrom .orphan import thing\n",
+        "entry.py": "from pkg import helper\ndef f():\n    from . import sub\n",
+        "used.py": "def helper():\n    pass\n",
+        "orphan.py": "thing = 1\n",
+        "sub/__init__.py": "",
+        "sub/leaf.py": "from ..used import helper\n",
+    }.items():
+        (package / relative).write_text(text)
+    modules = _modules(package)
+    unreached = set(modules) - _reached(modules, ["pkg.entry"])
+    assert unreached == {"pkg.orphan", "pkg.sub.leaf"}
+    assert _ratchet(unreached, {"pkg.sub.leaf": "item 0", "pkg.used": "item 1"}) == [
+        "pkg.orphan is reached by no entry point",
+        "pkg.used is reached now: drop it from PENDING (item 1)",
+    ]
