@@ -4,7 +4,7 @@ regenerate every Theorem 3.1 claim, then dissect one separating witness.
 Run:  python examples/hierarchy_explorer.py
 """
 
-from repro.core import figure1_experiment, render_rows
+from repro.core import figure1_experiment
 from repro.monotonicity import (
     AdditionKind,
     check_monotonicity,
@@ -17,7 +17,8 @@ from repro.queries import star_query
 def main() -> None:
     print("== Theorem 3.1 / Figure 1, regenerated ==")
     rows = figure1_experiment(max_i=2)
-    print(render_rows(rows))
+    for row in rows:
+        print(f"  [{row.verdict:^10}] {row.claim}  {row.evidence}")
     failed = [row for row in rows if not row.ok]
     print(f"\n  {len(rows) - len(failed)}/{len(rows)} claims verified")
     assert not failed

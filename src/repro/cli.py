@@ -85,14 +85,20 @@ Usage (also via ``python -m repro``):
         --corpus, persisted as permanent regression entries (see
         docs/TESTING.md).
 
-    repro gate {cluster,scenarios,optimizer} [--smoke] [--output PATH]
+    repro gate {cluster,scenarios,optimizer,paper} [--smoke] [--output PATH]
         Run one registered correctness gate (``repro.gates``): cluster
-        quiescence-equivalence, streaming-scenario trajectories, or the
-        optimizer's paired runs.  Prints one line per record and each
+        quiescence-equivalence, streaming-scenario trajectories, the
+        optimizer's paired runs, or every claim about the paper (one record
+        per claim row).  Prints one line per record and each
         headline value against its floor; exits 0 iff every floor holds.
         ``--smoke`` is the CI size; ``--output`` writes the artifact (the
         committed ``BENCH_<name>.json`` are full runs) — without it nothing
         is written.
+
+    repro report ARTIFACT
+        Print EXPERIMENTS.md rendered from a ``paper`` gate artifact:
+        ``repro gate paper --output BENCH_paper.json && repro report
+        BENCH_paper.json > EXPERIMENTS.md``.
 
 Program files use the conventional syntax (``O(x) :- E(x, y), not S(y).``);
 fact files are plain facts (``E(1, 2).``).
@@ -659,6 +665,15 @@ def _cmd_gate(args, out) -> int:
     return 0 if artifact["passed"] else 1
 
 
+def _cmd_report(args, out) -> int:
+    import json
+
+    from .core.report import render_experiments
+
+    print(render_experiments(json.loads(_read(args.artifact))), end="", file=out)
+    return 0
+
+
 def _cmd_solve_game(args, out) -> int:
     instance = _load_facts(args.facts)
     solution = solve_game(instance)
@@ -900,6 +915,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", metavar="PATH", help="write the gate artifact to PATH"
     )
     gate_cmd.set_defaults(handler=_cmd_gate)
+
+    report_cmd = commands.add_parser(
+        "report", help="render EXPERIMENTS.md from a paper gate artifact"
+    )
+    report_cmd.add_argument("artifact")
+    report_cmd.set_defaults(handler=_cmd_report)
 
     game_cmd = commands.add_parser("solve-game", help="solve a win-move game")
     game_cmd.add_argument("facts")

@@ -1,5 +1,6 @@
 """The core contribution: the CALM analyzer, the executable theorems, and
-the experiment drivers that regenerate every figure and theorem."""
+the experiment drivers that regenerate every figure and theorem (the
+``paper`` gate)."""
 
 from .analyzer import (
     AnalysisResult,
@@ -23,9 +24,6 @@ from .experiments import (
     figure2_experiment,
     hierarchy_f_experiment,
     lemma52_experiment,
-    protocol_cost_sweep,
-    protocol_size_sweep,
-    render_rows,
     theorem43_experiment,
     theorem44_experiment,
     theorem45_experiment,
@@ -58,9 +56,6 @@ __all__ = [
     "figure2_experiment",
     "hierarchy_f_experiment",
     "lemma52_experiment",
-    "protocol_cost_sweep",
-    "protocol_size_sweep",
-    "render_rows",
     "theorem43_experiment",
     "theorem44_experiment",
     "theorem45_experiment",

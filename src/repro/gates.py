@@ -3,10 +3,12 @@ into which file shape — said once.
 
 The repo's correctness claim (every runtime computes ``Q(I)``
 byte-identically under any schedule, fault, crash or epoch split its class
-permits) is held by three gates.  Each is a generator of per-item verdict
-records that already exist elsewhere — :func:`~repro.cluster.gate.
-check_workload`, :func:`~repro.streaming.check_stream_scenario`,
-:func:`~repro.optimizer.run_comparison` — plus its floors as data.
+permits) is held by three gates, and its claims about the paper by a
+fourth.  Each is a generator of per-item verdict records that already exist
+elsewhere — :func:`~repro.cluster.gate.check_workload`,
+:func:`~repro.streaming.check_stream_scenario`,
+:func:`~repro.optimizer.run_comparison`, the drivers of
+:mod:`repro.core.experiments` — plus its floors as data.
 :func:`run_gate` owns the only progress printer, the only
 headline-vs-floor loop and the only artifact schema::
 
@@ -19,7 +21,7 @@ headline-vs-floor loop and the only artifact schema::
 
 ``repro gate <name> [--smoke] [--output PATH]`` is the one entry point; the
 committed ``BENCH_<name>.json`` at the repo root is a full run of it, and
-git is the time series.  A fourth gate registers in :data:`GATES`.
+git is the time series.  A new gate registers in :data:`GATES`.
 """
 
 from __future__ import annotations
@@ -185,10 +187,26 @@ def _optimizer_line(record: dict) -> str:
     )
 
 
+# ----------------------------------------------------------------------
+# paper: every claim the repo makes about the paper, one record per claim
+# ----------------------------------------------------------------------
+
+
+def _paper_records(smoke: bool) -> Iterable[dict]:
+    """One record per claim row of every paper driver, in document order
+    (EXPERIMENTS.md is rendered from them).  The drivers are small, so
+    ``--smoke`` relaxes nothing."""
+    from .core import experiments
+
+    for driver in experiments.PAPER_DRIVERS:
+        for row in driver():
+            yield row.record()
+
+
 #: name -> gate.  The floors are the acceptance bars: no divergence, every
 #: scenario, sound routing (byte-identity everywhere), every genuine upgrade
-#: measured-cheaper, and cost-model ordering agreement (near-ties may
-#: honestly disagree).
+#: measured-cheaper, cost-model ordering agreement (near-ties may
+#: honestly disagree), and every paper claim.
 GATES: dict[str, Gate] = {
     "cluster": Gate(
         title="asyncio cluster vs synchronous simulator, per workload",
@@ -219,6 +237,12 @@ GATES: dict[str, Gate] = {
         },
         headline=_optimizer_headline,
         line=_optimizer_line,
+    ),
+    "paper": Gate(
+        title="the paper's figures, theorems and lemmas, one record per claim",
+        records=_paper_records,
+        floors={"paper_claims_verified": 1.0},
+        line=lambda r: f"{r['experiment']:<7} {r['claim'][:60]}",
     ),
 }
 

@@ -12,7 +12,7 @@ Zinn/Green/Ludäscher win-move analysis), and emits a
 :class:`~repro.optimizer.plan.PlanCertificate`: per-stratum class, the
 chosen Section-4 protocol bundle (only the non-monotone residue pays for
 coordination), and a predicted (rounds, messages, transitions) cost from
-a model fitted to the ``bench_protocol_costs`` sweeps.
+a model fitted to the protocol cost sweeps (``PROTO`` in ``repro gate paper``).
 
 Soundness is fuzz-gated: the eighth conformance dimension
 (:mod:`repro.conformance.optimizer`) requires every generator-sampled

@@ -1,8 +1,8 @@
 """The coordination cost model: predicted (rounds, messages, transitions).
 
 The Section-4 protocols have sharply different cost shapes — measured by
-``benchmarks/bench_protocol_costs.py`` / ``bench_coordination_price.py``
-and committed as the paired runs of ``BENCH_optimizer.json``: broadcast
+the ``PROTO`` sweeps of ``repro gate paper`` (``BENCH_paper.json``) and
+committed as the paired runs of ``BENCH_optimizer.json``: broadcast
 quiesces in ~4 rounds, the policy-aware absence protocol slightly later,
 the domain-guided handshake and the All-barrier pay extra message hops
 (ack / OK / done chains) that cost ~3 more rounds regardless of input
@@ -16,7 +16,7 @@ size.  The model captures exactly that structure:
   scheduler every node takes exactly one transition per round.
 
 Coefficients are fitted by least squares over observations from
-:func:`calibration_observations` (the ``protocol_cost_sweep`` of
+:func:`calibration_observations` (the ``protocol_costs`` of
 :mod:`repro.core.experiments` plus an All-barrier arm over the same
 inputs).  ``DEFAULT_COST_MODEL`` carries committed coefficients from that
 calibration so certificates are deterministic and dependency-free; the
@@ -195,8 +195,8 @@ def calibration_observations(
 ) -> list[tuple[str, int, int, Any]]:
     """Fresh calibration data: the three Section-4 protocols *and* the
     All-barrier, over the same inputs across network and input sizes
-    (the union of the two ``bench_protocol_costs.py`` sweeps plus the
-    barrier arm they lack)."""
+    (the node × input grid that spans the two ``PROTO`` sweeps of
+    ``repro gate paper``, plus the barrier arm they lack)."""
     from ..core.experiments import protocol_costs, random_graph
 
     observations: list[tuple[str, int, int, Any]] = []

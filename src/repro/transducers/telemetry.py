@@ -8,8 +8,8 @@ so "byte-identical output" is a string comparison.
 
 The JSON layout (``RunReport.to_dict``) is documented in ``docs/CHAOS.md``
 and versioned through ``REPORT_VERSION``; it is emitted by the CLI
-(``repro run --report out.json``) and consumed by
-``benchmarks/bench_chaos_confluence.py``.
+(``repro run --report out.json``); the ``CHAOS`` rows of the paper gate
+(``repro gate paper``) read the same reports.
 """
 
 from __future__ import annotations

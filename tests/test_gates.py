@@ -22,8 +22,8 @@ def _stub_gate(*, passed: bool) -> gates.Gate:
     )
 
 
-def test_the_registry_is_the_three_gates():
-    assert set(gates.GATES) == {"cluster", "scenarios", "optimizer"}
+def test_the_registry_is_the_four_gates():
+    assert set(gates.GATES) == {"cluster", "scenarios", "optimizer", "paper"}
 
 
 def test_floors_are_pinned():
@@ -36,6 +36,7 @@ def test_floors_are_pinned():
             "optimizer_prediction_agreement": 0.85,
             "optimizer_refit_ordering": 1.0,
         },
+        "paper": {"paper_claims_verified": 1.0},
     }
 
 
@@ -62,6 +63,21 @@ def test_a_failing_record_fails_the_gate_and_the_command(monkeypatch, tmp_path, 
     assert main(["gate", "stub", "--output", str(output)]) == 1
     assert json.loads(output.read_text())["passed"] is False
     assert "FAILED" in capsys.readouterr().out
+
+
+def test_a_failing_paper_claim_fails_the_paper_gate(monkeypatch, capsys):
+    from repro.core import experiments
+
+    def planted():
+        return [experiments.ExperimentRow("PLANTED", "a claim that fails", False)]
+
+    monkeypatch.setattr(
+        experiments, "PAPER_DRIVERS", (experiments.theorem43_experiment, planted)
+    )
+    assert main(["gate", "paper"]) == 1
+    output = capsys.readouterr().out
+    assert "PLANTED a claim that fails" in output and "FAILED" in output
+    assert "paper_claims_verified: 0.667 (floor 1.0) FAILED" in output
 
 
 def test_a_passing_gate_exits_zero_and_writes_nothing_unasked(
