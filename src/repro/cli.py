@@ -30,9 +30,10 @@ Usage (also via ``python -m repro``):
                [--kill-node NODE --kill-after K] [--stream FEED.yaml]
                [--report OUT.json]
         Distributed evaluation with the analyzer's strategy — one command
-        body over ``repro.runtimes.execute``, on the runtime the command line
-        names: ``run`` = the synchronous N-node simulator (``--scheduler``
-        picks fair / trickle / singleton / storm / starve / chaos);
+        body over the request pipeline of ``repro.runtimes`` (the one ``POST
+        /v1/runs`` uses), on the runtime the command line names: ``run`` =
+        the synchronous N-node simulator (``--scheduler`` picks fair /
+        trickle / singleton / storm / starve / chaos);
         ``cluster`` = one asyncio task per node, wire-encoded envelopes over
         the chosen transport, quiescence detected decentrally by Safra's
         token ring; ``--processes`` = each node in its *own OS process* over
@@ -110,12 +111,12 @@ import argparse
 import sys
 from typing import Sequence
 
-from .core.analyzer import analyze, plan_distribution, planned_network, query_for
+from .core.analyzer import query_for
 from .datalog.games import solve_game
 from .datalog.instance import Instance
 from .datalog.parser import parse_facts, parse_program
 from .gates import GATES, run_gate
-from .runtimes import node_names
+from .runtimes import Request, RequestError, node_names, plan_request, run_request
 
 __all__ = ["main", "build_parser"]
 
@@ -141,77 +142,46 @@ def _print_instance(instance: Instance, out) -> None:
 
 
 def _cmd_analyze(args, out) -> int:
+    """``repro analyze``: the certificate ``POST /v1/analyze`` returns, as
+    one JSON document with ``--json`` or as a table; ``--check-pairs N``
+    adds the empirical cross-check over N seeded random (I, J) pairs."""
+    from .core.certificate import certificate_to_json
+
+    request = Request(
+        program=_read(args.program),
+        seed=args.seed,
+        planner="ilog" if args.ilog else "default",
+        # The table prints no empirical section: run the check for --json only.
+        check_pairs=args.check_pairs if args.json else 0,
+    )
+    certificate = plan_request(request).certificate
     if args.json:
-        return _cmd_analyze_json(args, out)
+        print(certificate_to_json(certificate), file=out)
+        return 0
+    protocol = certificate["protocol"]
+    print(f"rules:        {certificate['rules']}", file=out)
     if args.ilog:
-        return _cmd_analyze_ilog(args, out)
-    program = _load_program(args.program)
-    analysis = analyze(program)
-    plan = plan_distribution(program)
-    print(f"rules:        {len(program)}", file=out)
-    print(f"edb:          {', '.join(sorted(program.edb())) or '-'}", file=out)
-    print(f"output:       {', '.join(sorted(program.output_relations))}", file=out)
-    print(f"fragment:     {analysis.fragment}", file=out)
-    print(f"class:        {analysis.monotonicity or 'no guarantee'}", file=out)
-    print(f"model:        {analysis.model or 'requires global barrier'}", file=out)
-    print(f"cf-class:     {analysis.coordination_class or '-'}", file=out)
-    print(f"strategy:     {plan.transducer.name}", file=out)
-    if plan.requires_domain_guided:
+        print(f"invention:    {', '.join(certificate['invention']) or '-'}", file=out)
+    else:
+        print(f"edb:          {', '.join(certificate['edb']) or '-'}", file=out)
+        print(f"output:       {', '.join(certificate['output'])}", file=out)
+    print(f"fragment:     {certificate['fragment']}", file=out)
+    print(f"class:        {certificate['monotonicity'] or 'no guarantee'}", file=out)
+    model = certificate["model"] or "requires global barrier"
+    print(f"model:        {model}", file=out)
+    print(f"cf-class:     {certificate['coordination_class'] or '-'}", file=out)
+    print(f"strategy:     {protocol['name']}", file=out)
+    if args.ilog:
+        return 0
+    if protocol["requires_domain_guided"]:
         print("policy:       requires a domain-guided distribution", file=out)
-    if plan.requires_barrier:
+    if protocol["requires_barrier"]:
         print("warning:      strategy coordinates (waits on every node)", file=out)
     if args.explain:
         from .core.explain import explain
 
         print("", file=out)
-        print(explain(program).describe(), file=out)
-    return 0
-
-
-def _cmd_analyze_json(args, out) -> int:
-    """``repro analyze --json``: the machine-readable certificate.
-
-    Prints exactly one JSON document (the classification certificate of
-    :mod:`repro.core.certificate`) so scripts and the service smoke tests
-    can consume the analysis without screen-scraping; ``--check-pairs N``
-    adds the empirical cross-check over N seeded random (I, J) pairs.
-    """
-    from .core.certificate import (
-        certificate,
-        certificate_to_json,
-        ilog_certificate_for_plan,
-    )
-
-    if args.ilog:
-        from .core.analyzer import plan_ilog_distribution
-        from .ilog.program import parse_ilog_program
-
-        program = parse_ilog_program(_read(args.program))
-        payload = ilog_certificate_for_plan(program, plan_ilog_distribution(program))
-    else:
-        payload = certificate(
-            _load_program(args.program),
-            check_pairs=args.check_pairs,
-            seed=args.seed,
-        )
-    print(certificate_to_json(payload), file=out)
-    return 0
-
-
-def _cmd_analyze_ilog(args, out) -> int:
-    from .core.analyzer import plan_ilog_distribution
-    from .ilog.program import parse_ilog_program
-
-    program = parse_ilog_program(_read(args.program))
-    plan = plan_ilog_distribution(program)
-    analysis = plan.analysis
-    print(f"rules:        {len(program)}", file=out)
-    print(f"invention:    {', '.join(sorted(program.invention_relations)) or '-'}", file=out)
-    print(f"fragment:     {analysis.fragment}", file=out)
-    print(f"class:        {analysis.monotonicity or 'no guarantee'}", file=out)
-    print(f"model:        {analysis.model or 'requires global barrier'}", file=out)
-    print(f"cf-class:     {analysis.coordination_class or '-'}", file=out)
-    print(f"strategy:     {plan.transducer.name}", file=out)
+        print(explain(_load_program(args.program)).describe(), file=out)
     return 0
 
 
@@ -224,7 +194,7 @@ def _cmd_serve(args, out) -> int:
     import signal
     import threading
 
-    from .service import ReproService, ServiceConfig
+    from .service import SERVICE_VERSION, ReproService, ServiceConfig
 
     config = ServiceConfig(
         host=args.host,
@@ -238,7 +208,7 @@ def _cmd_serve(args, out) -> int:
     )
     service = ReproService(config).start_in_thread()
     print(
-        f"repro-service v{_service_version()} listening on "
+        f"repro-service v{SERVICE_VERSION} listening on "
         f"http://{config.host}:{service.port} (store: {config.store_path}, "
         f"{config.workers} workers)",
         file=out,
@@ -257,20 +227,6 @@ def _cmd_serve(args, out) -> int:
         service.shutdown()
         print("repro-service stopped", file=out, flush=True)
     return 0
-
-
-def _service_version() -> int:
-    from .service import SERVICE_VERSION
-
-    return SERVICE_VERSION
-
-
-def _load_stream(args):
-    if not getattr(args, "stream", None):
-        return None
-    from .streaming import load_feed
-
-    return load_feed(args.stream)
 
 
 def _print_stream(feed, observation, monotonicity, violations, out) -> None:
@@ -297,135 +253,94 @@ def _cmd_eval(args, out) -> int:
     return 0
 
 
-# What differs between ``repro run``, ``repro cluster`` and ``repro cluster
-# --processes``: the runtime's name, its :func:`repro.runtimes.execute`
-# options, and the lines it prints between ``network:`` and the output.
-
-
-def _sync_runtime(args):
-    from .transducers.faults import CHAOS_PLAN
-
-    scheduler = args.scheduler or ("chaos" if args.chaos else "fair")
-    options = {
-        "nodes": node_names(args.nodes),
-        "scheduler": scheduler,
-        "faults": CHAOS_PLAN if args.chaos else None,
-        "trace": args.trace,
-    }
-
-    def lines(observation):
-        yield "scheduler", scheduler
-        if args.chaos:
-            yield "channel", f"faulty ({CHAOS_PLAN.describe()})"
-
-    return "sync", options, lines
-
-
-def _cluster_runtime(args):
+def _request(args) -> Request:
+    """The :class:`~repro.runtimes.Request` the command line names: ``run``
+    on the sync runtime, ``cluster`` on the asyncio one, ``cluster
+    --processes N`` on N OS processes."""
     from dataclasses import replace
 
     from .transducers.faults import CHAOS_PLAN, FaultPlan
 
-    if args.kill_node or args.kill_after:
-        raise ValueError("--kill-node/--kill-after require --processes")
-    faults = CHAOS_PLAN if args.chaos else None
-    if args.crash:
-        # Crash faults layer on whatever message chaos was requested (a
-        # quiet wire otherwise); rate 1.0 guarantees the budget is spent.
-        base = faults if faults is not None else FaultPlan(
-            duplicate_rate=0.0, delay_rate=0.0, drop_rate=0.0
+    options = {"faults": CHAOS_PLAN if args.chaos else None}
+    if args.command == "run":
+        scheduler = args.scheduler or ("chaos" if args.chaos else "fair")
+        options.update(runtime="sync", scheduler=scheduler, trace=args.trace)
+    elif args.processes is None:
+        options.update(runtime="cluster", transport=args.transport)
+    elif args.nodes is not None or args.transport is not None:
+        raise RequestError(
+            "--processes N sets the node count and the wire: it does not "
+            "combine with --nodes or --transport"
         )
-        faults = replace(base, crash_rate=1.0, max_crashes=args.max_crashes)
-    options = {
-        "nodes": node_names(args.nodes),
-        "transport": args.transport,
-        "faults": faults,
-    }
-
-    def lines(observation):
-        yield "transport", observation.report.transport
-        yield "token rounds", observation.token_probes
-        if faults is not None:
-            yield "faults", faults.describe()
+    else:
+        options.update(runtime="processes", nodes=args.processes)
+    if args.command == "cluster":
+        options["run_dir"] = args.run_dir
+        if (args.kill_node, args.kill_after) != (None, None):
+            options["kill"] = (args.kill_node, args.kill_after)
         if args.crash:
-            yield from _recovery_lines(observation)
+            # Crash faults layer on whatever message chaos was requested (a
+            # quiet wire otherwise); rate 1.0 guarantees the budget is spent.
+            base = options["faults"] or FaultPlan()
+            options["faults"] = replace(
+                base, crash_rate=1.0, max_crashes=args.max_crashes
+            )
+    if args.nodes is not None:
+        options["nodes"] = args.nodes
+    if args.stream:
+        from .streaming import load_feed
 
-    return "cluster", options, lines
-
-
-def _process_runtime(args):
-    if args.chaos or args.crash:
-        # The injected fault layer is an in-process construct; the process
-        # runtime's fault story is real kills (--kill-node/--kill-after).
-        raise ValueError(
-            "--chaos/--crash do not combine with --processes; "
-            "use --kill-node NODE --kill-after K for a real SIGKILL"
-        )
-    if args.kill_node and not args.kill_after:
-        raise ValueError("--kill-node requires --kill-after K (transitions)")
-    options = {
-        "nodes": node_names(args.processes),
-        "run_dir": args.run_dir,
-        "kill": (args.kill_node, args.kill_after) if args.kill_node else None,
-    }
-
-    def lines(observation):
-        yield "transport", f"{observation.report.transport} (one OS process per node)"
-        yield "token rounds", observation.token_probes
-        if args.kill_node:
-            yield from _recovery_lines(observation)
-
-    return "processes", options, lines
+        options["feed"] = load_feed(args.stream)
+    return Request(_read(args.program), _read(args.facts), seed=args.seed, **options)
 
 
-def _recovery_lines(observation):
-    yield "crashes", observation.crashes
-    yield "recoveries", observation.recoveries
-    yield "wal replayed", observation.wal_replayed
+def _runtime_lines(request: Request, observation):
+    """What the run prints between ``network:`` and the output."""
+    if request.runtime == "sync":
+        yield "scheduler", request.scheduler
+        if request.faults is not None:
+            yield "channel", f"faulty ({request.faults.describe()})"
+        return
+    transport = observation.report.transport
+    if request.runtime == "processes":
+        transport += " (one OS process per node)"
+    yield "transport", transport
+    yield "token rounds", observation.token_probes
+    if request.faults is not None:
+        yield "faults", request.faults.describe()
+    crashed = request.faults is not None and request.faults.crash_rate
+    if request.kill is not None or crashed:
+        yield "crashes", observation.crashes
+        yield "recoveries", observation.recoveries
+        yield "wal replayed", observation.wal_replayed
 
 
 def _cmd_distributed(args, out) -> int:
     """``repro run`` / ``repro cluster`` [``--processes N``]: one body."""
-    from .monotonicity.classes import MonotonicityClass
-    from .runtimes import execute, refines, spec_for
     from .transducers.telemetry import write_report
 
-    if args.command == "run":
-        runtime, options, extra_lines = _sync_runtime(args)
-    elif args.processes:
-        runtime, options, extra_lines = _process_runtime(args)
-    else:
-        runtime, options, extra_lines = _cluster_runtime(args)
-    program = parse_program(_read(args.program))
-    instance = _load_facts(args.facts)
-    feed = _load_stream(args)
-    monotonicity = analyze(program).monotonicity
-    kind = MonotonicityClass(monotonicity).addition_kind if monotonicity else None
-    # Built once, here: every runtime runs this network, forked workers too.
-    nodes = options.pop("nodes")
-    network = planned_network(program, nodes)
-    observation = execute(
-        runtime, network, instance, seed=args.seed, feed=feed, **options
-    )
-    spec = spec_for(query_for(program), instance, feed, kind)
+    request = _request(args)
+    outcome = run_request(plan_request(request))
+    observation, feed = outcome.observation, request.feed
     # A bare --stream feed claims no addition kind, so Q(prefix_k) is not
     # promised of its intermediate epochs: the run is held to Q(I) at the end
     # and to "nothing retracted" on the way.
     violations = [
-        violation for violation in refines(observation, spec)
+        violation for violation in outcome.violations
         if violation.reason != "prefix-mismatch" or violation.epoch == len(feed)
     ]
     if not observation.quiesced:
         print(f"warning:      {observation.error}", file=out)
     print(f"strategy:     {observation.report.protocol}", file=out)
-    print(f"network:      {', '.join(nodes)}", file=out)
-    for label, value in extra_lines(observation):
+    print(f"network:      {', '.join(node_names(request.nodes))}", file=out)
+    for label, value in _runtime_lines(request, observation):
         print(f"{label + ':':<14}{value}", file=out)
     if feed is not None and observation.quiesced:
+        monotonicity = outcome.plan.analysis.monotonicity
         _print_stream(feed, observation, monotonicity, violations, out)
     print(f"{len(observation.output)} output fact(s):", file=out)
     _print_instance(observation.output, out)
-    status = "OK" if observation.output == spec.final else "MISMATCH"
+    status = "OK" if observation.output == outcome.spec.final else "MISMATCH"
     print(f"matches centralized evaluation: {status}", file=out)
     if args.report:
         write_report(observation.report, args.report)
@@ -690,7 +605,9 @@ def _add_distributed_arguments(command, wire: str) -> None:
     """The arguments ``run`` and ``cluster`` share (one command body)."""
     command.add_argument("program")
     command.add_argument("facts")
-    command.add_argument("--nodes", type=int, default=3)
+    command.add_argument(
+        "--nodes", type=int, default=None, help="network size (default: 3)"
+    )
     command.add_argument("--seed", type=int, default=0)
     command.add_argument(
         "--chaos",
@@ -790,8 +707,8 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_cmd.add_argument(
         "--transport",
         choices=["memory", "tcp"],
-        default="memory",
-        help="wire transport (in-process queues or loopback TCP)",
+        default=None,
+        help="wire transport (in-process queues or loopback TCP; default: memory)",
     )
     cluster_cmd.add_argument(
         "--crash",
@@ -811,8 +728,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="run each node as its own OS process over real TCP "
-        "(true parallelism; excludes --chaos/--crash/--nodes/--transport)",
+        help="run each of N nodes in its own OS process over loopback TCP, "
+        "recovering a SIGKILLed worker from its snapshot + WAL "
+        "(excludes --chaos/--crash/--nodes/--transport)",
     )
     cluster_cmd.add_argument(
         "--run-dir",

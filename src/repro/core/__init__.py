@@ -12,7 +12,6 @@ from .analyzer import (
     plan_distribution,
     plan_ilog_distribution,
     query_for,
-    distributed_run,
     run_distributed,
     run_with_barrier,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "plan_distribution",
     "plan_ilog_distribution",
     "query_for",
-    "distributed_run",
     "run_distributed",
     "run_with_barrier",
     "ProgramExplanation",

@@ -37,7 +37,7 @@ from ..transducers.protocols import (
     disjoint_protocol_transducer,
     distinct_protocol_transducer,
 )
-from ..transducers.runtime import Channel, FairScheduler, Run, Scheduler, TransducerNetwork
+from ..transducers.runtime import TransducerNetwork
 from ..transducers.transducer import Transducer
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "network_for_plan",
     "planned_network",
     "plan_ilog_distribution",
-    "distributed_run",
     "run_distributed",
 ]
 
@@ -258,41 +257,24 @@ def planned_network(
     )
 
 
-def distributed_run(
-    program: Program,
-    instance: Instance,
-    *,
-    nodes: Iterable[Hashable] = ("n1", "n2", "n3"),
-    channel: Channel | None = None,
-) -> Run:
-    """Build (but do not execute) the analyzer's distributed run.
-
-    Returns the fresh :class:`Run` so callers can pick a scheduler, inject
-    channel faults and harvest telemetry — the CLI's ``repro run`` path.
-    """
-    return planned_network(program, nodes).new_run(instance, channel=channel)
-
-
 def run_distributed(
     program: Program,
     instance: Instance,
     *,
     nodes: Iterable[Hashable] = ("n1", "n2", "n3"),
     seed: int = 0,
-    max_rounds: int = 10_000,
-    scheduler: Scheduler | None = None,
-    channel: Channel | None = None,
 ) -> Instance:
-    """End-to-end distributed evaluation of *program* on *instance*.
+    """End-to-end distributed evaluation of *program* on *instance*: the
+    analyzer's network on the synchronous runtime under a fair schedule.
 
     Coordination-free when the analyzer finds a guarantee; otherwise the
     plan carries the global-barrier transducer — the in-model coordination
     the CALM theorems say cannot be avoided.
     """
-    run = distributed_run(program, instance, nodes=nodes, channel=channel)
-    return run.run_to_quiescence(
-        max_rounds=max_rounds, scheduler=scheduler or FairScheduler(seed)
-    )
+    from ..runtimes import execute
+
+    network = planned_network(program, nodes)
+    return execute("sync", network, instance, seed=seed).result()
 
 
 def plan_ilog_distribution(program) -> DistributedPlan:
@@ -344,41 +326,45 @@ def run_with_barrier(
     """The coordinated fallback: collect all data everywhere, *globally
     synchronize*, then evaluate.
 
-    The barrier is implemented by the simulator (it knows when the exchange
+    The barrier is implemented by the runtime (it knows when the exchange
     has quiesced), not by the transducer — precisely the knowledge the
     coordination-free models deny their nodes (Sections 4.1.5 and 4.3).
     """
+    from ..runtimes import execute
+
     collector = broadcast_transducer(_collect_only(query))
     policy = hash_policy(query.input_schema, network)
-    run = TransducerNetwork(network, collector, policy).new_run(instance)
-    run.run_to_quiescence(scheduler=FairScheduler(seed))
-    # ---- global barrier: all messages delivered, every node quiescent ----
-    coordinator = network.sorted_nodes()[0]
-    view = run.view(coordinator, Instance())
-    collected = view.local_input | Instance(
-        _strip_got_cast(f) for f in view.memory if _is_got_cast(f)
+    observation = execute(
+        "sync", TransducerNetwork(network, collector, policy), instance, seed=seed
     )
-    return query(collected)
+    # ---- global barrier: all messages delivered, every node quiescent ----
+    return query(Instance(_uncollected(fact) for fact in observation.result()))
+
+
+_COLLECTED = "collected_"
 
 
 def _collect_only(query: Query) -> Query:
-    """A query that never outputs — used to drive pure data exchange."""
+    """A query that outputs its input, renamed apart — used to drive pure
+    data exchange."""
     from ..datalog.schema import Schema
+    from ..datalog.terms import Fact
     from ..queries.base import FunctionQuery
 
+    schema = query.input_schema
     return FunctionQuery(
         f"collect[{query.name}]",
-        query.input_schema,
-        Schema({}, allow_nullary=True),
-        lambda instance: Instance(),
+        schema,
+        Schema(
+            {_COLLECTED + name: schema[name] for name in schema}, allow_nullary=True
+        ),
+        lambda instance: Instance(
+            Fact(_COLLECTED + fact.relation, fact.values) for fact in instance
+        ),
     )
 
 
-def _is_got_cast(fact) -> bool:
-    return fact.relation.startswith("got_cast_")
-
-
-def _strip_got_cast(fact):
+def _uncollected(fact):
     from ..datalog.terms import Fact
 
-    return Fact(fact.relation[len("got_cast_"):], fact.values)
+    return Fact(fact.relation[len(_COLLECTED):], fact.values)

@@ -25,11 +25,21 @@ is in the paper's model (Section 4.1).  Front ends build it once
 runtime runs that object: process workers are forked from the caller and
 use it as is.  ``tests/test_seam_lint.py`` keeps every front end and gate
 on this side of the seam.
+
+The front ends that take a program as *text* (``repro run``, ``repro
+cluster``, ``repro analyze`` and the service's ``POST`` endpoints) share
+one pipeline on top of it: a
+:class:`Request`, validated once, :func:`plan_request` (parse, plan,
+certificate, routing decision — any client fault a :class:`RequestError`)
+and :func:`run_request` (network, :func:`execute`, :func:`spec_for`,
+:func:`refines`), which returns an :class:`Outcome` for the front end to
+render or store.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .datalog.instance import Instance
 from .monotonicity.classes import AdditionKind
@@ -38,14 +48,27 @@ from .transducers.faults import FaultPlan, FaultyChannel, make_scheduler
 from .transducers.runtime import QuiescenceError, Scheduler, TransducerNetwork
 from .transducers.telemetry import RunReport, build_run_report
 
+if TYPE_CHECKING:
+    from .core.analyzer import DistributedPlan
+    from .streaming.feed import DeltaFeed
+
 __all__ = [
+    "DEFAULT_NODES",
+    "PLANNERS",
     "RUNTIMES",
     "Observation",
+    "Outcome",
+    "Planned",
+    "Request",
+    "RequestError",
     "Spec",
     "Violation",
+    "check_capabilities",
     "execute",
     "node_names",
+    "plan_request",
     "refines",
+    "run_request",
     "spec_for",
 ]
 
@@ -169,6 +192,26 @@ _REGISTRY = {"sync": _sync, "cluster": _cluster, "processes": _processes}
 #: The runtime names :func:`execute` accepts.
 RUNTIMES = tuple(_REGISTRY)
 
+#: What each runtime can be asked for beyond a network and an input.
+_CAPABILITIES = {
+    "sync": {"faults"},
+    "cluster": {"faults", "transport"},
+    "processes": {"kill", "run_dir"},
+}
+
+
+class RequestError(ValueError):
+    """A run asked for what cannot be served: a bad value, settings that do
+    not combine, or a program or input that does not parse or plan."""
+
+
+def check_capabilities(runtime: str, **asked) -> None:
+    """Raise :class:`RequestError` for the first option in *asked* (those not
+    ``None``) that *runtime* cannot honour."""
+    for option, value in asked.items():
+        if value is not None and option not in _CAPABILITIES[runtime]:
+            raise RequestError(f"runtime {runtime!r} does not support {option}")
+
 
 def execute(
     runtime: str,
@@ -194,7 +237,7 @@ def execute(
     :class:`~repro.transducers.faults.FaultPlan` (``sync`` and ``cluster``;
     its crash schedule fires on ``cluster`` only) and ``kill`` is ``(node,
     after_transitions)``, one real ``SIGKILL`` (``processes`` only); a
-    runtime that cannot inject one raises :class:`ValueError`.  The rest
+    runtime that cannot inject one raises :class:`RequestError`.  The rest
     tune some runtimes and are ignored by the others: ``seed`` (the
     scheduler's and the fault plan's draws) on ``sync`` and ``cluster``,
     ``scheduler`` (a name or a :class:`Scheduler`), ``max_rounds`` and
@@ -206,10 +249,7 @@ def execute(
     """
     if runtime not in _REGISTRY:
         raise KeyError(f"unknown runtime {runtime!r} (known: {', '.join(RUNTIMES)})")
-    if runtime == "processes" and faults is not None:
-        raise ValueError(f"runtime {runtime!r} does not support faults")
-    if runtime != "processes" and kill is not None:
-        raise ValueError(f"runtime {runtime!r} does not support kill")
+    check_capabilities(runtime, faults=faults, kill=kill)
     return _REGISTRY[runtime](
         network, instance, seed=seed, feed=feed, faults=faults, kill=kill,
         scheduler=scheduler, transport=transport, max_rounds=max_rounds,
@@ -302,3 +342,189 @@ def refines(observation: Observation, spec: Spec) -> list[Violation]:
         if got != want
     ]
     return violations
+
+
+# ----------------------------------------------------------------------
+# One request, one pipeline: what a text front end asks for
+# ----------------------------------------------------------------------
+
+#: How a request is routed: the cheapest sound protocol, the All-barrier
+#: forced, the per-stratum optimizer, or the ILOG¬ planner.
+PLANNERS = ("default", "barrier", "optimize", "ilog")
+
+#: The network size when a request names none.
+DEFAULT_NODES = 3
+
+
+@dataclass(frozen=True)
+class Request:
+    """One run as a front end asks for it: program and facts as text, a
+    planner and the options of :func:`execute` (``transport`` ``None`` is
+    the in-memory wire).  Building one validates it: each rule on a value
+    or on a pair of settings is stated here once, as a
+    :class:`RequestError`."""
+
+    program: str
+    facts: str = ""
+    feed: DeltaFeed | None = None
+    runtime: str = "sync"
+    nodes: int = DEFAULT_NODES
+    seed: int = 0
+    planner: str = "default"
+    check_pairs: int = 0
+    faults: FaultPlan | None = None
+    kill: tuple[str, int] | None = None
+    scheduler: str | None = None
+    transport: str | None = None
+    run_dir: str | None = None
+    trace: bool = False
+
+    def __post_init__(self) -> None:
+        if not self.program or not isinstance(self.program, str):
+            raise RequestError("'program' must be a non-empty string")
+        if not isinstance(self.facts, str):
+            raise RequestError("'facts' must be a string of facts")
+        if self.runtime not in RUNTIMES:
+            known = ", ".join(RUNTIMES)
+            raise RequestError(f"unknown runtime {self.runtime!r} (known: {known})")
+        # ``type(...) is int``: a JSON ``true`` is no count, seed or budget.
+        if type(self.nodes) is not int or self.nodes < 1:
+            raise RequestError("'nodes' must be a positive integer")
+        if type(self.seed) is not int:
+            raise RequestError("'seed' must be an integer")
+        if self.planner not in PLANNERS:
+            raise RequestError(f"'planner' must be one of {', '.join(PLANNERS)}")
+        if type(self.check_pairs) is not int or not 0 <= self.check_pairs <= 500:
+            raise RequestError("'check_pairs' must be an integer in 0..500")
+        check_capabilities(
+            self.runtime, faults=self.faults, kill=self.kill,
+            transport=self.transport, run_dir=self.run_dir,
+        )
+        node, after = self.kill or ("", 1)
+        if not isinstance(node, str) or type(after) is not int or after < 1:
+            raise RequestError(
+                "'kill' needs a node and a positive transition count "
+                "(--kill-node NODE --kill-after K)"
+            )
+        if self.planner == "ilog" and self.runtime != "sync":
+            raise RequestError("ILOG programs run on runtime 'sync' only")
+        if self.planner == "ilog" and self.check_pairs:
+            raise RequestError(
+                "'check_pairs' does not combine with 'ilog' (value invention "
+                "makes the empirical oracle ill-defined)"
+            )
+
+
+@dataclass(frozen=True)
+class Planned:
+    """A request parsed and planned, nothing run yet."""
+
+    request: Request
+    instance: Instance
+    plan: DistributedPlan
+    certificate: dict
+    decision: dict
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """A planned request run and held to its spec (no violation: it refines)."""
+
+    plan: DistributedPlan
+    certificate: dict
+    decision: dict
+    observation: Observation
+    spec: Spec
+    violations: tuple[Violation, ...]
+
+
+def _plan(request: Request, facts: int):
+    """``(plan, certificate, decision)``; *facts* sizes the optimizer's
+    cost prediction."""
+    from .core.analyzer import plan_distribution, plan_ilog_distribution
+    from .core.certificate import (
+        certificate_for_plan,
+        ilog_certificate_for_plan,
+        protocol_reason,
+    )
+    from .datalog.parser import parse_program
+
+    forced = request.planner == "barrier"
+    pairs = {"check_pairs": request.check_pairs, "seed": request.seed}
+    reason, extra = None, {}
+    if request.planner == "ilog":
+        from .ilog.program import parse_ilog_program
+
+        program = parse_ilog_program(request.program)
+        plan = plan_ilog_distribution(program)
+        certificate = ilog_certificate_for_plan(program, plan)
+    elif request.planner == "optimize":
+        from .optimizer import plan_certificate, plan_optimized
+
+        program = parse_program(request.program)
+        optimized = plan_optimized(program)
+        plan = optimized.plan
+        certificate = plan_certificate(
+            program, nodes=request.nodes, facts=facts, **pairs
+        )
+        reason = optimized.reason
+        extra = {
+            "optimized": True,
+            "effective_monotonicity": optimized.effective_monotonicity,
+            "upgraded": optimized.upgraded,
+        }
+    else:
+        program = parse_program(request.program)
+        plan = plan_distribution(program, force_barrier=forced)
+        certificate = certificate_for_plan(
+            program, plan, forced_barrier=forced, **pairs
+        )
+    decision = {
+        "protocol": plan.transducer.name,
+        "requires_barrier": plan.requires_barrier,
+        "forced_barrier": forced,
+        "model": plan.analysis.model,
+        "coordination_class": plan.analysis.coordination_class,
+        "reason": reason or protocol_reason(plan, forced_barrier=forced),
+        **extra,
+    }
+    return plan, certificate, decision
+
+
+def plan_request(request: Request) -> Planned:
+    """Parse the facts and the program and plan: the step that runs
+    nothing.  Whatever fails here is the request's fault: a
+    :class:`RequestError` with the failure's message."""
+    from .datalog.parser import parse_facts
+
+    try:
+        instance = Instance(parse_facts(request.facts))
+        return Planned(request, instance, *_plan(request, len(instance)))
+    except RequestError:
+        raise
+    except Exception as error:
+        raise RequestError(str(error)) from error
+
+
+def run_request(planned: Planned) -> Outcome:
+    """Run the planned network on the requested runtime and hold it to
+    :func:`spec_for` the plan's query, under the addition kind of the class
+    the analysis guarantees."""
+    from .core.analyzer import network_for_plan
+    from .monotonicity.classes import MonotonicityClass
+
+    request, plan = planned.request, planned.plan
+    observation = execute(
+        request.runtime, network_for_plan(plan, node_names(request.nodes)),
+        planned.instance, seed=request.seed, feed=request.feed,
+        faults=request.faults, kill=request.kill, scheduler=request.scheduler,
+        transport=request.transport or "memory", run_dir=request.run_dir,
+        trace=request.trace,
+    )
+    monotonicity = plan.analysis.monotonicity
+    kind = MonotonicityClass(monotonicity).addition_kind if monotonicity else None
+    spec = spec_for(plan.query, planned.instance, request.feed, kind)
+    violations = tuple(refines(observation, spec))
+    return Outcome(
+        plan, planned.certificate, planned.decision, observation, spec, violations
+    )

@@ -20,20 +20,25 @@ Endpoints (see ``docs/SERVICE.md`` for the full reference)::
     GET  /v1/runs/ID?tenant=T         one run, certificate + full report
     POST /v1/runs/ID/verify?tenant=T  re-verify against a fresh evaluation
 
-Every ``POST /v1/runs`` goes through the same pipeline: parse →
-classify (:func:`repro.core.certificate.certificate_for_plan`) → route
-(cheapest applicable coordination-free protocol, or the All-barrier
-when nothing weaker is sound, or when the caller forces it for an A/B
-cost comparison) → execute on the requested runtime (``eval`` = the
-synchronous in-process simulator over the columnar kernel, ``cluster``
-= the asyncio runtime, ``processes`` = one OS process per node) →
-persist certificate, decision, fingerprint and the validated
-:class:`~repro.transducers.telemetry.RunReport` in the
-:class:`~repro.service.store.RunStore`.
+A ``POST /v1/runs`` body becomes a :class:`repro.runtimes.Request` —
+the one ``repro run`` and ``repro cluster`` build from their flags — and
+goes through the one pipeline of :mod:`repro.runtimes`:
+:func:`~repro.runtimes.plan_request` parses, plans (cheapest applicable
+coordination-free protocol, the All-barrier when nothing weaker is sound
+or the caller forces it, the per-stratum optimizer, or the ILOG¬
+planner) and certifies; :func:`~repro.runtimes.run_request` executes on
+the requested runtime (``eval`` = the synchronous simulator, ``cluster``
+= the asyncio runtime, ``processes`` = one OS process per node) and
+checks the output against ``Q(I)``.  This module keeps HTTP, tenancy,
+the rate limiter, the queue and the
+:class:`~repro.service.store.RunStore`, which persists the certificate,
+decision, fingerprint and validated
+:class:`~repro.transducers.telemetry.RunReport`.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import queue
@@ -45,20 +50,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs, urlparse
 
-from ..core.analyzer import (
-    network_for_plan,
-    plan_distribution,
-    plan_ilog_distribution,
-    query_for,
-)
-from ..core.certificate import (
-    certificate_for_plan,
-    ilog_certificate_for_plan,
-    protocol_reason,
-)
-from ..datalog.instance import Instance
-from ..datalog.parser import parse_facts, parse_program
-from ..runtimes import execute, node_names, refines, spec_for
+from ..runtimes import Request, RequestError, plan_request, run_request
 from ..transducers.telemetry import output_fingerprint
 from .store import RunStore
 
@@ -103,10 +95,6 @@ class ServiceConfig:
     quiet: bool = True
 
 
-class _BadRequest(ValueError):
-    """A client error: reported as 400 with the message, never a 500."""
-
-
 class RateLimiter:
     """Sliding-window per-tenant limiter: at most *limit* requests in any
     trailing *window* seconds.  :meth:`check` returns ``None`` to admit or
@@ -137,127 +125,49 @@ class RateLimiter:
 # ----------------------------------------------------------------------
 
 
-def _validated(payload: dict[str, Any], config: ServiceConfig) -> dict[str, Any]:
+#: The JSON switches that pick a planner; at most one may be set.
+_PLANNER_SWITCHES = {"force_barrier": "barrier", "optimize": "optimize", "ilog": "ilog"}
+
+
+def _switch(payload: dict[str, Any], key: str) -> bool:
+    value = payload.get(key, False)
+    if not isinstance(value, bool):
+        raise RequestError(f"'{key}' must be a boolean")
+    return value
+
+
+def _planner(payload: dict[str, Any]) -> str:
+    """The planner the payload's switches name (``default`` when none is)."""
+    chosen = [key for key in _PLANNER_SWITCHES if _switch(payload, key)]
+    if len(chosen) > 1:
+        raise RequestError(f"'{chosen[0]}' does not combine with '{chosen[1]}'")
+    return _PLANNER_SWITCHES[chosen[0]] if chosen else "default"
+
+
+def _request(
+    payload: dict[str, Any], config: ServiceConfig
+) -> tuple[str, str, Request]:
+    """``(tenant, mode, request)`` for a ``POST /v1/runs`` body."""
     if not isinstance(payload, dict):
-        raise _BadRequest("request body must be a JSON object")
+        raise RequestError("request body must be a JSON object")
     tenant = payload.get("tenant")
     if not tenant or not isinstance(tenant, str):
-        raise _BadRequest("'tenant' must be a non-empty string")
-    program = payload.get("program")
-    if not program or not isinstance(program, str):
-        raise _BadRequest("'program' must be a non-empty string")
-    facts = payload.get("facts", "")
-    if not isinstance(facts, str):
-        raise _BadRequest("'facts' must be a string of facts")
+        raise RequestError("'tenant' must be a non-empty string")
     mode = payload.get("mode", "eval")
     if mode not in MODES:
-        raise _BadRequest(f"'mode' must be one of {', '.join(MODES)}")
-    nodes = payload.get("nodes", config.default_nodes)
-    if not isinstance(nodes, int) or not 1 <= nodes <= config.max_nodes:
-        raise _BadRequest(f"'nodes' must be an integer in 1..{config.max_nodes}")
-    seed = payload.get("seed", 0)
-    if not isinstance(seed, int):
-        raise _BadRequest("'seed' must be an integer")
-    force_barrier = bool(payload.get("force_barrier", False))
-    optimize = bool(payload.get("optimize", False))
-    ilog = bool(payload.get("ilog", False))
-    check_pairs = payload.get("check_pairs", 0)
-    if not isinstance(check_pairs, int) or not 0 <= check_pairs <= 500:
-        raise _BadRequest("'check_pairs' must be an integer in 0..500")
-    if ilog and mode != "eval":
-        raise _BadRequest("ILOG programs run in mode 'eval' only")
-    if ilog and force_barrier:
-        raise _BadRequest("'force_barrier' does not combine with 'ilog'")
-    if optimize and ilog:
-        raise _BadRequest("'optimize' does not combine with 'ilog'")
-    if optimize and force_barrier:
-        raise _BadRequest(
-            "'optimize' does not combine with 'force_barrier' (the "
-            "optimizer's whole point is to avoid the barrier)"
-        )
-    if ilog and check_pairs:
-        raise _BadRequest(
-            "'check_pairs' does not combine with 'ilog' (value invention "
-            "makes the empirical oracle ill-defined)"
-        )
-    return {
-        "tenant": tenant,
-        "program": program,
-        "facts": facts,
-        "mode": mode,
-        "nodes": nodes,
-        "seed": seed,
-        "force_barrier": force_barrier,
-        "optimize": optimize,
-        "ilog": ilog,
-        "check_pairs": check_pairs,
-    }
-
-
-def _plan_and_certificate(request: dict[str, Any], facts: int):
-    """Parse + classify; returns (plan, certificate, decision).
-
-    *facts* is the size of the parsed input, for the optimizer's cost
-    prediction.
-    """
-    forced = request["force_barrier"]
-    reason, extra = None, {}
-    if request["ilog"]:
-        from ..ilog.program import parse_ilog_program
-
-        program = parse_ilog_program(request["program"])
-        plan = plan_ilog_distribution(program)
-        cert = ilog_certificate_for_plan(program, plan)
-    elif request["optimize"]:
-        from ..optimizer import plan_certificate, plan_optimized
-
-        program = parse_program(request["program"])
-        optimized = plan_optimized(program)
-        plan = optimized.plan
-        cert = plan_certificate(
-            program,
-            nodes=request["nodes"],
-            facts=facts,
-            check_pairs=request["check_pairs"],
-            seed=request["seed"],
-        )
-        reason = optimized.reason
-        extra = {
-            "optimized": True,
-            "effective_monotonicity": optimized.effective_monotonicity,
-            "upgraded": optimized.upgraded,
-        }
-    else:
-        program = parse_program(request["program"])
-        plan = plan_distribution(program, force_barrier=forced)
-        cert = certificate_for_plan(
-            program,
-            plan,
-            forced_barrier=forced,
-            check_pairs=request["check_pairs"],
-            seed=request["seed"],
-        )
-    decision = {
-        "protocol": plan.transducer.name,
-        "requires_barrier": plan.requires_barrier,
-        "forced_barrier": forced,
-        "model": plan.analysis.model,
-        "coordination_class": plan.analysis.coordination_class,
-        "reason": reason or protocol_reason(plan, forced_barrier=forced),
-        **extra,
-    }
-    return plan, cert, decision
-
-
-def _execute_plan(plan, request: dict[str, Any], instance: Instance):
-    """Run the planned protocol on the requested runtime; the
-    :class:`~repro.runtimes.Observation`.
-
-    Every mode runs the network of the plan the certificate describes.
-    """
-    network = network_for_plan(plan, node_names(request["nodes"]))
-    runtime = _RUNTIME_BY_MODE[request["mode"]]
-    return execute(runtime, network, instance, seed=request["seed"])
+        raise RequestError(f"'mode' must be one of {', '.join(MODES)}")
+    request = Request(
+        program=payload.get("program"),
+        facts=payload.get("facts", ""),
+        runtime=_RUNTIME_BY_MODE[mode],
+        nodes=payload.get("nodes", config.default_nodes),
+        seed=payload.get("seed", 0),
+        planner=_planner(payload),
+        check_pairs=payload.get("check_pairs", 0),
+    )
+    if request.nodes > config.max_nodes:
+        raise RequestError(f"'nodes' must be an integer in 1..{config.max_nodes}")
+    return tenant, mode, request
 
 
 def execute_request(
@@ -271,86 +181,60 @@ def execute_request(
     config = config or ServiceConfig()
     started = time.perf_counter()
     try:
-        request = _validated(payload, config)
-    except _BadRequest as error:
+        tenant, mode, request = _request(payload, config)
+    except RequestError as error:
         return 400, {"error": str(error)}
     request_id = store.record_request(
-        request["tenant"],
-        mode=request["mode"],
-        program=request["program"],
-        facts=request["facts"],
+        tenant,
+        mode=mode,
+        program=request.program,
+        facts=request.facts,
         options={
-            key: request[key]
-            for key in (
-                "nodes",
-                "seed",
-                "force_barrier",
-                "optimize",
-                "ilog",
-                "check_pairs",
-            )
+            "nodes": request.nodes,
+            "seed": request.seed,
+            **{key: request.planner == name for key, name in _PLANNER_SWITCHES.items()},
+            "check_pairs": request.check_pairs,
         },
     )
+    record = functools.partial(
+        store.record_run, tenant, request_id, mode=mode, program=request.program
+    )
     try:
-        instance = Instance(parse_facts(request["facts"]))
-        plan, cert, decision = _plan_and_certificate(request, len(instance))
-    except Exception as error:  # parse/classification errors are client errors
-        store.record_run(
-            request["tenant"],
-            request_id,
-            mode=request["mode"],
-            status="rejected",
-            program=request["program"],
-            elapsed_s=time.perf_counter() - started,
-            error=str(error),
-        )
+        planned = plan_request(request)
+    except RequestError as error:
+        elapsed = time.perf_counter() - started
+        record(status="rejected", elapsed_s=elapsed, error=str(error))
         return 400, {"error": str(error)}
+    judged = {"certificate": planned.certificate, "decision": planned.decision}
     try:
-        observation = _execute_plan(plan, request, instance)
-        result, quiesced = observation.output, observation.quiesced
+        outcome = run_request(planned)
+        observation, violations = outcome.observation, outcome.violations
+        result = observation.output
         report = observation.report.to_dict()
-        spec = spec_for(plan.query, instance)
-        violations = refines(observation, spec)
-        matches = result == spec.final
         status = "failed" if violations else "ok"
         error_text = violations[0].describe() if violations else None
         elapsed = time.perf_counter() - started
-        run_id = store.record_run(
-            request["tenant"],
-            request_id,
-            mode=request["mode"],
+        run_id = record(
             status=status,
-            program=request["program"],
-            decision=decision,
-            certificate=cert,
             report=report,
             output_fingerprint=observation.fingerprint,
             output_facts=len(result),
             elapsed_s=elapsed,
             error=error_text,
+            **judged,
         )
     except Exception as error:  # execution failure: recorded, surfaced as 500
-        store.record_run(
-            request["tenant"],
-            request_id,
-            mode=request["mode"],
-            status="failed",
-            program=request["program"],
-            decision=decision,
-            certificate=cert,
-            elapsed_s=time.perf_counter() - started,
-            error=str(error),
-        )
+        elapsed = time.perf_counter() - started
+        record(status="failed", elapsed_s=elapsed, error=str(error), **judged)
         return 500, {"error": str(error)}
     body = {
         "run_id": run_id,
-        "tenant": request["tenant"],
-        "mode": request["mode"],
+        "tenant": tenant,
+        "mode": mode,
         "status": status,
-        "quiesced": quiesced,
-        "matches_centralized": matches,
-        "certificate": cert,
-        "decision": decision,
+        "quiesced": observation.quiesced,
+        "matches_centralized": result == outcome.spec.final,
+        **judged,
         "output_fingerprint": observation.fingerprint,
         "output_facts": len(result),
         "elapsed_s": round(elapsed, 6),
@@ -370,16 +254,10 @@ def _verify_run(store: RunStore, tenant: str, run_id: str) -> tuple[int, dict]:
     if record["output_fingerprint"] is None:
         return 409, {"error": f"run {run_id!r} stored no fingerprint to verify"}
     try:
-        instance = Instance(parse_facts(request["facts"]))
-        if request["options"].get("ilog"):
-            from ..ilog.program import parse_ilog_program
-
-            query = plan_ilog_distribution(
-                parse_ilog_program(request["program"])
-            ).query
-        else:
-            query = query_for(parse_program(request["program"]))
-        recomputed = output_fingerprint(query(instance))
+        planner = "ilog" if request["options"].get("ilog") else "default"
+        stored = Request(request["program"], request["facts"], planner=planner)
+        planned = plan_request(stored)
+        recomputed = output_fingerprint(planned.plan.query(planned.instance))
     except Exception as error:
         return 500, {"error": f"re-evaluation failed: {error}"}
     ok = recomputed == record["output_fingerprint"]
@@ -394,28 +272,18 @@ def _verify_run(store: RunStore, tenant: str, run_id: str) -> tuple[int, dict]:
 
 def _analyze_only(payload: dict[str, Any]) -> tuple[int, dict]:
     """POST /v1/analyze: the certificate without execution or storage."""
-    if not isinstance(payload, dict) or not isinstance(payload.get("program"), str):
-        return 400, {"error": "'program' must be a string"}
-    check_pairs = payload.get("check_pairs", 0)
-    if not isinstance(check_pairs, int) or not 0 <= check_pairs <= 500:
-        return 400, {"error": "'check_pairs' must be an integer in 0..500"}
     try:
-        if payload.get("ilog"):
-            from ..ilog.program import parse_ilog_program
-
-            program = parse_ilog_program(payload["program"])
-            cert = ilog_certificate_for_plan(program, plan_ilog_distribution(program))
-        else:
-            from ..core.certificate import certificate
-
-            cert = certificate(
-                parse_program(payload["program"]),
-                check_pairs=check_pairs,
-                seed=int(payload.get("seed", 0) or 0),
-            )
-    except Exception as error:
+        if not isinstance(payload, dict):
+            raise RequestError("request body must be a JSON object")
+        request = Request(
+            payload.get("program"),
+            seed=payload.get("seed", 0),
+            planner="ilog" if _switch(payload, "ilog") else "default",
+            check_pairs=payload.get("check_pairs", 0),
+        )
+        return 200, {"certificate": plan_request(request).certificate}
+    except RequestError as error:
         return 400, {"error": str(error)}
-    return 200, {"certificate": cert}
 
 
 # ----------------------------------------------------------------------
@@ -614,8 +482,8 @@ class ReproService:
         ... requests against f"http://127.0.0.1:{service.port}" ...
         service.shutdown()
 
-    The CLI (``repro serve``) calls :meth:`serve_forever` on the main
-    thread and :meth:`shutdown` from its signal handlers.
+    The CLI (``repro serve``) does the same and calls :meth:`shutdown`
+    once a signal arrives.
     """
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
@@ -655,12 +523,6 @@ class ReproService:
             worker.start()
             self._workers.append(worker)
         return self
-
-    def serve_forever(self) -> None:
-        if self._httpd is None:
-            self.start()
-        assert self._httpd is not None
-        self._httpd.serve_forever(poll_interval=0.2)
 
     def start_in_thread(self) -> "ReproService":
         self.start()

@@ -18,11 +18,11 @@ from repro.cluster.codec import (
 )
 from repro.cluster.procs import ProcessCluster, _close_writers
 from repro.cluster.runtime import ClusterRun
-from repro.core.analyzer import distributed_run, planned_network
+from repro.core.analyzer import planned_network
 from repro.datalog import Instance, parse_facts, parse_program
+from repro.runtimes import execute
 from repro.streaming import DeltaFeed
 from repro.transducers.node import NodeCore, Send
-from repro.transducers.runtime import FairScheduler
 from repro.transducers.telemetry import output_fingerprint
 
 TC_TEXT = "T(x, y) :- E(x, y).\nT(x, z) :- T(x, y), E(y, z)."
@@ -43,13 +43,15 @@ def _drive(effects):
 
 
 def _sync_trajectory(seed=0):
-    run = distributed_run(
-        parse_program(TC_TEXT), Instance(parse_facts(BASE)), nodes=NODES
+    observation = execute(
+        "sync",
+        planned_network(parse_program(TC_TEXT), NODES),
+        Instance(parse_facts(BASE)),
+        seed=seed,
+        feed=DeltaFeed.from_texts(BATCHES),
     )
-    run.stream_to_quiescence(
-        DeltaFeed.from_texts(BATCHES), scheduler=FairScheduler(seed)
-    )
-    return [output_fingerprint(output) for output in run.epoch_outputs]
+    observation.result()
+    return [output_fingerprint(output) for output in observation.epoch_outputs]
 
 
 def _cluster_trajectory(seed=0, **kwargs):

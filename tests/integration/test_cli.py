@@ -228,6 +228,59 @@ class TestCluster:
         assert "crash=1<=1" in text
 
 
+class TestOptionRules:
+    """Flags no runtime can serve together are one typed error: exit 1 with
+    its message, before anything is read or run."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            pytest.param(
+                ["--kill-node", "n2", "--kill-after", "1"],
+                "runtime 'cluster' does not support kill",
+                id="kill-without-processes",
+            ),
+            pytest.param(
+                ["--run-dir", "logs"],
+                "runtime 'cluster' does not support run_dir",
+                id="run-dir-without-processes",
+            ),
+            pytest.param(
+                ["--processes", "2", "--chaos"],
+                "runtime 'processes' does not support faults",
+                id="processes-chaos",
+            ),
+            pytest.param(
+                ["--processes", "2", "--crash"],
+                "runtime 'processes' does not support faults",
+                id="processes-crash",
+            ),
+            pytest.param(
+                ["--processes", "2", "--kill-node", "n2"],
+                "'kill' needs a node and a positive transition count",
+                id="kill-node-without-kill-after",
+            ),
+            pytest.param(
+                ["--processes", "2", "--nodes", "5"],
+                "does not combine with --nodes",
+                id="processes-nodes",
+            ),
+            pytest.param(
+                ["--processes", "2", "--transport", "tcp"],
+                "or --transport",
+                id="processes-transport",
+            ),
+        ],
+    )
+    def test_a_combination_no_runtime_serves_exits_1(
+        self, files, capsys, flags, message
+    ):
+        program, facts, _ = files
+        code, text = run_cli("cluster", str(program), str(facts), *flags)
+        assert (code, text) == (1, "")
+        assert message in capsys.readouterr().err
+
+
 class TestSolveGame:
     def test_classification(self, files):
         _, _, game = files

@@ -1,7 +1,8 @@
 """Golden stdout + exit code of the three distributed commands.
 
 ``repro run``, ``repro cluster`` and ``repro cluster --processes`` share one
-command body (``cli._cmd_distributed``) over ``repro.runtimes.execute``.  The
+command body (``cli._cmd_distributed``) over the request pipeline of
+``repro.runtimes`` (``plan_request`` / ``run_request``).  The
 files under ``golden/`` were recorded at the commit *before* that merge, when
 each command still had its own body, so these tests show the merged body is
 byte-compatible.  Re-record (only when the output is meant to change) with::

@@ -129,6 +129,9 @@ class TestExecuteRequest:
             {"tenant": "t", "program": TC, "mode": "warp"},
             {"tenant": "t", "program": TC, "nodes": 99},
             {"tenant": "t", "program": TC, "ilog": True, "mode": "cluster"},
+            {"tenant": "t", "program": TC, "nodes": True},
+            {"tenant": "t", "program": TC, "check_pairs": True},
+            {"tenant": "t", "program": TC, "optimize": 1},
         ],
     )
     def test_invalid_payloads_rejected(self, payload):
@@ -305,6 +308,13 @@ class TestHTTP:
         assert status == 200
         assert body["certificate"]["monotonicity"] == "M"
         assert body["certificate"]["memberships"]["datalog"] is True
+
+    @pytest.mark.parametrize("seed", [1.7, "x"])
+    def test_analyze_rejects_a_seed_that_is_not_an_integer(self, service, seed):
+        status, body = _call(
+            service, "POST", "/v1/analyze", {"program": TC, "seed": seed}
+        )
+        assert (status, body) == (400, {"error": "'seed' must be an integer"})
 
     def test_rate_limited_gets_429(self, tmp_path):
         config = ServiceConfig(

@@ -38,6 +38,10 @@ TC_NETWORK = planned_network(parse_program(TC), ("n1",))
 @pytest.fixture
 def one_round(monkeypatch):
     """Every run through the seam gives up after one round."""
+    # Planning imports repro.optimizer, whose executor binds ``execute`` by
+    # value: import it first, or it would keep the patched one for good.
+    import repro.optimizer  # noqa: F401
+
     monkeypatch.setattr(
         runtimes, "execute", functools.partial(execute, max_rounds=1)
     )
@@ -57,10 +61,7 @@ def test_cli_non_quiescence_warns_prints_partial_output_and_exits_1(
     assert "matches centralized evaluation: MISMATCH" in text
 
 
-def test_service_non_quiescence_is_a_recorded_500(monkeypatch):
-    import repro.service.app as app
-
-    monkeypatch.setattr(app, "execute", functools.partial(execute, max_rounds=1))
+def test_service_non_quiescence_is_a_recorded_500(one_round):
     store = RunStore(":memory:")
     status, body = execute_request(
         store, {"tenant": "t", "program": TC, "facts": FACTS}

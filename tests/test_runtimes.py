@@ -18,9 +18,12 @@ from repro.monotonicity.classes import AdditionKind
 from repro.runtimes import (
     RUNTIMES,
     Observation,
+    Request,
+    RequestError,
     Spec,
     execute,
     node_names,
+    plan_request,
     refines,
     spec_for,
 )
@@ -242,3 +245,25 @@ def test_observation_counters_read_the_report():
     clustered = execute("cluster", TC_NETWORK, CHAIN)
     assert clustered.token_probes == clustered.report.token_rounds >= 1
     assert clustered.fingerprint == observation.fingerprint
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"planner": "ilog", "runtime": "cluster"}, "ILOG programs run on runtime 'sync'"),
+        ({"planner": "ilog", "check_pairs": 3}, "'check_pairs' does not combine"),
+        ({"transport": "tcp"}, "runtime 'sync' does not support transport"),
+        ({"nodes": 0}, "'nodes' must be a positive integer"),
+        ({"seed": True}, "'seed' must be an integer"),
+        ({"planner": "fastest"}, "'planner' must be one of default, barrier"),
+        ({"runtime": "threads"}, "known: sync, cluster, processes"),
+    ],
+)
+def test_a_request_is_validated_when_it_is_built(fields, message):
+    with pytest.raises(RequestError, match=message):
+        Request(program="O(x) :- E(x).", **fields)
+
+
+def test_a_program_that_does_not_parse_is_a_request_error():
+    with pytest.raises(RequestError, match="line 1"):
+        plan_request(Request(program="O(x :- E(x)."))

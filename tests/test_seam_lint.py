@@ -1,10 +1,12 @@
 """The runtime seam must not erode.
 
-Only ``repro.runtimes`` (the registry), ``core/analyzer.py`` (which defines
-``distributed_run`` / ``run_distributed``) and the three runtime modules may
+Only ``repro.runtimes`` (the registry) and the three runtime modules may
 construct a runtime.  Everything else in ``src/repro`` goes through
 ``repro.runtimes.execute`` — that is what lets the inside of a node be
-swapped without touching a caller.
+swapped without touching a caller.  The two text front ends (the CLI and
+the service) go one step further out: they build a ``Request`` and hand it
+to the request pipeline, so neither runs, checks or builds a network
+itself.
 
 Below the seam the same holds one level down: the node core
 (``transducers/node.py``) is the only place that states the transition
@@ -26,7 +28,6 @@ FORBIDDEN_METHODS = {"new_run"}
 
 MAY_CONSTRUCT = {
     "runtimes.py",
-    "core/analyzer.py",
     "transducers/runtime.py",
     "cluster/runtime.py",
     "cluster/procs.py",
@@ -104,8 +105,46 @@ def test_the_lint_sees_a_planted_call():
     assert sorted(_calls(planted)) == [(3, "ClusterRun"), (4, "new_run")]
 
 
+#: The text front ends, and what only the request pipeline may call.
+FRONT_ENDS = ("cli.py", "service/app.py")
+PIPELINE_NAMES = {
+    "execute", "spec_for", "refines", "network_for_plan", "planned_network",
+}
+
+
+def _pipeline_imports(tree: ast.AST, module: str, path: Path):
+    for line, base, name in _imported(tree, module, path):
+        imported = base.rpartition(".")[2] if name is None else name
+        if imported in PIPELINE_NAMES:
+            yield line, imported
+
+
+def test_the_front_ends_go_through_the_request_pipeline():
+    """``repro run`` / ``repro cluster`` and ``POST /v1/runs`` plan, run and
+    judge through ``plan_request`` / ``run_request`` only."""
+    modules = _modules(SRC)
+    offenders = [
+        f"{path.relative_to(SRC).as_posix()}:{line} imports {name}"
+        for module, (path, tree) in modules.items()
+        if path.relative_to(SRC).as_posix() in FRONT_ENDS
+        for line, name in _pipeline_imports(tree, module, path)
+    ]
+    assert offenders == [], "build a Request and call plan_request/run_request"
+
+
+def test_the_pipeline_lint_sees_planted_imports():
+    planted = ast.parse(
+        "from .runtimes import Request, execute\n"
+        "def f():\n"
+        "    from .core.analyzer import network_for_plan, plan_distribution\n"
+        "    from repro.runtimes import spec_for as spec\n"
+    )
+    found = _pipeline_imports(planted, "repro.cli", SRC / "cli.py")
+    assert sorted(found) == [(1, "execute"), (3, "network_for_plan"), (4, "spec_for")]
+
+
 def test_the_allowlists_name_real_files():
-    for relative in MAY_CONSTRUCT | MODEL_LEVEL:
+    for relative in MAY_CONSTRUCT | MODEL_LEVEL | set(FRONT_ENDS):
         assert (SRC / relative).is_file(), relative
     for relative in MAY_IMPORT_REFERENCE:
         assert (SRC / relative).exists(), relative
