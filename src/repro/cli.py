@@ -281,10 +281,12 @@ def _request(args) -> Request:
         if args.crash:
             # Crash faults layer on whatever message chaos was requested (a
             # quiet wire otherwise); rate 1.0 guarantees the budget is spent.
-            base = options["faults"] or FaultPlan()
-            options["faults"] = replace(
-                base, crash_rate=1.0, max_crashes=args.max_crashes
-            )
+            base = replace(options["faults"] or FaultPlan(), crash_rate=1.0)
+            if args.max_crashes is not None:
+                base = replace(base, max_crashes=args.max_crashes)
+            options["faults"] = base
+        elif args.max_crashes is not None:
+            raise RequestError("--max-crashes N is the budget of --crash: add --crash")
     if args.nodes is not None:
         options["nodes"] = args.nodes
     if args.stream:
@@ -719,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_cmd.add_argument(
         "--max-crashes",
         type=int,
-        default=2,
+        default=None,
         metavar="N",
         help="crash budget for --crash (default: 2)",
     )

@@ -27,7 +27,8 @@ from typing import Hashable, Iterable, Sequence
 
 from ..datalog.instance import Instance
 from ..datalog.parser import parse_facts
-from ..runtimes import Observation, execute, node_names, refines, spec_for
+from .. import runtimes
+from ..runtimes import Observation, node_names, refines, spec_for
 from ..transducers.faults import CHAOS_PLAN, SCHEDULER_NAMES
 from ..transducers.protocols import Section4Protocol, section4_protocols
 from ..transducers.telemetry import output_fingerprint
@@ -116,7 +117,7 @@ def sync_fingerprint(
     every named scheduler (the sync side of the confluence guarantee)."""
     fingerprints = {}
     for name in schedulers:
-        observation = execute(
+        observation = runtimes.execute(
             "sync", workload.network(nodes), workload.instance,
             seed=seed, scheduler=name,
         )
@@ -148,7 +149,7 @@ def cluster_fingerprint(
     observation's ``recoveries`` counter.
     """
     plan = CRASH_PLAN if crashes else CHAOS_PLAN if faults else None
-    observation = execute(
+    observation = runtimes.execute(
         "cluster", workload.network(nodes), workload.instance,
         seed=seed, transport=transport, faults=plan,
     )
@@ -209,7 +210,7 @@ def check_process_workload(
     nodes = node_names(processes)
 
     def run(runtime: str, **options) -> Observation:
-        observation = execute(
+        observation = runtimes.execute(
             runtime, workload.network(nodes), workload.instance,
             seed=seed, timeout=timeout, **options,
         )

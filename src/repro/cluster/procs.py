@@ -1,11 +1,14 @@
-"""True multi-process scale-out: one OS process per transducer node.
+"""Crash-isolated execution: one OS process per transducer node.
 
-The asyncio runtime (:mod:`repro.cluster.runtime`) made the cluster
-*concurrent*; this module makes it *parallel*.  Each node runs in its own
-OS process, forked from the coordinator — its own GIL, its own interner, its
-own compiled rules — hosting the same
+Each node runs in its own OS process, forked from the coordinator — its own
+interner, its own compiled rules, its own failure domain — hosting the same
 :class:`~repro.cluster.runtime.ClusterNode` driver (over the same
-:class:`~repro.transducers.node.NodeCore`) on a real TCP data plane.  A
+:class:`~repro.transducers.node.NodeCore`) on the one TCP data plane, a
+:class:`~repro.cluster.transport.TcpEndpoint` per worker.  What this
+runtime is verified to be is crash isolation with real-``SIGKILL``
+recovery: a worker killed mid-run is respawned, recovers from its
+snapshot + WAL, and the run still computes Q(I).  It is not a speedup:
+``docs/CLUSTER.md`` measures 2 workers at 1.04–1.18× the speed of 1.  A
 parent :class:`ProcessCluster` coordinates:
 
 * **sharding** — the parent distributes the input database horizontally
@@ -14,13 +17,13 @@ parent :class:`ProcessCluster` coordinates:
   its fragment alone;
 * **handshake** — workers bind a data-plane server on an ephemeral port,
   dial the parent's control socket, say HELLO with their port, and block
-  until the parent broadcasts the full PEERS address map; the Safra token
+  until the parent broadcasts the full PEERS port map; the Safra token
   ring then runs worker-to-worker with no parent involvement;
 * **monitoring / recovery** — the parent watches every child; a worker
   that dies without delivering a result (e.g. a real ``SIGKILL``) is
   respawned over the same on-disk checkpoint directory and recovers
   through the ordinary snapshot + WAL-replay path, while the parent
-  announces the new address (PEER-UPDATE) so live peers reconnect and
+  announces the new port (PEER-UPDATE) so live peers reconnect and
   retransmit;
 * **result collection** — each worker sends its final node state over the
   control plane; the parent folds them into the same telemetry surface
@@ -94,7 +97,6 @@ import os
 import re
 import shutil
 import signal
-import struct
 import sys
 import tempfile
 import time
@@ -119,9 +121,12 @@ from .codec import (
 from .runtime import ClusterNode, RingRun
 from .transport import (
     DEFAULT_MAILBOX_CAPACITY,
-    Mailbox,
-    TransportError,
+    LOOPBACK,
+    TcpEndpoint,
+    close_writers,
     dial_with_retry,
+    read_frame,
+    write_frame,
 )
 
 __all__ = [
@@ -132,8 +137,6 @@ __all__ = [
     "encode_facts_hex",
     "decode_facts_hex",
 ]
-
-_U32 = struct.Struct("<I")
 
 #: Vertex-value stride per component of the scaling workload; also the
 #: block size of its co-locating domain assignment.
@@ -162,40 +165,13 @@ def decode_facts_hex(text: str) -> tuple[Fact, ...]:
     return tuple(Fact(relation, values) for relation, values in value)
 
 
-async def _close_writers(writers) -> None:
-    """Close stream writers *cleanly*: close them all, then await each
-    ``wait_closed`` so buffered frames (PEER-UPDATE, finish, results) are
-    flushed to the kernel before the event loop dies — dropping the waits
-    loses frames and fires ResourceWarnings under ``-W error``.  Errors
-    are suppressed per writer: a peer that already died must not keep the
-    rest from closing.
-    """
-    writers = list(writers)
-    for writer in writers:
-        try:
-            writer.close()
-        except Exception:
-            pass
-    for writer in writers:
-        try:
-            await writer.wait_closed()
-        except Exception:
-            pass
-
-
 def _send_msg(writer: asyncio.StreamWriter, message: dict) -> None:
-    blob = json.dumps(message, sort_keys=True).encode("utf-8")
-    writer.write(_U32.pack(len(blob)) + blob)
+    write_frame(writer, json.dumps(message, sort_keys=True).encode("utf-8"))
 
 
 async def _read_msg(reader: asyncio.StreamReader) -> dict | None:
-    try:
-        header = await reader.readexactly(_U32.size)
-        (length,) = _U32.unpack(header)
-        blob = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionResetError):
-        return None
-    return json.loads(blob)
+    blob = await read_frame(reader)
+    return None if blob is None else json.loads(blob)
 
 
 # ----------------------------------------------------------------------
@@ -326,147 +302,8 @@ def _decode_summary(message: dict) -> NodeSummary:
 
 
 # ----------------------------------------------------------------------
-# Worker side: the data-plane endpoint and the process entry point
+# Worker side: the process entry point
 # ----------------------------------------------------------------------
-
-
-class ProcessEndpoint:
-    """A worker's window on the data plane: one listening server, lazy
-    persistent connections to peers, and a volatile per-peer outbox of
-    every frame ever sent (the retransmission source when a peer
-    restarts).  Satisfies the same send/recv interface as
-    :class:`~repro.cluster.transport.Endpoint`."""
-
-    def __init__(
-        self,
-        node: str,
-        host: str,
-        *,
-        mailbox_capacity: int = DEFAULT_MAILBOX_CAPACITY,
-    ) -> None:
-        self._node = node
-        self._host = host
-        self._mailbox = Mailbox(mailbox_capacity)
-        self._server: asyncio.base_events.Server | None = None
-        self.port: int | None = None
-        self._peer_addrs: dict[str, tuple[str, int]] = {}
-        self._writers: dict[str, asyncio.StreamWriter] = {}
-        self._locks: dict[str, asyncio.Lock] = {}
-        self._outbox: dict[str, list[bytes]] = {}
-        self._reader_tasks: list[asyncio.Task] = []
-
-    @property
-    def node(self) -> str:
-        return self._node
-
-    @property
-    def high_water(self) -> int:
-        return self._mailbox.high_water
-
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(self._accept, self._host, 0)
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    def _accept(self, reader, writer) -> None:
-        self._reader_tasks.append(
-            asyncio.ensure_future(self._pump(reader, writer))
-        )
-
-    async def _pump(self, reader, writer) -> None:
-        try:
-            while True:
-                header = await reader.readexactly(_U32.size)
-                (length,) = _U32.unpack(header)
-                frame = await reader.readexactly(length)
-                await self._mailbox.put(frame)
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            pass  # peer closed (exit or kill); retransmission heals losses
-        finally:
-            writer.close()
-
-    def set_peers(self, addrs: dict[str, tuple[str, int]]) -> None:
-        self._peer_addrs.update(addrs)
-
-    def _lock(self, target: str) -> asyncio.Lock:
-        return self._locks.setdefault(target, asyncio.Lock())
-
-    async def _write(self, target: str, frame: bytes) -> bool:
-        """Best-effort write to *target*'s live connection.
-
-        Returns ``False`` when the peer is down (connect refused / reset):
-        the frame stays in the outbox and is retransmitted when the
-        coordinator announces the peer's new address.  Fails fast — long
-        retries against a dead peer's *old* port can never succeed.
-        """
-        async with self._lock(target):
-            writer = self._writers.get(target)
-            try:
-                if writer is None:
-                    host, port = self._peer_addrs[target]
-                    _, writer = await dial_with_retry(host, port, attempts=3)
-                    self._writers[target] = writer
-                writer.write(_U32.pack(len(frame)) + frame)
-                await writer.drain()
-                return True
-            except (TransportError, OSError, asyncio.TimeoutError):
-                self._writers.pop(target, None)
-                return False
-
-    async def send(self, target: str, frame: bytes) -> int:
-        """Dispatch one frame; always counts as one wire copy.
-
-        A frame bound for a dead peer is *still in flight* from the Safra
-        ring's point of view: it sits in the outbox and is delivered on
-        retransmit, so counting it exactly once keeps the global sum
-        truthful in every interleaving.
-        """
-        if target == self._node:
-            self._mailbox.force_put(frame)
-            return 1
-        self._outbox.setdefault(target, []).append(frame)
-        await self._write(target, frame)
-        return 1
-
-    async def recv(self) -> bytes:
-        return await self._mailbox.get()
-
-    def recv_nowait(self) -> bytes | None:
-        return self._mailbox.get_nowait()
-
-    def inject(self, frame: bytes) -> None:
-        """Control-plane delivery into the own mailbox (synthetic STOP)."""
-        self._mailbox.force_put(frame)
-
-    async def update_peer(self, target: str, host: str, port: int) -> None:
-        """The coordinator announced *target* restarted at a new address:
-        drop the dead connection and retransmit every frame ever sent to
-        it (the receiver deduplicates by durable frame identity)."""
-        async with self._lock(target):
-            self._peer_addrs[target] = (host, port)
-            old = self._writers.pop(target, None)
-            if old is not None:
-                old.close()
-        for frame in list(self._outbox.get(target, ())):
-            if not await self._write(target, frame):
-                return  # peer died again; the next announcement retries
-
-    async def close(self) -> None:
-        await _close_writers(self._writers.values())
-        self._writers.clear()
-        if self._server is not None:
-            self._server.close()
-        for task in self._reader_tasks:
-            task.cancel()
-        for task in self._reader_tasks:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
-        self._reader_tasks.clear()
-        if self._server is not None:
-            # Last: since Python 3.12 this also waits for every accepted
-            # connection to close, which the cancelled pumps just did.
-            await self._server.wait_closed()
 
 
 def _make_kill_probe(kill_after: int):
@@ -485,7 +322,7 @@ def _make_kill_probe(kill_after: int):
 
 
 async def _control_loop(
-    reader: asyncio.StreamReader, endpoint: ProcessEndpoint, node: str
+    reader: asyncio.StreamReader, endpoint: TcpEndpoint, node: str
 ) -> None:
     while True:
         message = await _read_msg(reader)
@@ -494,13 +331,12 @@ async def _control_loop(
             os._exit(2)
         kind = message.get("type")
         if kind == "peer-update":
-            await endpoint.update_peer(
-                message["node"], message["host"], int(message["port"])
-            )
+            await endpoint.update_peer(message["node"], int(message["port"]))
         elif kind == "finish":
             # Global termination was detected while this worker was down
             # (the real STOP died with its connection); synthesize one.
-            endpoint.inject(
+            await endpoint.send(
+                node,
                 encode_envelope(
                     Envelope(
                         kind=KIND_STOP,
@@ -508,7 +344,7 @@ async def _control_loop(
                         round=0,
                         sequence=0,
                     )
-                )
+                ),
             )
 
 
@@ -521,11 +357,9 @@ async def _worker_async(
 ) -> None:
     """Run *node* of *cluster* — the coordinator's object, inherited by the
     fork — and send its result to the coordinator."""
-    endpoint = ProcessEndpoint(
-        node, cluster._host, mailbox_capacity=cluster._mailbox_capacity
-    )
+    endpoint = TcpEndpoint(node, mailbox_capacity=cluster._mailbox_capacity)
     await endpoint.start()
-    creader, cwriter = await dial_with_retry(cluster._host, control_port)
+    creader, cwriter = await dial_with_retry(LOOPBACK, control_port)
     _send_msg(
         cwriter,
         {"type": "hello", "node": node, "port": endpoint.port, "pid": os.getpid()},
@@ -534,9 +368,7 @@ async def _worker_async(
     peers_msg = await _read_msg(creader)
     if peers_msg is None or peers_msg.get("type") != "peers":
         raise RuntimeError(f"worker {node}: expected PEERS, got {peers_msg!r}")
-    endpoint.set_peers(
-        {name: (host, int(port)) for name, (host, port) in peers_msg["peers"].items()}
-    )
+    endpoint.set_peers(peers_msg["peers"])
 
     journal = NodeJournal(DiskCheckpointStore(checkpoint_dir), node)
     recovered = journal.has_history()
@@ -569,7 +401,7 @@ async def _worker_async(
             await control_task  # the control stream has one reader at a time
         except (asyncio.CancelledError, Exception):
             pass
-    core.stats.buffer_high_water = endpoint.high_water
+    core.stats.buffer_high_water = endpoint.mailbox.high_water
     _send_msg(
         cwriter,
         {
@@ -592,7 +424,7 @@ async def _worker_async(
             pass
     except ConnectionError:
         pass
-    await _close_writers([cwriter])
+    await close_writers([cwriter])
     await endpoint.close()
 
 
@@ -747,7 +579,6 @@ class ProcessCluster(RingRun):
         *,
         processes: int | None = None,
         seed: int = 0,
-        host: str = "127.0.0.1",
         run_dir: str | os.PathLike | None = None,
         kill_node: str | None = None,
         kill_after: int | None = None,
@@ -766,7 +597,6 @@ class ProcessCluster(RingRun):
             raise ValueError("process-cluster node names must be strings")
         if kill_node is not None and kill_node not in nodes:
             raise ValueError(f"kill_node {kill_node!r} is not in {nodes}")
-        self._host = host
         self._run_dir = run_dir
         self._kill_node = kill_node
         self._kill_after = kill_after
@@ -792,7 +622,7 @@ class ProcessCluster(RingRun):
         ordered = self.nodes()
         events: asyncio.Queue = asyncio.Queue()
         conns: dict[str, asyncio.StreamWriter] = {}
-        addrs: dict[str, tuple[str, int]] = {}
+        ports: dict[str, int] = {}
         procs: dict[str, _ForkedWorker] = {}
         monitor_tasks: list[asyncio.Task] = []
         spawn_counts: dict[str, int] = {node: 0 for node in ordered}
@@ -818,7 +648,7 @@ class ProcessCluster(RingRun):
                     return
                 await events.put((message["type"], node, message))
 
-        server = await asyncio.start_server(accept_control, self._host, 0)
+        server = await asyncio.start_server(accept_control, LOOPBACK, 0)
         control_port = server.sockets[0].getsockname()[1]
 
         # Graceful shutdown: SIGTERM/SIGINT inject an event that unwinds
@@ -929,26 +759,19 @@ class ProcessCluster(RingRun):
                         f"{self._timeout}s wall clock"
                     ) from None
                 if kind == "hello":
-                    addrs[node] = (self._host, int(message["port"]))
+                    ports[node] = int(message["port"])
                     handshook += 1
                     if handshook == len(ordered):
                         # Every data-plane server is bound: release all
-                        # workers with the full address map at once.
-                        peers = {n: list(a) for n, a in addrs.items()}
+                        # workers with the full port map at once.
                         for name, writer in conns.items():
-                            _send_msg(writer, {"type": "peers", "peers": peers})
+                            _send_msg(writer, {"type": "peers", "peers": ports})
                             await writer.drain()
                     elif handshook > len(ordered):
                         # A respawned worker: it gets the current map, the
-                        # live peers get its new address and retransmit.
+                        # live peers get its new port and retransmit.
                         writer = conns[node]
-                        _send_msg(
-                            writer,
-                            {
-                                "type": "peers",
-                                "peers": {n: list(a) for n, a in addrs.items()},
-                            },
-                        )
+                        _send_msg(writer, {"type": "peers", "peers": ports})
                         await writer.drain()
                         for name, other in conns.items():
                             if name == node or name in self._results:
@@ -959,8 +782,7 @@ class ProcessCluster(RingRun):
                                     {
                                         "type": "peer-update",
                                         "node": node,
-                                        "host": self._host,
-                                        "port": addrs[node][1],
+                                        "port": ports[node],
                                     },
                                 )
                                 await other.drain()
@@ -1024,7 +846,7 @@ class ProcessCluster(RingRun):
             for proc in procs.values():
                 proc.kill()
                 await proc.wait()
-            await _close_writers(conns.values())
+            await close_writers(conns.values())
             # After the connections: since Python 3.12 this waits for every
             # accepted connection to close, not just the listening socket.
             await server.wait_closed()

@@ -13,9 +13,12 @@ Two transports ship:
 
 * :class:`InMemoryTransport` — per-node ``asyncio.Queue`` mailboxes inside
   one event loop; the default, fastest, zero-setup option.
-* :class:`TcpTransport` — every node listens on a loopback TCP socket and
-  keeps one persistent connection per peer; frames are length-prefixed.
-  Same interface, real sockets, real kernel buffering.
+* :class:`TcpTransport` — one :class:`TcpEndpoint` per node on the running
+  loop: a loopback listener, one persistent connection per peer,
+  length-prefixed frames.  Same interface, real sockets, real kernel
+  buffering.  A process worker (:mod:`repro.cluster.procs`) runs exactly
+  one :class:`TcpEndpoint` of its own; its control plane speaks the same
+  frames (:func:`write_frame` / :func:`read_frame`).
 
 Mailboxes are *bounded* (``mailbox_capacity``): a sender awaiting
 ``send()`` on a full mailbox experiences backpressure exactly like a
@@ -25,8 +28,8 @@ One exception to backpressure: **self-delivery bypasses the bound**
 (:meth:`Mailbox.force_put`).  A node that ``await``s a send into its own
 full mailbox can never return to ``recv()`` to drain it — a deadlock no
 other node can break.  Real stacks dodge this the same way (a loopback
-write lands in a kernel buffer the writer doesn't sleep on), which is why
-only :class:`InMemoryTransport` needs the explicit bypass.
+write lands in a kernel buffer the writer doesn't sleep on); both
+transports skip the wire and force the frame in.
 """
 
 from __future__ import annotations
@@ -41,15 +44,19 @@ __all__ = [
     "Endpoint",
     "Transport",
     "InMemoryTransport",
+    "TcpEndpoint",
     "TcpTransport",
     "make_transport",
     "dial_with_retry",
+    "close_writers",
+    "read_frame",
+    "write_frame",
     "TRANSPORT_NAMES",
-    "DEFAULT_DIAL_TIMEOUT",
-    "DEFAULT_DIAL_ATTEMPTS",
-    "DEFAULT_DIAL_BACKOFF",
+    "LOOPBACK",
+    "DIAL_ATTEMPTS",
 ]
 
+#: The length prefix of every TCP frame, data plane and control plane.
 _LEN = struct.Struct("<I")
 
 #: Default bound on a node mailbox, in frames.  Generous relative to the
@@ -57,25 +64,66 @@ _LEN = struct.Struct("<I")
 #: instead of exhausting memory.
 DEFAULT_MAILBOX_CAPACITY = 1024
 
+#: Every listener binds here and every dial goes here: one host only.
+LOOPBACK = "127.0.0.1"
+
+#: Bounded connect attempts before a dial is declared failed — the one
+#: budget of the data plane and the control plane.  Small on purpose: a
+#: peer that refuses this often is down, and its frames wait in the
+#: sender's outbox instead of stalling the sender.
+DIAL_ATTEMPTS = 3
 #: Per-attempt connect timeout, seconds.
-DEFAULT_DIAL_TIMEOUT = 5.0
-#: Bounded connect attempts before a dial is declared failed.
-DEFAULT_DIAL_ATTEMPTS = 8
+_DIAL_TIMEOUT = 5.0
 #: First retry delay, seconds; doubles per attempt (capped at 1s).
-DEFAULT_DIAL_BACKOFF = 0.05
+_DIAL_BACKOFF = 0.05
 
 
 class TransportError(RuntimeError):
     """Raised when a transport cannot be started or a peer is unknown."""
 
 
+def write_frame(writer: asyncio.StreamWriter, frame: bytes) -> None:
+    """Queue one length-prefixed frame on *writer* (the caller drains)."""
+    writer.write(_LEN.pack(len(frame)) + frame)
+
+
+async def read_frame(reader: asyncio.StreamReader) -> bytes | None:
+    """The next length-prefixed frame, or ``None`` once the peer closed."""
+    try:
+        (length,) = _LEN.unpack(await reader.readexactly(_LEN.size))
+        return await reader.readexactly(length)
+    except (asyncio.IncompleteReadError, ConnectionResetError):
+        return None
+
+
+async def close_writers(writers) -> None:
+    """Close stream writers *cleanly*: close them all, then await each
+    ``wait_closed`` so buffered frames (PEER-UPDATE, finish, results) are
+    flushed to the kernel before the event loop dies — dropping the waits
+    loses frames and fires ResourceWarnings under ``-W error``.  Errors
+    are suppressed per writer: a peer that already died must not keep the
+    rest from closing.
+    """
+    writers = list(writers)
+    for writer in writers:
+        try:
+            writer.close()
+        except Exception:
+            pass
+    for writer in writers:
+        try:
+            await writer.wait_closed()
+        except Exception:
+            pass
+
+
 async def dial_with_retry(
     host: str,
     port: int,
     *,
-    timeout: float = DEFAULT_DIAL_TIMEOUT,
-    attempts: int = DEFAULT_DIAL_ATTEMPTS,
-    backoff: float = DEFAULT_DIAL_BACKOFF,
+    timeout: float = _DIAL_TIMEOUT,
+    attempts: int = DIAL_ATTEMPTS,
+    backoff: float = _DIAL_BACKOFF,
 ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
     """Open a TCP connection with a per-attempt timeout and bounded,
     exponentially backed-off retries.
@@ -206,12 +254,12 @@ class Transport:
 
     async def open(self, nodes: Iterable[Hashable]) -> dict[Hashable, Endpoint]:
         """Start the infrastructure and mint one endpoint per node."""
-        self._mailboxes = {node: Mailbox(self._capacity) for node in nodes}
-        await self._start()
+        self._mailboxes = await self._start(list(nodes))
         return {node: Endpoint(node, self) for node in self._mailboxes}
 
-    async def _start(self) -> None:
-        """Transport-specific startup (default: nothing)."""
+    async def _start(self, nodes: list[Hashable]) -> dict[Hashable, Mailbox]:
+        """Transport-specific startup; returns each node's mailbox."""
+        return {node: Mailbox(self._capacity) for node in nodes}
 
     def mailbox(self, node: Hashable) -> Mailbox:
         try:
@@ -247,83 +295,119 @@ class InMemoryTransport(Transport):
             await self.mailbox(target).put(frame)
 
 
-class TcpTransport(Transport):
-    """Loopback TCP: one listening socket per node, length-prefixed frames,
-    persistent per-(source, target) connections opened on first use."""
+class TcpEndpoint:
+    """One node's loopback-TCP window on the network: the only TCP endpoint,
+    one per node of a :class:`TcpTransport` and one per process worker.
 
-    name = "tcp"
+    One listener pumps length-prefixed frames into the node's mailbox.
+    Sends go over lazy persistent connections, one per target, each behind
+    its own lock.  Every frame sent to a peer also stays in a volatile
+    per-peer outbox: when a peer restarts (a killed process worker),
+    :meth:`update_peer` retransmits all of it to the new listener and the
+    receiver deduplicates by durable frame identity.  A self-send skips
+    the socket and is forced into the mailbox (see the module docstring).
+    """
 
     def __init__(
-        self,
-        *,
-        host: str = "127.0.0.1",
-        mailbox_capacity: int = DEFAULT_MAILBOX_CAPACITY,
-        dial_timeout: float = DEFAULT_DIAL_TIMEOUT,
-        dial_attempts: int = DEFAULT_DIAL_ATTEMPTS,
-        dial_backoff: float = DEFAULT_DIAL_BACKOFF,
+        self, node: Hashable, *, mailbox_capacity: int = DEFAULT_MAILBOX_CAPACITY
     ) -> None:
-        super().__init__(mailbox_capacity=mailbox_capacity)
-        self._host = host
-        self._dial_timeout = dial_timeout
-        self._dial_attempts = dial_attempts
-        self._dial_backoff = dial_backoff
-        self._servers: dict[Hashable, asyncio.base_events.Server] = {}
+        self._node = node
+        self.mailbox = Mailbox(mailbox_capacity)
+        self._server: asyncio.base_events.Server | None = None
+        self.port: int | None = None
         self._ports: dict[Hashable, int] = {}
-        self._writers: dict[tuple[Hashable, Hashable], asyncio.StreamWriter] = {}
+        self._writers: dict[Hashable, asyncio.StreamWriter] = {}
+        self._locks: dict[Hashable, asyncio.Lock] = {}
+        self._outbox: dict[Hashable, list[bytes]] = {}
         self._reader_tasks: list[asyncio.Task] = []
 
-    async def _start(self) -> None:
-        for node in self._mailboxes:
-            server = await asyncio.start_server(
-                lambda r, w, node=node: self._reader_tasks.append(
-                    asyncio.ensure_future(self._pump(node, r, w))
-                ),
-                self._host,
-                0,
-            )
-            self._servers[node] = server
-            self._ports[node] = server.sockets[0].getsockname()[1]
+    @property
+    def node(self) -> Hashable:
+        return self._node
 
-    async def _pump(
-        self, node: Hashable, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Feed one inbound connection into *node*'s mailbox."""
+    async def start(self) -> None:
+        """Bind the listener on an ephemeral loopback port (:attr:`port`)."""
+        self._server = await asyncio.start_server(self._accept, LOOPBACK, 0)
+        self.port = self._server.sockets[0].getsockname()[1]
+
+    def _accept(self, reader, writer) -> None:
+        self._reader_tasks.append(asyncio.ensure_future(self._pump(reader, writer)))
+
+    async def _pump(self, reader, writer) -> None:
         try:
-            while True:
-                header = await reader.readexactly(_LEN.size)
-                (length,) = _LEN.unpack(header)
-                frame = await reader.readexactly(length)
-                await self.mailbox(node).put(frame)
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            pass  # peer closed; normal shutdown path
+            while (frame := await read_frame(reader)) is not None:
+                await self.mailbox.put(frame)
         finally:
-            writer.close()
+            writer.close()  # peer closed (exit or kill); retransmission heals losses
 
-    async def deliver(self, source: Hashable, target: Hashable, frame: bytes) -> None:
-        key = (source, target)
-        writer = self._writers.get(key)
-        if writer is None:
-            if target not in self._ports:
-                raise TransportError(f"unknown node {target!r}")
-            _, writer = await dial_with_retry(
-                self._host,
-                self._ports[target],
-                timeout=self._dial_timeout,
-                attempts=self._dial_attempts,
-                backoff=self._dial_backoff,
-            )
-            self._writers[key] = writer
-        writer.write(_LEN.pack(len(frame)) + frame)
-        await writer.drain()
+    def set_peers(self, ports: dict[Hashable, int]) -> None:
+        """Learn the listener port of each named node."""
+        self._ports.update(ports)
+
+    def _lock(self, target: Hashable) -> asyncio.Lock:
+        return self._locks.setdefault(target, asyncio.Lock())
+
+    async def _write(self, target: Hashable, frame: bytes) -> bool:
+        """Best-effort write to *target*'s live connection.
+
+        Returns ``False`` when the peer is down (connect refused / reset):
+        the frame stays in the outbox until :meth:`update_peer` names the
+        peer's new listener.  Fails fast — long retries against a dead
+        peer's *old* port can never succeed.
+        """
+        async with self._lock(target):
+            writer = self._writers.get(target)
+            try:
+                if writer is None:
+                    _, writer = await dial_with_retry(LOOPBACK, self._ports[target])
+                    self._writers[target] = writer
+                write_frame(writer, frame)
+                await writer.drain()
+                return True
+            except (TransportError, OSError, asyncio.TimeoutError):
+                self._writers.pop(target, None)
+                return False
+
+    async def send(self, target: Hashable, frame: bytes) -> int:
+        """Dispatch one frame; always counts as one wire copy.
+
+        A frame bound for a dead peer is *still in flight* from the Safra
+        ring's point of view: it sits in the outbox and is delivered on
+        retransmit, so counting it exactly once keeps the global sum
+        truthful in every interleaving.
+        """
+        if target == self._node:
+            self.mailbox.force_put(frame)
+            return 1
+        if target not in self._ports:
+            raise TransportError(f"unknown node {target!r}")
+        self._outbox.setdefault(target, []).append(frame)
+        await self._write(target, frame)
+        return 1
+
+    async def recv(self) -> bytes:
+        return await self.mailbox.get()
+
+    def recv_nowait(self) -> bytes | None:
+        return self.mailbox.get_nowait()
+
+    async def update_peer(self, target: Hashable, port: int) -> None:
+        """*target* restarted with its listener on *port*: drop the dead
+        connection and retransmit every frame ever sent to it."""
+        async with self._lock(target):
+            self._ports[target] = port
+            old = self._writers.pop(target, None)
+            if old is not None:
+                old.close()
+        for frame in list(self._outbox.get(target, ())):
+            if not await self._write(target, frame):
+                return  # peer died again; the next announcement retries
 
     async def close(self) -> None:
-        for writer in self._writers.values():
-            writer.close()
+        await close_writers(self._writers.values())
         self._writers.clear()
-        for server in self._servers.values():
-            server.close()
-            await server.wait_closed()
-        self._servers.clear()
+        if self._server is not None:
+            self._server.close()
         for task in self._reader_tasks:
             task.cancel()
         for task in self._reader_tasks:
@@ -332,6 +416,41 @@ class TcpTransport(Transport):
             except (asyncio.CancelledError, Exception):
                 pass
         self._reader_tasks.clear()
+        if self._server is not None:
+            # Last: since Python 3.12 this also waits for every accepted
+            # connection to close, which the cancelled pumps just did.
+            await self._server.wait_closed()
+
+
+class TcpTransport(Transport):
+    """Loopback TCP: one :class:`TcpEndpoint` per node on the running loop,
+    each told every node's port.  Every send passes through
+    :meth:`deliver`, self-sends included."""
+
+    name = "tcp"
+
+    def __init__(self, *, mailbox_capacity: int = DEFAULT_MAILBOX_CAPACITY) -> None:
+        super().__init__(mailbox_capacity=mailbox_capacity)
+        self._endpoints: dict[Hashable, TcpEndpoint] = {}
+
+    async def _start(self, nodes: list[Hashable]) -> dict[Hashable, Mailbox]:
+        self._endpoints = {
+            node: TcpEndpoint(node, mailbox_capacity=self._capacity) for node in nodes
+        }
+        for endpoint in self._endpoints.values():
+            await endpoint.start()
+        ports = {node: endpoint.port for node, endpoint in self._endpoints.items()}
+        for endpoint in self._endpoints.values():
+            endpoint.set_peers(ports)
+        return {node: endpoint.mailbox for node, endpoint in self._endpoints.items()}
+
+    async def deliver(self, source: Hashable, target: Hashable, frame: bytes) -> None:
+        await self._endpoints[source].send(target, frame)
+
+    async def close(self) -> None:
+        for endpoint in self._endpoints.values():
+            await endpoint.close()
+        self._endpoints.clear()
 
 
 TRANSPORT_NAMES: dict[str, type[Transport]] = {

@@ -28,21 +28,13 @@ from ..core.analyzer import analyze, query_for
 from ..datalog.instance import Instance
 from ..datalog.program import Program
 from ..monotonicity.checker import check_monotonicity
-from ..monotonicity.classes import AdditionKind, violation_on
+from ..monotonicity.classes import MonotonicityClass, violation_on
 from .generator import sample_delta
 
 __all__ = [
-    "KIND_FOR_CLASS",
     "MetamorphicViolation",
     "check_metamorphic",
 ]
-
-#: monotonicity class name -> the addition kind its condition quantifies over.
-KIND_FOR_CLASS: dict[str, AdditionKind] = {
-    "M": AdditionKind.ANY,
-    "Mdistinct": AdditionKind.DOMAIN_DISTINCT,
-    "Mdisjoint": AdditionKind.DOMAIN_DISJOINT,
-}
 
 
 @dataclass(frozen=True)
@@ -102,7 +94,7 @@ def check_metamorphic(
     analysis = analyze(program)
     if analysis.monotonicity is None:
         return None
-    kind = KIND_FOR_CLASS[analysis.monotonicity]
+    kind = MonotonicityClass(analysis.monotonicity).addition_kind
     query = query_for(program)
     base = instance.restrict(program.edb())
     for _ in range(deltas):

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from ..datalog.instance import Instance
 from ..datalog.program import Program
 from ..monotonicity.checker import check_monotonicity, random_pairs
-from ..monotonicity.classes import violation_on
+from ..monotonicity.classes import MonotonicityClass, violation_on
 from ..optimizer.plan import (
     OPTIMIZER_MUTATIONS,
     downward_consistent,
@@ -47,7 +47,7 @@ from ..optimizer.plan import (
 )
 from ..optimizer.executor import run_comparison
 from .generator import sample_delta
-from .metamorphic import KIND_FOR_CLASS, _facts_text
+from .metamorphic import _facts_text
 from .stacks import StackContext
 
 __all__ = [
@@ -209,7 +209,7 @@ def check_optimizer(
 
     claimed = optimized.effective_monotonicity
     if claimed is not None:
-        kind = KIND_FOR_CLASS[claimed]
+        kind = MonotonicityClass(claimed).addition_kind
         query = optimized.plan.query
         base = instance.restrict(program.edb())
         for _ in range(deltas):

@@ -36,10 +36,11 @@ from dataclasses import dataclass, replace
 from ..core.analyzer import analyze, planned_network, query_for
 from ..datalog.instance import Instance
 from ..datalog.program import Program
-from ..monotonicity.classes import AdditionKind
-from ..runtimes import Observation, execute, refines, spec_for
+from ..monotonicity.classes import AdditionKind, MonotonicityClass
+from .. import runtimes
+from ..runtimes import Observation, refines, spec_for
 from ..streaming.feed import DeltaFeed
-from .metamorphic import KIND_FOR_CLASS, _facts_text
+from .metamorphic import _facts_text
 from .stacks import StackContext
 
 __all__ = [
@@ -156,7 +157,7 @@ def check_streaming(
     analysis = analyze(program)
     if analysis.monotonicity is None:
         return None
-    kind = KIND_FOR_CLASS[analysis.monotonicity]
+    kind = MonotonicityClass(analysis.monotonicity).addition_kind
     base = instance.restrict(program.edb())
     feed = DeltaFeed.generate(
         rng, base, program.edb(), kind, batches=batches, max_facts=max_facts
@@ -192,7 +193,7 @@ def _check_case(
     if mutate is not None:
         runtime = "sync"
     feed = case.feed()
-    observation = execute(
+    observation = runtimes.execute(
         "processes" if runtime == "procs" else runtime,
         planned_network(case.program, context.nodes),
         case.base,

@@ -41,7 +41,7 @@ from ..datalog.connectivity import is_connected_program, is_semicon_datalog
 from ..datalog.program import Program
 from ..datalog.stratification import is_stratifiable
 from ..monotonicity.checker import check_monotonicity, classify_query, random_pairs
-from ..monotonicity.classes import AdditionKind
+from ..monotonicity.classes import AdditionKind, MonotonicityClass
 from ..queries.base import Query
 from .analyzer import DistributedPlan, Fragment, plan_distribution
 
@@ -58,13 +58,6 @@ __all__ = [
 
 #: Bumped whenever the certificate JSON layout changes incompatibly.
 CERTIFICATE_VERSION = 1
-
-#: guaranteed class -> AdditionKind of the defining monotonicity condition.
-_CLASS_KINDS = {
-    "M": AdditionKind.ANY,
-    "Mdistinct": AdditionKind.DOMAIN_DISTINCT,
-    "Mdisjoint": AdditionKind.DOMAIN_DISJOINT,
-}
 
 #: guaranteed class -> the paper-anchored routing rationale.
 _CLASS_REASONS = {
@@ -139,7 +132,7 @@ def empirical_section(
     the paper's positive claims are relative to the quantified family).
     """
     if monotonicity is not None:
-        kind = _CLASS_KINDS[monotonicity]
+        kind = MonotonicityClass(monotonicity).addition_kind
         verdict = check_monotonicity(
             query,
             kind,

@@ -18,7 +18,7 @@ from ..datalog.instance import Instance
 from ..datalog.parser import parse_facts
 from ..datalog.stratified import evaluate as evaluate_program
 from ..monotonicity.checker import random_pairs
-from ..monotonicity.classes import AdditionKind
+from ..monotonicity.classes import AdditionKind, MonotonicityClass
 from ..monotonicity.hierarchy import ClaimResult, membership_verdict, verify_theorem31
 from ..queries.base import DatalogQuery, Query
 from ..queries.generators import multi_component_instance, random_graph
@@ -31,7 +31,7 @@ from ..transducers.protocols import (
     disjoint_protocol_transducer,
     distinct_protocol_transducer,
 )
-from ..runtimes import execute
+from .. import runtimes
 from ..transducers.runtime import RunMetrics, TransducerNetwork
 from ..transducers.schema import POLICY_AWARE_NO_ALL
 from .analyzer import analyze
@@ -217,11 +217,6 @@ def figure2_experiment(*, seed: int = 5) -> list[ExperimentRow]:
     from .analyzer import query_for
 
     rows: list[ExperimentRow] = []
-    kind_of = {
-        "M": AdditionKind.ANY,
-        "Mdistinct": AdditionKind.DOMAIN_DISTINCT,
-        "Mdisjoint": AdditionKind.DOMAIN_DISJOINT,
-    }
     for entry in PROGRAM_ZOO:
         program = entry.program()
         analysis = analyze(program)
@@ -233,9 +228,9 @@ def figure2_experiment(*, seed: int = 5) -> list[ExperimentRow]:
                 f"analyzer says {analysis.fragment}",
             )
         )
-        if entry.monotonicity in kind_of:
+        if entry.monotonicity != "none":
             query = query_for(program)
-            kind = kind_of[entry.monotonicity]
+            kind = MonotonicityClass(entry.monotonicity).addition_kind
             pairs = list(
                 random_pairs(query.input_schema, kind, count=200, seed=seed)
             )
@@ -715,7 +710,7 @@ def protocol_costs(
         )
     costs = []
     for kind, transducer, policy in configs:
-        observation = execute(
+        observation = runtimes.execute(
             "sync",
             TransducerNetwork(network, transducer, policy),
             instance,
@@ -886,11 +881,13 @@ def chaos_experiment() -> list[ExperimentRow]:
     rows = []
     for bundle in section4_protocols() + (barrier_baseline(),):
         network = bundle.network(["n1", "n2", "n3"])
-        reports = [execute("sync", network, bundle.instance, scheduler="fair").report]
+        reports = [
+            runtimes.execute("sync", network, bundle.instance, scheduler="fair").report
+        ]
         for seed in range(20):
             zoo = chaos_scheduler_zoo(seed)
             reports.append(
-                execute(
+                runtimes.execute(
                     "sync", network, bundle.instance, seed=seed,
                     faults=CHAOS_PLAN, scheduler=zoo[seed % len(zoo)],
                 ).report

@@ -16,7 +16,8 @@ from typing import Any
 from ..core.analyzer import network_for_plan
 from ..datalog.instance import Instance
 from ..datalog.program import Program
-from ..runtimes import execute, node_names
+from .. import runtimes
+from ..runtimes import node_names
 from .costmodel import DEFAULT_COST_MODEL, CostModel, CostVector
 from .plan import OptimizedPlan, plan_optimized
 
@@ -84,7 +85,7 @@ def execute_arm(
     """Run one plan arm to quiescence and package its cost evidence."""
     plan = optimized.plan
     base = instance.restrict(optimized.program.edb())
-    observation = execute(
+    observation = runtimes.execute(
         "sync",
         network_for_plan(plan, node_names(nodes)),
         base,

@@ -16,8 +16,9 @@ from repro.cluster.codec import (
     decode_envelope,
     encode_envelope,
 )
-from repro.cluster.procs import ProcessCluster, _close_writers
+from repro.cluster.procs import ProcessCluster
 from repro.cluster.runtime import ClusterRun
+from repro.cluster.transport import close_writers
 from repro.core.analyzer import planned_network
 from repro.datalog import Instance, parse_facts, parse_program
 from repro.runtimes import execute
@@ -253,7 +254,7 @@ class TestCloseWriters:
             _Writer("b", fail_close=True),
             _Writer("c", fail_wait=True),
         ]
-        asyncio.run(_close_writers(writers))
+        asyncio.run(close_writers(writers))
         assert [entry for entry in log if entry[0] == "close"] == [
             ("close", "a"),
             ("close", "b"),

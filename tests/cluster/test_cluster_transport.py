@@ -1,4 +1,6 @@
-"""Unit tests for the transport layer: mailboxes, memory and TCP delivery."""
+"""Unit tests for the transport layer: mailboxes, memory and TCP delivery,
+and the TCP endpoint's repair path (outbox, ``update_peer``) in one
+process, with no fork."""
 
 import asyncio
 
@@ -7,6 +9,7 @@ import pytest
 from repro.cluster.transport import (
     InMemoryTransport,
     Mailbox,
+    TcpEndpoint,
     TcpTransport,
     TransportError,
     make_transport,
@@ -142,6 +145,79 @@ class TestTransports:
                     await endpoints["a"].send("ghost", b"x")
             finally:
                 await transport.close()
+
+        run(scenario())
+
+
+class TestTcpEndpointRepair:
+    """What a process worker's endpoint does when a peer dies and comes back,
+    driven on one loop: the peer is an endpoint whose listener is closed,
+    and its restart is a fresh endpoint on a new port."""
+
+    @staticmethod
+    async def _endpoint(node, peers=None):
+        endpoint = TcpEndpoint(node)
+        await endpoint.start()
+        endpoint.set_peers({node: endpoint.port, **(peers or {})})
+        return endpoint
+
+    def test_frames_sent_to_a_closed_listener_stay_in_the_outbox(self):
+        async def scenario():
+            dead = await self._endpoint("b")
+            port = dead.port
+            await dead.close()
+            sender = await self._endpoint("a", {"b": port})
+            restarted = await self._endpoint("b")
+            try:
+                for i in range(3):
+                    # Refused, kept, and still one copy in flight.
+                    assert await sender.send("b", b"f%d" % i) == 1
+                await asyncio.sleep(0.05)
+                assert restarted.recv_nowait() is None  # not announced yet
+                await sender.update_peer("b", restarted.port)
+                frames = [await restarted.recv() for _ in range(3)]
+                assert frames == [b"f0", b"f1", b"f2"]
+            finally:
+                await sender.close()
+                await restarted.close()
+
+        run(asyncio.wait_for(scenario(), timeout=10))
+
+    def test_update_peer_retransmits_everything_once_in_order(self):
+        async def scenario():
+            peer = await self._endpoint("b")
+            sender = await self._endpoint("a", {"b": peer.port})
+            restarted = None
+            try:
+                await sender.send("b", b"f0")
+                assert await peer.recv() == b"f0"
+                await peer.close()  # the peer dies with f0 accepted
+                await sender.send("b", b"f1")  # into the dead connection
+                restarted = await self._endpoint("b")
+                await sender.update_peer("b", restarted.port)
+                await sender.send("b", b"f2")
+                # Every frame ever sent, once each, in send order; the
+                # receiver's dedup (not the endpoint) drops the old f0.
+                frames = [await restarted.recv() for _ in range(3)]
+                assert frames == [b"f0", b"f1", b"f2"]
+                await asyncio.sleep(0.05)
+                assert restarted.recv_nowait() is None
+                assert restarted.mailbox.enqueued == 3
+            finally:
+                await sender.close()
+                if restarted is not None:
+                    await restarted.close()
+
+        run(asyncio.wait_for(scenario(), timeout=10))
+
+    def test_unknown_target_raises_transport_error(self):
+        async def scenario():
+            endpoint = await self._endpoint("a")
+            try:
+                with pytest.raises(TransportError, match="unknown node 'ghost'"):
+                    await endpoint.send("ghost", b"x")
+            finally:
+                await endpoint.close()
 
         run(scenario())
 

@@ -17,15 +17,11 @@ from repro.conformance.generator import (
     sample_instance,
     sample_program,
 )
-from repro.conformance.metamorphic import (
-    KIND_FOR_CLASS,
-    MetamorphicViolation,
-    check_metamorphic,
-)
+from repro.conformance.metamorphic import MetamorphicViolation, check_metamorphic
 from repro.core.analyzer import analyze, query_for
 from repro.datalog import parse_program
 from repro.monotonicity.checker import check_monotonicity, random_pairs
-from repro.monotonicity.classes import AdditionKind
+from repro.monotonicity.classes import AdditionKind, MonotonicityClass
 from repro.monotonicity.witnesses import (
     theorem31_witnesses,
     witness_cotc_not_distinct,
@@ -54,10 +50,13 @@ def _rng(salt: int) -> random.Random:
 
 
 def test_kind_map_covers_exactly_the_guaranteed_classes():
-    assert set(KIND_FOR_CLASS) == {"M", "Mdistinct", "Mdisjoint"}
-    assert KIND_FOR_CLASS["M"] is AdditionKind.ANY
-    assert KIND_FOR_CLASS["Mdistinct"] is AdditionKind.DOMAIN_DISTINCT
-    assert KIND_FOR_CLASS["Mdisjoint"] is AdditionKind.DOMAIN_DISJOINT
+    kinds = {klass.value: klass.addition_kind for klass in MonotonicityClass}
+    assert kinds == {
+        "M": AdditionKind.ANY,
+        "Mdistinct": AdditionKind.DOMAIN_DISTINCT,
+        "Mdisjoint": AdditionKind.DOMAIN_DISJOINT,
+        "C": None,  # no condition: every query belongs, nothing to sample
+    }
 
 
 @pytest.mark.parametrize("program", [TC, UNREACHABLE], ids=["tc", "unreachable"])
@@ -75,7 +74,7 @@ def test_guarantee_cross_checked_against_searched_pair_family():
     """The same positive claim, derived through the checker's own search."""
     for program in (TC, UNREACHABLE):
         analysis = analyze(program)
-        kind = KIND_FOR_CLASS[analysis.monotonicity]
+        kind = MonotonicityClass(analysis.monotonicity).addition_kind
         verdict = check_monotonicity(
             query_for(program),
             kind,

@@ -270,6 +270,11 @@ class TestOptionRules:
                 "or --transport",
                 id="processes-transport",
             ),
+            pytest.param(
+                ["--max-crashes", "5"],
+                "--max-crashes N is the budget of --crash",
+                id="max-crashes-without-crash",
+            ),
         ],
     )
     def test_a_combination_no_runtime_serves_exits_1(

@@ -38,10 +38,6 @@ TC_NETWORK = planned_network(parse_program(TC), ("n1",))
 @pytest.fixture
 def one_round(monkeypatch):
     """Every run through the seam gives up after one round."""
-    # Planning imports repro.optimizer, whose executor binds ``execute`` by
-    # value: import it first, or it would keep the patched one for good.
-    import repro.optimizer  # noqa: F401
-
     monkeypatch.setattr(
         runtimes, "execute", functools.partial(execute, max_rounds=1)
     )

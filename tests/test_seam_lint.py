@@ -143,6 +143,49 @@ def test_the_pipeline_lint_sees_planted_imports():
     assert sorted(found) == [(1, "execute"), (3, "network_for_plan"), (4, "spec_for")]
 
 
+def _execute_bound_at_import(tree: ast.AST, module: str, path: Path):
+    """Lines that bind ``repro.runtimes.execute`` by name while *module* is
+    imported.  A function body imports when it runs, so it sees a patch of
+    ``repro.runtimes.execute`` whatever the import order was."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if (
+            isinstance(node, ast.ImportFrom)
+            and _from_base(node, module, path) == "repro.runtimes"
+            and any(alias.name == "execute" for alias in node.names)
+        ):
+            yield node.lineno
+        pending.extend(ast.iter_child_nodes(node))
+
+
+def test_execute_is_resolved_when_called():
+    offenders = [
+        f"{path.relative_to(SRC).as_posix()}:{line}"
+        for module, (path, tree) in _modules(SRC).items()
+        for line in _execute_bound_at_import(tree, module, path)
+    ]
+    assert offenders == [], "call runtimes.execute(...) or import it in the function"
+
+
+def test_the_execute_lint_sees_planted_imports():
+    planted = ast.parse(
+        "from ..runtimes import Observation, execute\n"
+        "from .. import runtimes\n"
+        "if runtimes:\n"
+        "    from repro.runtimes import execute as run\n"
+        "def f():\n"
+        "    from ..runtimes import execute\n"
+        "class C:\n"
+        "    from ..runtimes import execute\n"
+    )
+    path = SRC / "cluster" / "gate.py"
+    found = _execute_bound_at_import(planted, "repro.cluster.gate", path)
+    assert sorted(found) == [1, 4, 8]
+
+
 def test_the_allowlists_name_real_files():
     for relative in MAY_CONSTRUCT | MODEL_LEVEL | set(FRONT_ENDS):
         assert (SRC / relative).is_file(), relative
